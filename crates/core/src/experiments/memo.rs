@@ -31,8 +31,11 @@ impl<K: Copy + PartialEq> RunMemo<K> {
     }
 
     /// The run memoized under `key`, simulated by `run` on a miss. The
-    /// result's trace index is built before any caller sees it: every
-    /// figure and table renderer queries the same index.
+    /// result's trace index is built before any caller sees it, so
+    /// every figure and table renderer queries the same index. Its
+    /// sort-based views (sorted sizes, completion order, file regions)
+    /// wait for the first renderer that asks, behind the index's own
+    /// `OnceLock`s, and then serve every later one.
     pub(crate) fn get_or_run(&self, key: K, run: impl FnOnce() -> RunResult) -> Arc<RunResult> {
         let slot = {
             let mut slots = self.slots();

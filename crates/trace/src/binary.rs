@@ -19,6 +19,9 @@
 //!   bytes    : u64
 //!   offset   : u64
 //! ```
+//!
+//! A record's `start + duration` must fit in a `u64`: its completion
+//! instant is then representable, and no analysis of the trace wraps.
 
 use crate::event::IoEvent;
 use crate::recorder::TraceRecorder;
@@ -49,6 +52,11 @@ pub enum BinaryError {
     BadKind(u8),
     /// A record carried an invalid access mode.
     BadMode(u8),
+    /// A record's `start + duration` overflows `u64`.
+    EndOverflow {
+        /// Position of the record in the trace, from 0.
+        record: u64,
+    },
 }
 
 impl fmt::Display for BinaryError {
@@ -65,6 +73,9 @@ impl fmt::Display for BinaryError {
             ),
             BinaryError::BadKind(k) => write!(f, "invalid operation kind {k}"),
             BinaryError::BadMode(m) => write!(f, "invalid access mode {m}"),
+            BinaryError::EndOverflow { record } => {
+                write!(f, "record {record}: start + duration overflows u64")
+            }
         }
     }
 }
@@ -204,15 +215,25 @@ pub fn decode(data: &[u8]) -> Result<TraceRecorder, BinaryError> {
         });
     }
     let mut trace = TraceRecorder::new();
-    for r in records.chunks_exact(RECORD_BYTES).take(count as usize) {
+    for (i, r) in records
+        .chunks_exact(RECORD_BYTES)
+        .take(count as usize)
+        .enumerate()
+    {
         let u64_at = |at| u64::from_le_bytes(le(r, at));
+        let (start, duration) = (u64_at(10), u64_at(18));
+        let kind = kind_from_u8(r[8])?;
+        let mode = mode_from_u8(r[9])?;
+        if start.checked_add(duration).is_none() {
+            return Err(BinaryError::EndOverflow { record: i as u64 });
+        }
         trace.record(IoEvent {
             pid: Pid(u32::from_le_bytes(le(r, 0))),
             file: FileId(u32::from_le_bytes(le(r, 4))),
-            kind: kind_from_u8(r[8])?,
-            mode: mode_from_u8(r[9])?,
-            start: Time::from_nanos(u64_at(10)),
-            duration: Time::from_nanos(u64_at(18)),
+            kind,
+            mode,
+            start: Time::from_nanos(start),
+            duration: Time::from_nanos(duration),
             bytes: u64_at(26),
             offset: u64_at(34),
         });
@@ -349,6 +370,37 @@ mod tests {
         // The mode byte follows the kind byte.
         data[14 + 9] = 99;
         assert_eq!(decode(&data).unwrap_err(), BinaryError::BadMode(99));
+    }
+
+    #[test]
+    fn end_overflow_rejected() {
+        let at = |start: u64| IoEvent {
+            pid: Pid(0),
+            file: FileId(0),
+            kind: OpKind::Read,
+            start: Time::from_nanos(start),
+            duration: Time::from_nanos(1000),
+            bytes: 0,
+            offset: 0,
+            mode: IoMode::MUnix,
+        };
+        let mut t = TraceRecorder::new();
+        t.record(at(0));
+        // Ends 900 ns past 2^64.
+        t.record(at(u64::MAX - 99));
+        let data = encode(&t);
+        assert_eq!(
+            decode(&data).unwrap_err(),
+            BinaryError::EndOverflow { record: 1 }
+        );
+        assert_eq!(
+            decode(&data).unwrap_err().to_string(),
+            "record 1: start + duration overflows u64"
+        );
+        // An end of exactly u64::MAX is representable.
+        let mut ok = TraceRecorder::new();
+        ok.record(at(u64::MAX - 1000));
+        assert_eq!(decode(&encode(&ok)).expect("decodes").events(), ok.events());
     }
 
     #[test]

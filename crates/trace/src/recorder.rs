@@ -96,12 +96,15 @@ impl TraceRecorder {
     /// order for analysis, and the same stable order
     /// [`TraceIndex::build`] establishes internally.
     ///
-    /// Sorts a 4-byte index permutation and then moves the events into
-    /// place cycle by cycle, so the only scratch space is the
-    /// permutation, never a second copy of the trace.
+    /// A trace already in that order is left as it is, after one O(n)
+    /// check. Otherwise sorts a 4-byte index permutation and then moves
+    /// the events into place cycle by cycle, so the only scratch space
+    /// is the permutation, never a second copy of the trace.
     pub fn sort(&mut self) {
+        let Some(mut perm) = canonical_order(&self.events) else {
+            return;
+        };
         self.index.take();
-        let mut perm = canonical_order(&self.events);
         for start in 0..perm.len() {
             // Each cycle of the permutation is walked once: position
             // `cur` receives the event at `perm[cur]`, and every
@@ -122,8 +125,11 @@ impl TraceRecorder {
     /// The columnar analytics index over this trace, built on first
     /// use and cached until the trace is mutated. Every aggregate
     /// query below routes through it, so multi-query consumers (the
-    /// experiment reports, `characterize`) pay for one O(n log n)
-    /// build instead of a scan per query.
+    /// experiment reports, `characterize`) pay for one build instead
+    /// of a scan per query: a linear pass on a trace already in
+    /// canonical order, as every simulator trace is. The index's
+    /// sort-based views (completion order, sorted sizes, file regions)
+    /// wait for the first query that needs them.
     pub fn index(&self) -> &TraceIndex {
         self.index.get_or_init(|| TraceIndex::build(&self.events))
     }

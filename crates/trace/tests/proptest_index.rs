@@ -2,7 +2,10 @@
 //! query — lifetime, window, region, and by-kind aggregates — must
 //! equal the naive-scan oracle on arbitrary event vectors, including
 //! empty traces, zero-duration events, and offsets at the edge of the
-//! u64 range.
+//! u64 range. The lifetime, window, region and `starting_in`
+//! properties build each index twice: from the events as drawn, which
+//! sorts a permutation, and from their recorder-sorted copy, which
+//! takes the linear path every simulator trace takes.
 
 use sioscope_pfs::{IoMode, OpKind};
 use sioscope_prop::cases;
@@ -65,18 +68,28 @@ fn recorder(events: &[IoEvent]) -> TraceRecorder {
     t
 }
 
+/// The two inputs an index is built from: the events as drawn, and
+/// their recorder-sorted (canonical) copy.
+fn drawn_and_sorted(events: &[IoEvent]) -> [Vec<IoEvent>; 2] {
+    let mut t = recorder(events);
+    t.sort();
+    [events.to_vec(), t.events().to_vec()]
+}
+
 /// Lifetime summaries via the index equal the scan for every file
 /// (including files absent from the trace).
 #[test]
 fn lifetime_indexed_matches_oracle() {
     cases("lifetime_indexed_matches_oracle", 256, |rng| {
         let events = arb_events(rng);
-        let idx = TraceIndex::build(&events);
-        for f in 0..5u32 {
-            assert_eq!(
-                LifetimeSummary::from_index(&idx, FileId(f)),
-                LifetimeSummary::build(&events, FileId(f))
-            );
+        for input in drawn_and_sorted(&events) {
+            let idx = TraceIndex::build(&input);
+            for f in 0..5u32 {
+                assert_eq!(
+                    LifetimeSummary::from_index(&idx, FileId(f)),
+                    LifetimeSummary::build(&events, FileId(f))
+                );
+            }
         }
     });
 }
@@ -90,25 +103,27 @@ fn window_indexed_matches_oracle() {
         let events = arb_events(rng);
         let a = rng.range_inclusive(0, 1_099_999);
         let b = rng.range_inclusive(0, 1_099_999);
-        let idx = TraceIndex::build(&events);
         let (t0, t1) = (Time::from_nanos(a.min(b)), Time::from_nanos(a.max(b)));
-        assert_eq!(
-            TimeWindowSummary::from_index(&idx, t0, t1),
-            TimeWindowSummary::build(&events, t0, t1)
-        );
-        // Degenerate window at `a` — exercises the correction term.
-        let t = Time::from_nanos(a);
-        assert_eq!(
-            TimeWindowSummary::from_index(&idx, t, t),
-            TimeWindowSummary::build(&events, t, t)
-        );
-        // Degenerate window pinned to an actual event start, where
-        // zero-duration events are guaranteed to sit when present.
-        if let Some(e) = events.first() {
+        for input in drawn_and_sorted(&events) {
+            let idx = TraceIndex::build(&input);
             assert_eq!(
-                TimeWindowSummary::from_index(&idx, e.start, e.start),
-                TimeWindowSummary::build(&events, e.start, e.start)
+                TimeWindowSummary::from_index(&idx, t0, t1),
+                TimeWindowSummary::build(&events, t0, t1)
             );
+            // Degenerate window at `a` — exercises the correction term.
+            let t = Time::from_nanos(a);
+            assert_eq!(
+                TimeWindowSummary::from_index(&idx, t, t),
+                TimeWindowSummary::build(&events, t, t)
+            );
+            // Degenerate window pinned to an actual event start, where
+            // zero-duration events are guaranteed to sit when present.
+            if let Some(e) = events.first() {
+                assert_eq!(
+                    TimeWindowSummary::from_index(&idx, e.start, e.start),
+                    TimeWindowSummary::build(&events, e.start, e.start)
+                );
+            }
         }
     });
 }
@@ -133,12 +148,14 @@ fn region_indexed_matches_oracle() {
         let file = rng.range_inclusive(0, 3) as u32;
         let a = region_bound(rng);
         let b = region_bound(rng);
-        let idx = TraceIndex::build(&events);
         let (lo, hi) = (a.min(b), a.max(b));
-        assert_eq!(
-            FileRegionSummary::from_index(&idx, FileId(file), lo, hi),
-            FileRegionSummary::build(&events, FileId(file), lo, hi)
-        );
+        for input in drawn_and_sorted(&events) {
+            let idx = TraceIndex::build(&input);
+            assert_eq!(
+                FileRegionSummary::from_index(&idx, FileId(file), lo, hi),
+                FileRegionSummary::build(&events, FileId(file), lo, hi)
+            );
+        }
     });
 }
 
@@ -252,18 +269,18 @@ fn starting_in_matches_filtered_scan() {
         let events = arb_events(rng);
         let a = rng.range_inclusive(0, 1_099_999);
         let b = rng.range_inclusive(0, 1_099_999);
-        let idx = TraceIndex::build(&events);
-        let mut t = recorder(&events);
-        t.sort();
         let (t0, t1) = (Time::from_nanos(a.min(b)), Time::from_nanos(a.max(b)));
-        let via_index: Vec<IoEvent> = idx.starting_in(t0, t1).collect();
-        let via_scan: Vec<IoEvent> = t
-            .events()
+        let [drawn, sorted] = drawn_and_sorted(&events);
+        let via_scan: Vec<IoEvent> = sorted
             .iter()
             .filter(|e| e.start >= t0 && e.start < t1)
             .copied()
             .collect();
-        assert_eq!(via_index, via_scan);
+        for input in [drawn, sorted] {
+            let idx = TraceIndex::build(&input);
+            let via_index: Vec<IoEvent> = idx.starting_in(t0, t1).collect();
+            assert_eq!(via_index, via_scan);
+        }
     });
 }
 
