@@ -25,7 +25,8 @@
 //! * per **file**, the lifetime statistics, and per **pid**, per-kind
 //!   counts and duration totals. An event reaches its file and its pid
 //!   through one hash lookup each, into storage sized by the number of
-//!   distinct ids, never by the largest id;
+//!   distinct ids, never by the largest id. The ids are then sorted,
+//!   and a query finds a file, pid or job by binary search;
 //! * a **time-bucketed offset table** over the start column, so seeking
 //!   to a window boundary binary-searches one bucket instead of the
 //!   whole column.
@@ -426,21 +427,6 @@ struct JobIndex {
     stats: GroupStats,
 }
 
-/// The position of `id` among the sorted, distinct `ids`: `id` itself
-/// when they are exactly `0..len`, as a simulator's pids and files are,
-/// and a binary search otherwise.
-fn slot<K: Copy + Ord>(ids: &[K], id: K, raw: fn(K) -> u32) -> Option<usize> {
-    let dense = ids
-        .last()
-        .is_some_and(|&last| raw(last) as usize + 1 == ids.len());
-    if dense {
-        let i = raw(id) as usize;
-        (i < ids.len()).then_some(i)
-    } else {
-        ids.binary_search(&id).ok()
-    }
-}
-
 /// One accumulator per distinct id of a column, in order of first
 /// appearance: storage grows with the number of distinct ids, never
 /// with the largest id (a `.siot` file may carry pid 4,000,000,000).
@@ -452,8 +438,6 @@ struct Groups<K, A> {
     slot_of: HashMap<K, usize>,
     ids: Vec<K>,
     accs: Vec<A>,
-    /// The last id looked up: runs of one file are common.
-    last: Option<(K, usize)>,
 }
 
 impl<K: Copy + Ord + Hash, A: Default> Groups<K, A> {
@@ -462,24 +446,16 @@ impl<K: Copy + Ord + Hash, A: Default> Groups<K, A> {
             slot_of: HashMap::new(),
             ids: Vec::new(),
             accs: Vec::new(),
-            last: None,
         }
     }
 
     fn acc(&mut self, id: K) -> &mut A {
-        let slot = match self.last {
-            Some((last, slot)) if last == id => slot,
-            _ => {
-                let next = self.ids.len();
-                let slot = *self.slot_of.entry(id).or_insert(next);
-                if slot == next {
-                    self.ids.push(id);
-                    self.accs.push(A::default());
-                }
-                self.last = Some((id, slot));
-                slot
-            }
-        };
+        let next = self.ids.len();
+        let slot = *self.slot_of.entry(id).or_insert(next);
+        if slot == next {
+            self.ids.push(id);
+            self.accs.push(A::default());
+        }
         &mut self.accs[slot]
     }
 
@@ -645,11 +621,11 @@ impl TraceIndex {
     }
 
     fn file_slot(&self, file: FileId) -> Option<usize> {
-        slot(&self.file_ids, file, |f| f.0)
+        self.file_ids.binary_search(&file).ok()
     }
 
     fn pid_slot(&self, pid: Pid) -> Option<usize> {
-        slot(&self.pid_ids, pid, |p| p.0)
+        self.pid_ids.binary_search(&pid).ok()
     }
 
     fn regions(&self) -> &[[RegionIndex; 2]] {
@@ -949,7 +925,10 @@ impl TraceIndex {
     }
 
     fn job(&self, job: JobId) -> Option<&JobIndex> {
-        slot(&self.job_ids, job, |j| j.0).map(|j| &self.by_job[j])
+        self.job_ids
+            .binary_search(&job)
+            .ok()
+            .map(|j| &self.by_job[j])
     }
 
     /// Number of events attributed to `job`.
