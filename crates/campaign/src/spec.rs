@@ -224,7 +224,7 @@ impl CampaignSpec {
     /// Parse and validate a `campaign.toml` document.
     pub fn from_toml_str(text: &str) -> Result<CampaignSpec, SpecError> {
         let doc = minitoml::parse(text).map_err(|e| err(format!("campaign spec: {e}")))?;
-        for key in doc.values.keys() {
+        if let Some(key) = doc.values.keys().next() {
             return Err(err(format!(
                 "campaign spec: top-level key `{key}` outside any [table]"
             )));

@@ -112,7 +112,7 @@ pub(crate) fn mix_stream(scale: Scale, mean_interarrival: Time) -> JobStream {
     let compute_bound = job_workload("compute-bound", job_nodes, cpu_read, Time::from_secs(2));
     JobStream {
         kind: StreamKind::Poisson { mean_interarrival },
-        seed: 0x5CED_31,
+        seed: 0x005C_ED31,
         templates: vec![
             JobTemplate {
                 label: "io-bound".into(),
@@ -253,7 +253,7 @@ pub fn backfill_vs_fcfs(scale: Scale) -> ExperimentOutput {
                 (Time::from_millis(2), 2),
             ],
         },
-        seed: 0x5CED_32,
+        seed: 0x005C_ED32,
         templates: vec![
             JobTemplate {
                 label: "long".into(),

@@ -434,8 +434,7 @@ pub fn run_schedule(
                 continue;
             }
             SEv::TryDispatch => {
-                loop {
-                    let Some(&head) = pending.front() else { break };
+                while let Some(&head) = pending.front() {
                     let head_nodes = stream.templates[jobs[head as usize].template]
                         .workload
                         .nodes;

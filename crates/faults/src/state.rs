@@ -276,10 +276,8 @@ impl ObjectFaultState {
         };
         for ev in &schedule.events {
             match ev.kind {
-                FaultKind::MetadataShardOutage { shard, duration } => {
-                    if shard < md_shards {
-                        state.down[shard as usize].push((ev.at, ev.at.saturating_add(duration)));
-                    }
+                FaultKind::MetadataShardOutage { shard, duration } if shard < md_shards => {
+                    state.down[shard as usize].push((ev.at, ev.at.saturating_add(duration)));
                 }
                 FaultKind::DegradedService { duration, factor } => {
                     state

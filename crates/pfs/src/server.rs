@@ -128,6 +128,15 @@ pub struct Pfs {
     res_stats: ResilienceStats,
 }
 
+/// What a `gopen` or `setiomode` call asks for: the collective's size,
+/// and the mode (and record size) it sets.
+#[derive(Debug, Clone, Copy)]
+struct ModeRequest {
+    group: u32,
+    mode: IoMode,
+    record_size: Option<u64>,
+}
+
 impl Pfs {
     /// Build a file system over `cfg`.
     pub fn new(cfg: PfsConfig) -> Self {
@@ -296,16 +305,30 @@ impl Pfs {
         }
         match op {
             IoOp::Open => self.do_open(now, pid, fid, out),
-            IoOp::Gopen {
+            &IoOp::Gopen {
                 group,
                 mode,
                 record_size,
-            } => self.do_gopen(now, pid, fid, *group, *mode, *record_size, out),
-            IoOp::SetIoMode {
+            } => {
+                let req = ModeRequest {
+                    group,
+                    mode,
+                    record_size,
+                };
+                self.do_gopen(now, pid, fid, req, out)
+            }
+            &IoOp::SetIoMode {
                 group,
                 mode,
                 record_size,
-            } => self.do_setiomode(now, pid, fid, *group, *mode, *record_size, out),
+            } => {
+                let req = ModeRequest {
+                    group,
+                    mode,
+                    record_size,
+                };
+                self.do_setiomode(now, pid, fid, req, out)
+            }
             IoOp::Read { size } => self.do_data(now, pid, fid, *size, false, out),
             IoOp::Write { size } => self.do_data(now, pid, fid, *size, true, out),
             IoOp::Seek { offset } => self.do_seek(now, pid, fid, *offset, out),
@@ -354,11 +377,14 @@ impl Pfs {
         now: Time,
         pid: Pid,
         fid: FileId,
-        group: u32,
-        mode: IoMode,
-        record_size: Option<u64>,
+        req: ModeRequest,
         out: &mut Vec<Completion>,
     ) -> Result<bool, PfsError> {
+        let ModeRequest {
+            group,
+            mode,
+            record_size,
+        } = req;
         if !mode.available_in(self.cfg.os) {
             return Err(PfsError::ModeUnavailable { mode: mode.name() });
         }
@@ -412,11 +438,14 @@ impl Pfs {
         now: Time,
         pid: Pid,
         fid: FileId,
-        group: u32,
-        mode: IoMode,
-        record_size: Option<u64>,
+        req: ModeRequest,
         out: &mut Vec<Completion>,
     ) -> Result<bool, PfsError> {
+        let ModeRequest {
+            group,
+            mode,
+            record_size,
+        } = req;
         if !mode.available_in(self.cfg.os) {
             return Err(PfsError::ModeUnavailable { mode: mode.name() });
         }
@@ -635,7 +664,7 @@ impl Pfs {
             }
             IoMode::MLog => self.log_data(now, pid, fid, size, write, out),
             IoMode::MRecord | IoMode::MGlobal | IoMode::MSync => {
-                self.collective_data(now, pid, fid, size, write, mode, out)
+                self.collective_data(now, pid, fid, size, write, out)
             }
         }
     }
@@ -1294,7 +1323,8 @@ impl Pfs {
         last + params.sw_setup + params.per_hop * u64::from(max_hops)
     }
 
-    /// Collective data operations: M_RECORD, M_GLOBAL, M_SYNC.
+    /// Collective data operations, in the file's mode: M_RECORD,
+    /// M_GLOBAL or M_SYNC.
     fn collective_data(
         &mut self,
         now: Time,
@@ -1302,9 +1332,9 @@ impl Pfs {
         fid: FileId,
         size: u64,
         write: bool,
-        mode: IoMode,
         out: &mut Vec<Completion>,
     ) -> Result<bool, PfsError> {
+        let mode = self.files[fid.index()].mode;
         // Validate before joining the group.
         if mode == IoMode::MRecord {
             let expected = self.files[fid.index()].record_size.unwrap_or(0);

@@ -140,7 +140,7 @@ impl PartitionAllocator {
     /// Panics if `cols` exceeds 64 (one `u64` mask per row) or
     /// `compute_nodes` exceeds the grid.
     pub fn new(rows: u32, cols: u32, compute_nodes: u32, policy: AllocPolicy) -> Self {
-        assert!(cols >= 1 && cols <= 64, "mesh width {cols} not in 1..=64");
+        assert!((1..=64).contains(&cols), "mesh width {cols} not in 1..=64");
         assert!(rows >= 1, "mesh must have rows");
         assert!(
             compute_nodes <= rows * cols,
@@ -197,7 +197,7 @@ impl PartitionAllocator {
     }
 
     fn mask(len: u32, x: u32) -> u64 {
-        debug_assert!(len >= 1 && len <= 64);
+        debug_assert!((1..=64).contains(&len));
         if len == 64 {
             u64::MAX
         } else {
@@ -212,7 +212,7 @@ impl PartitionAllocator {
                 return false;
             }
             // Every occupied cell must be a real compute node.
-            if (y + r) * self.cols + x + len - 1 >= self.compute_nodes {
+            if (y + r) * self.cols + x + len > self.compute_nodes {
                 return false;
             }
         }
@@ -284,7 +284,7 @@ impl PartitionAllocator {
                     }
                     AllocPolicy::BestFit => {
                         let score = self.adjacency_score(x, y, n, w, h);
-                        if best.map_or(true, |b| (score, y, x) < b) {
+                        if best.is_none_or(|b| (score, y, x) < b) {
                             best = Some((score, y, x));
                         }
                     }

@@ -169,7 +169,7 @@ impl JobStream {
                     .map(|i| {
                         if i > 0 {
                             let u = rng.unit();
-                            t = t + Time::from_secs_f64(-mean * (1.0 - u).ln());
+                            t += Time::from_secs_f64(-mean * (1.0 - u).ln());
                         }
                         JobArrival {
                             at: t,

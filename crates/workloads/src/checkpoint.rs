@@ -147,7 +147,7 @@ impl Recoverable {
                 annotated.push(stmt);
                 if is_barrier {
                     j += 1;
-                    if j % stride == 0 && j != total_barriers {
+                    if j.is_multiple_of(stride) && j != total_barriers {
                         annotated.push(Stmt::CheckpointCommit(j / stride - 1));
                         inserted += 1;
                     }

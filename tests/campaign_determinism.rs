@@ -4,7 +4,7 @@
 //! cache and the thread pool are performance details, not inputs.
 
 use sioscope_campaign::{run_campaign, CampaignSpec, ExecOptions};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Small but cross-kind: workload x seed plus a contention run.
 const SPEC: &str = r#"
@@ -28,11 +28,11 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn opts(jobs: usize, cache_dir: &PathBuf) -> ExecOptions {
+fn opts(jobs: usize, cache_dir: &Path) -> ExecOptions {
     ExecOptions {
         jobs,
         no_cache: false,
-        cache_dir: cache_dir.clone(),
+        cache_dir: cache_dir.to_path_buf(),
     }
 }
 
