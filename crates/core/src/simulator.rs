@@ -8,11 +8,12 @@
 
 use sioscope_machine::MeshModel;
 use sioscope_pfs::{
-    BackendConfig, BackendStats, Pfs, PfsConfig, PfsError, ResilienceStats, StorageBackend,
+    BackendConfig, BackendStats, IoOp, Pfs, PfsConfig, PfsError, ResilienceStats, StorageBackend,
 };
 use sioscope_sim::{EventQueue, FileId, Pid, RendezvousOutcome, RendezvousTable, Time};
 use sioscope_trace::{IoEvent, TraceRecorder};
 use sioscope_workloads::{Stmt, Workload};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Simulation options.
@@ -165,6 +166,42 @@ impl RunResult {
     }
 }
 
+/// How a run driven up to a stop instant ended.
+pub(crate) enum Attempt {
+    /// Every program completed by the stop instant.
+    Finished(Box<RunResult>),
+    /// Some node was still running past the stop instant.
+    Crashed(Box<Crashed>),
+}
+
+impl Attempt {
+    /// The result of a run whose stop instant is [`Time::MAX`]: no
+    /// event is due after it, so the run always finishes.
+    fn unstopped(self) -> RunResult {
+        match self {
+            Attempt::Finished(result) => *result,
+            Attempt::Crashed(_) => unreachable!("no event is due after Time::MAX"),
+        }
+    }
+}
+
+/// What an attempt stopped at a crash instant leaves for the crash's
+/// accounting.
+pub(crate) struct Crashed {
+    /// `(marker, commit instant, durable instant)` for each marker
+    /// that every node carrying it passed by the stop, in marker
+    /// order. The instants mean what they mean in
+    /// [`RunResult::checkpoint_commits`] and
+    /// [`RunResult::durable_commits`].
+    pub(crate) commits: Vec<(u32, Time, Time)>,
+    /// The operations completed by the stop, unsorted.
+    pub(crate) trace: TraceRecorder,
+    /// Writes still parked in a forming collective group at the stop,
+    /// as `(file, issue instant, bytes)`. The trace holds a group's
+    /// writes only once the group closes.
+    pub(crate) parked_writes: Vec<(FileId, Time, u64)>,
+}
+
 /// Event payload.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
@@ -180,6 +217,8 @@ struct NodeState {
     pc: usize,
     issue_time: Time,
     collective_seq: u32,
+    /// Waiting in a forming collective group for its completion.
+    parked: bool,
     finished: bool,
     finish_time: Time,
 }
@@ -190,9 +229,20 @@ struct NodeState {
 /// `workload.nodes`; the OS release is taken from the workload.
 pub fn run(
     workload: &Workload,
-    mut pfs_cfg: PfsConfig,
+    pfs_cfg: PfsConfig,
     options: SimOptions,
 ) -> Result<RunResult, SimError> {
+    run_until(workload, pfs_cfg, &options, Time::MAX).map(Attempt::unstopped)
+}
+
+/// [`run`] up to the `stop` instant: the run ends at the first
+/// process resumption due after it (see [`run_loop`]).
+pub(crate) fn run_until(
+    workload: &Workload,
+    mut pfs_cfg: PfsConfig,
+    options: &SimOptions,
+    stop: Time,
+) -> Result<Attempt, SimError> {
     let problems = workload.validate();
     if !problems.is_empty() {
         return Err(SimError::InvalidWorkload(problems));
@@ -215,7 +265,7 @@ pub fn run(
     // Monomorphized over the concrete `Pfs`: same calls, same code
     // path, bit-identical to the pre-trait direct loop (pinned by
     // `tests/backend_equivalence.rs`).
-    run_loop(workload, &mesh, &mut pfs, &options)
+    run_loop(workload, &mesh, &mut pfs, options, stop)
 }
 
 /// Run `workload` against the storage tier `cfg` selects.
@@ -230,6 +280,16 @@ pub fn run_backend(
     cfg: &BackendConfig,
     options: SimOptions,
 ) -> Result<RunResult, SimError> {
+    run_backend_until(workload, cfg, &options, Time::MAX).map(Attempt::unstopped)
+}
+
+/// [`run_backend`] up to the `stop` instant (see [`run_loop`]).
+pub(crate) fn run_backend_until(
+    workload: &Workload,
+    cfg: &BackendConfig,
+    options: &SimOptions,
+    stop: Time,
+) -> Result<Attempt, SimError> {
     let problems = workload.validate();
     if !problems.is_empty() {
         return Err(SimError::InvalidWorkload(problems));
@@ -247,19 +307,27 @@ pub fn run_backend(
     cfg.machine_mut().compute_nodes = workload.nodes;
     let mesh = MeshModel::new(cfg.machine().mesh);
     let mut backend = cfg.build();
-    run_loop(workload, &mesh, &mut *backend, &options)
+    run_loop(workload, &mesh, &mut *backend, options, stop)
 }
 
 /// The event loop, generic over the storage tier. Called with the
 /// concrete [`Pfs`] from [`run`] (monomorphized — no dynamic dispatch
 /// on the measured path) and with `dyn StorageBackend` from
 /// [`run_backend`].
+///
+/// A process resumption due strictly after `stop` means some node is
+/// still running then: the run ends there as [`Attempt::Crashed`],
+/// without sorting its trace, checking for deadlock or quiescing the
+/// backend. Events at `stop` itself still run, so a run that completes
+/// at `stop` finishes. Code past `stop` never runs, so it raises no
+/// error. Plain runs pass [`Time::MAX`] and always finish.
 fn run_loop<B: StorageBackend + ?Sized>(
     workload: &Workload,
     mesh: &MeshModel,
     backend: &mut B,
     options: &SimOptions,
-) -> Result<RunResult, SimError> {
+    stop: Time,
+) -> Result<Attempt, SimError> {
     // Create the file table; workload file index i == FileId(i).
     for (i, spec) in workload.files.iter().enumerate() {
         let id = backend.create_file_with_size(&spec.name, spec.initial_size);
@@ -272,6 +340,7 @@ fn run_loop<B: StorageBackend + ?Sized>(
             pc: 0,
             issue_time: Time::ZERO,
             collective_seq: 0,
+            parked: false,
             finished: false,
             finish_time: Time::ZERO,
         })
@@ -281,8 +350,7 @@ fn run_loop<B: StorageBackend + ?Sized>(
     // Sized up front: growing by doubling would briefly hold up to three
     // times the finished trace.
     let mut trace = TraceRecorder::with_capacity(workload.io_stmts());
-    let mut checkpoint_commits: std::collections::BTreeMap<u32, Time> =
-        std::collections::BTreeMap::new();
+    let mut checkpoint_commits: BTreeMap<u32, Time> = BTreeMap::new();
     // One completion buffer reused across every submission — the event
     // loop issues millions of ops per run, and `submit`'s per-call
     // vector was the hottest allocation in a profile.
@@ -308,6 +376,10 @@ fn run_loop<B: StorageBackend + ?Sized>(
         }
         let now = ev.time;
         let pid = match ev.payload {
+            Ev::Resume(_) if now > stop => {
+                let crashed = crashed(workload, &nodes, &checkpoint_commits, backend, trace);
+                return Ok(Attempt::Crashed(Box::new(crashed)));
+            }
             Ev::Resume(pid) => pid,
             Ev::FaultTransition => {
                 fault_transitions += 1;
@@ -337,7 +409,9 @@ fn run_loop<B: StorageBackend + ?Sized>(
                 match backend.submit_into(now, pid, fid, op, &mut completions) {
                     Ok(true) => {
                         for c in completions.drain(..) {
-                            let issued = nodes[c.pid.index()].issue_time;
+                            let node = &mut nodes[c.pid.index()];
+                            node.parked = false;
+                            let issued = node.issue_time;
                             trace.record(IoEvent {
                                 pid: c.pid,
                                 file: fid,
@@ -354,6 +428,7 @@ fn run_loop<B: StorageBackend + ?Sized>(
                     Ok(false) => {
                         // Blocked: completion arrives via the
                         // group-closing arrival's submit call.
+                        nodes[pid.index()].parked = true;
                     }
                     Err(source) => {
                         return Err(SimError::Pfs {
@@ -448,7 +523,7 @@ fn run_loop<B: StorageBackend + ?Sized>(
         .iter()
         .map(|(&k, &t)| (k, backend.durable_instant(t)))
         .collect();
-    Ok(RunResult {
+    Ok(Attempt::Finished(Box::new(RunResult {
         name: workload.name.clone(),
         version: workload.version.clone(),
         exec_time,
@@ -461,7 +536,56 @@ fn run_loop<B: StorageBackend + ?Sized>(
         durable_commits,
         recovery: crate::recovery::RecoveryStats::default(),
         backend_stats: backend.stats(),
-    })
+    })))
+}
+
+/// Gather a stopped run's crash accounting.
+fn crashed<B: StorageBackend + ?Sized>(
+    workload: &Workload,
+    nodes: &[NodeState],
+    checkpoint_commits: &BTreeMap<u32, Time>,
+    backend: &mut B,
+    trace: TraceRecorder,
+) -> Crashed {
+    // A marker still ahead of some node is not committed: every node
+    // that carries a marker must have passed it.
+    let ahead: BTreeSet<u32> = nodes
+        .iter()
+        .zip(&workload.programs)
+        .flat_map(|(state, program)| &program[state.pc..])
+        .filter_map(|stmt| match stmt {
+            Stmt::CheckpointCommit(k) => Some(*k),
+            _ => None,
+        })
+        .collect();
+    // Durability verdicts in marker order, as for a finished run. The
+    // burst buffer judges each entry lost or not when it is submitted,
+    // against its whole fault schedule, so a commit's verdict depends
+    // only on writes submitted before the commit: the ones a stopped
+    // run has already submitted.
+    let commits = checkpoint_commits
+        .iter()
+        .filter(|(k, _)| !ahead.contains(k))
+        .map(|(&k, &t)| (k, t, backend.durable_instant(t)))
+        .collect();
+    // A parked node's pending statement is the operation it issued.
+    let parked_writes = nodes
+        .iter()
+        .zip(&workload.programs)
+        .filter(|(state, _)| state.parked)
+        .filter_map(|(state, program)| match &program[state.pc - 1] {
+            Stmt::Io {
+                file,
+                op: IoOp::Write { size },
+            } => Some((FileId(*file), state.issue_time, *size)),
+            _ => None,
+        })
+        .collect();
+    Crashed {
+        commits,
+        trace,
+        parked_writes,
+    }
 }
 
 #[cfg(test)]
@@ -724,6 +848,57 @@ mod tests {
         assert_eq!(plain.exec_time, buffered.exec_time);
         assert_eq!(plain.trace.events(), buffered.trace.events());
         assert_eq!(buffered.backend_stats.bytes_logged, 0);
+    }
+
+    #[test]
+    fn a_stopped_run_commits_the_markers_every_carrier_passed() {
+        // Node 0 passes marker 0 at 1 s and marker 1, which only it
+        // carries, at 2 s. Node 1 passes marker 0 at 3 s, then runs
+        // until 5 s.
+        let w = Workload {
+            name: "markers".into(),
+            version: "X".into(),
+            os: OsRelease::Osf13,
+            nodes: 2,
+            files: vec![],
+            programs: vec![
+                vec![
+                    Stmt::Compute(Time::from_secs(1)),
+                    Stmt::CheckpointCommit(0),
+                    Stmt::Compute(Time::from_secs(1)),
+                    Stmt::CheckpointCommit(1),
+                    Stmt::Compute(Time::from_secs(2)),
+                ],
+                vec![
+                    Stmt::Compute(Time::from_secs(3)),
+                    Stmt::CheckpointCommit(0),
+                    Stmt::Compute(Time::from_secs(2)),
+                ],
+            ],
+            phases: vec![],
+        };
+        let until = |stop| run_until(&w, tiny_pfs(2), &SimOptions::default(), stop).unwrap();
+        let commits = |stop| match until(stop) {
+            Attempt::Crashed(c) => c.commits,
+            Attempt::Finished(_) => panic!("finished by {stop}"),
+        };
+        let (t2, t3) = (Time::from_secs(2), Time::from_secs(3));
+        assert_eq!(commits(Time::from_millis(1500)), vec![]);
+        assert_eq!(commits(Time::from_millis(2500)), vec![(1, t2, t2)]);
+        assert_eq!(
+            commits(Time::from_millis(3500)),
+            vec![(0, t3, t3), (1, t2, t2)]
+        );
+        assert!(matches!(
+            until(Time::from_secs(5) - Time::from_nanos(1)),
+            Attempt::Crashed(_)
+        ));
+        // Events at the stop instant still run: a run that completes
+        // at it finishes.
+        match until(Time::from_secs(5)) {
+            Attempt::Finished(r) => assert_eq!(r.exec_time, Time::from_secs(5)),
+            Attempt::Crashed(_) => panic!("the run completes at 5 s"),
+        }
     }
 
     #[test]
