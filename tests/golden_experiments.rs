@@ -9,6 +9,11 @@
 //! `tests/golden/runs-escat.json` and `tests/golden/runs-prism.json`.
 //! Each registered sweep's rendered table and points (exact
 //! nanoseconds and event counts) go to `tests/golden/sweep-<id>.json`.
+//! The multi-job scheduler's outcomes on the benchmark job stream
+//! (per-job times, event counts, attempts and trace digests, plus the
+//! schedule's makespan, merged-trace digest and I/O-node utilization
+//! bits), fault-free and under seeded crashes and I/O faults, go to
+//! `tests/golden/schedule-<case>.json`.
 //! The comparison is **string equality on the rendered JSON** — one
 //! nanosecond of drift anywhere fails the suite, which is exactly the
 //! guarantee an optimization pass needs: the refactored simulator must
@@ -259,6 +264,145 @@ fn sweeps_match_goldens_bit_exact() {
         check_snapshot(
             &dir.join(format!("sweep-{}.json", id.id())),
             &pretty(&value),
+            &mut failures,
+        );
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+fn schedule_summary(out: &sioscope::ScheduleOutcome) -> Json {
+    let jobs = out
+        .per_job
+        .iter()
+        .zip(&out.stats.jobs)
+        .map(|(r, o)| {
+            let rec = &r.recovery;
+            Json::obj(vec![
+                ("label", Json::Str(o.label.clone())),
+                ("attempts", Json::UInt(u64::from(o.attempts))),
+                ("exec_time_ns", nanos(r.exec_time)),
+                ("events", Json::UInt(r.events)),
+                (
+                    "node_finish_ns",
+                    Json::Array(r.node_finish.iter().map(|&t| nanos(t)).collect()),
+                ),
+                (
+                    "checkpoint_commits",
+                    Json::Array(
+                        r.checkpoint_commits
+                            .iter()
+                            .map(|&(k, t)| Json::Array(vec![Json::UInt(u64::from(k)), nanos(t)]))
+                            .collect(),
+                    ),
+                ),
+                (
+                    "recovery",
+                    Json::obj(vec![
+                        ("crashes", Json::UInt(u64::from(rec.crashes))),
+                        ("attempts", Json::UInt(u64::from(rec.attempts))),
+                        ("rework_ns", nanos(rec.rework)),
+                        ("restart_latency_ns", nanos(rec.restart_latency)),
+                        ("time_to_solution_ns", nanos(rec.time_to_solution)),
+                    ]),
+                ),
+                (
+                    "trace_digest",
+                    Json::Str(format!("{:016x}", sioscope_trace::binary::digest(&r.trace))),
+                ),
+            ])
+        })
+        .collect();
+    Json::obj(vec![
+        ("makespan_ns", nanos(out.stats.makespan)),
+        ("total_events", Json::UInt(out.stats.total_events)),
+        ("fault_transitions", Json::UInt(out.fault_transitions)),
+        (
+            "trace_digest",
+            Json::Str(format!(
+                "{:016x}",
+                sioscope_trace::binary::digest(&out.trace)
+            )),
+        ),
+        (
+            "ion_utilization_bits",
+            Json::Array(
+                out.stats
+                    .ion_utilization
+                    .iter()
+                    .map(|u| Json::Str(format!("{:016x}", u.to_bits())))
+                    .collect(),
+            ),
+        ),
+        ("jobs", Json::Array(jobs)),
+    ])
+}
+
+#[test]
+fn schedules_match_goldens_bit_exact() {
+    use sioscope::experiments::contention::{bench_machine, bench_stream};
+    use sioscope::{run_schedule, SimOptions};
+    use sioscope_faults::{FaultGen, FaultSchedule};
+    use sioscope_sched::{AllocPolicy, QueuePolicy};
+
+    // Every job of the benchmark stream is four nodes wide, so EASY
+    // could never backfill one past a blocked head. Widen the
+    // compute-bound jobs and triple the job count, so jobs queue and
+    // the two policies part.
+    let mut stream = bench_stream();
+    stream.count = 24;
+    let wide = &mut stream.templates[1].workload;
+    wide.nodes *= 2;
+    wide.programs = vec![wide.programs[0].clone(); wide.nodes as usize];
+    let schedule = |policy, crashes: &FaultSchedule, cfg| {
+        run_schedule(
+            &stream,
+            policy,
+            AllocPolicy::FirstFit,
+            crashes,
+            cfg,
+            SimOptions::default(),
+        )
+        .expect("the benchmark stream schedules")
+    };
+    // The faulted cases draw crashes over every cell of the machine and
+    // I/O faults over its I/O nodes, both within the fault-free
+    // makespan.
+    let machine = bench_machine();
+    let horizon = schedule(QueuePolicy::Fcfs, &FaultSchedule::empty(), machine.clone())
+        .stats
+        .makespan;
+    let draw = || FaultGen::new(0x5C4E_D017, horizon, machine.machine.io_nodes);
+    let crashes = draw().compute_crash_schedule(
+        horizon.scale(0.25),
+        Time::from_millis(5),
+        machine.machine.compute_nodes,
+    );
+    let mut faulty = machine.clone();
+    faulty.faults = draw().with_events(3).schedule();
+
+    let dir = golden_dir();
+    let mut failures = Vec::new();
+    for (case, policy, faulted) in [
+        ("fcfs", QueuePolicy::Fcfs, false),
+        ("easy-backfill", QueuePolicy::EasyBackfill, false),
+        ("fcfs-faults", QueuePolicy::Fcfs, true),
+        ("easy-backfill-faults", QueuePolicy::EasyBackfill, true),
+    ] {
+        let out = if faulted {
+            schedule(policy, &crashes, faulty.clone())
+        } else {
+            schedule(policy, &FaultSchedule::empty(), machine.clone())
+        };
+        if faulted {
+            assert!(
+                out.stats.jobs.iter().any(|j| j.attempts > 1),
+                "{case}: some crash must strike a running job"
+            );
+            assert!(out.fault_transitions > 0, "{case}: the I/O faults engage");
+        }
+        check_snapshot(
+            &dir.join(format!("schedule-{case}.json")),
+            &pretty(&schedule_summary(&out)),
             &mut failures,
         );
     }
