@@ -26,12 +26,12 @@
 //! from code beyond it. The replay runs that code again, and the
 //! error surfaces from the first attempt that reaches it.
 
-use crate::simulator::{run_backend_until, run_until, Attempt, RunResult, SimError, SimOptions};
+use crate::simulator::{run_backend_until, Attempt, RunResult, SimError, SimOptions};
 use sioscope_faults::{FaultKind, FaultSchedule};
 use sioscope_pfs::{BackendConfig, OpKind, PfsConfig};
 use sioscope_sim::{FileId, Time};
 use sioscope_trace::TraceRecorder;
-use sioscope_workloads::{Recoverable, Workload};
+use sioscope_workloads::Recoverable;
 
 /// Accounting for one recovery story (one workload, one crash
 /// schedule, run to solution).
@@ -58,47 +58,44 @@ pub struct RecoveryStats {
     pub time_to_solution: Time,
 }
 
-/// Run `rec` to solution under the compute-node crashes in `crashes`.
+/// Run `rec` to solution under the compute-node crashes in `crashes`,
+/// on the PFS `pfs_cfg` describes (see [`run_with_recovery_backend`]).
 ///
-/// Only [`FaultKind::ComputeNodeCrash`] events are consumed here; I/O
-/// faults belong in `pfs_cfg.faults` as usual (the two compose — the
-/// PFS never observes compute crashes). Crash instants are global
-/// wall-clock times; a crash that lands during another crash's
-/// rework window is absorbed by it (the partition is already down).
-///
-/// Returns the final attempt's [`RunResult`] with
-/// [`RunResult::recovery`] filled in. With an empty crash schedule
-/// the result is bit-identical to a plain [`crate::run`] of the
-/// annotated workload, and `time_to_solution == exec_time`.
+/// With an empty crash schedule the result is bit-identical to a plain
+/// [`crate::run`] of the annotated workload, and
+/// `time_to_solution == exec_time`.
 pub fn run_with_recovery(
     rec: &Recoverable,
     crashes: &FaultSchedule,
     pfs_cfg: PfsConfig,
     options: SimOptions,
 ) -> Result<RunResult, SimError> {
-    // Fail fast on malformed crash scenarios before any simulation.
-    let problems = crashes.validate_for(pfs_cfg.machine.io_nodes, rec.workload().nodes);
-    if !problems.is_empty() {
-        return Err(SimError::InvalidFaults(problems));
-    }
-    recovery_loop(rec, crashes, |workload, stop| {
-        run_until(workload, pfs_cfg.clone(), &options, stop)
-    })
+    run_with_recovery_backend(rec, crashes, &BackendConfig::Pfs(pfs_cfg), options)
 }
 
-/// [`run_with_recovery`] over an arbitrary storage tier. With a
-/// [`BackendConfig::Pfs`] tier this is equivalent to
-/// [`run_with_recovery`]; with a burst-buffer tier absorbing the
-/// checkpoint files, the foreground commit cost drops to log-append
-/// speed and the checkpoint-interval U-curve flattens.
+/// Run `rec` to solution under the compute-node crashes in `crashes`,
+/// on the storage tier `cfg` selects. With a burst-buffer tier
+/// absorbing the checkpoint files, the foreground commit cost drops to
+/// log-append speed and the checkpoint-interval U-curve flattens.
+///
+/// Only [`FaultKind::ComputeNodeCrash`] events are consumed here; I/O
+/// faults belong in the tier's own fault schedule as usual (the two
+/// compose — the storage never observes compute crashes). Crash
+/// instants are global wall-clock times; a crash that lands during
+/// another crash's rework window is absorbed by it (the partition is
+/// already down).
+///
+/// Returns the final attempt's [`RunResult`] with
+/// [`RunResult::recovery`] filled in.
 pub fn run_with_recovery_backend(
     rec: &Recoverable,
     crashes: &FaultSchedule,
     cfg: &BackendConfig,
     options: SimOptions,
 ) -> Result<RunResult, SimError> {
-    // The object store has no I/O nodes; compute-crash validation
-    // still applies against the application shape.
+    // Fail fast on malformed crash scenarios before any simulation. The
+    // object store has no I/O nodes; compute-crash validation still
+    // applies against the application shape.
     let io_nodes = match cfg {
         BackendConfig::Pfs(c) => c.machine.io_nodes,
         BackendConfig::Burst(b) => b.pfs.machine.io_nodes,
@@ -108,42 +105,6 @@ pub fn run_with_recovery_backend(
     if !problems.is_empty() {
         return Err(SimError::InvalidFaults(problems));
     }
-    recovery_loop(rec, crashes, |workload, stop| {
-        run_backend_until(workload, cfg, &options, stop)
-    })
-}
-
-/// `(file, issue instant, bytes)` of each traced write.
-fn traced_writes(trace: &TraceRecorder) -> impl Iterator<Item = (FileId, Time, u64)> + '_ {
-    trace
-        .events()
-        .iter()
-        .filter(|e| e.kind == OpKind::Write)
-        .map(|e| (e.file, e.start, e.bytes))
-}
-
-/// Bytes of the `writes` to `ckpt_files` issued before `cutoff`.
-fn ckpt_bytes_before(
-    ckpt_files: &[FileId],
-    writes: impl Iterator<Item = (FileId, Time, u64)>,
-    cutoff: Time,
-) -> u64 {
-    writes
-        .filter(|(file, start, _)| *start < cutoff && ckpt_files.contains(file))
-        .map(|(_, _, bytes)| bytes)
-        .sum()
-}
-
-/// The attempt/rollback loop, generic over how one attempt executes:
-/// `attempt(workload, stop)` runs `workload` up to the local instant
-/// `stop`. All recovery math (crash absorption, committed-marker
-/// rollback, rework and byte accounting) lives here exactly once, so
-/// PFS-direct and backend-routed recovery cannot drift apart.
-fn recovery_loop(
-    rec: &Recoverable,
-    crashes: &FaultSchedule,
-    mut attempt: impl FnMut(&Workload, Time) -> Result<Attempt, SimError>,
-) -> Result<RunResult, SimError> {
     let mut crash_list: Vec<(Time, Time)> = crashes
         .events
         .iter()
@@ -182,7 +143,7 @@ fn recovery_loop(
                 &sliced
             }
         };
-        let crashed = match attempt(workload, local)? {
+        let crashed = match run_backend_until(workload, cfg.clone(), &options, local)? {
             Attempt::Finished(mut result) => {
                 // The attempt outlives the crash schedule: done. A
                 // crash at the exact completion instant strikes a
@@ -224,6 +185,27 @@ fn recovery_loop(
         wall = at.saturating_add(rework);
         from = new_from;
     }
+}
+
+/// `(file, issue instant, bytes)` of each traced write.
+fn traced_writes(trace: &TraceRecorder) -> impl Iterator<Item = (FileId, Time, u64)> + '_ {
+    trace
+        .events()
+        .iter()
+        .filter(|e| e.kind == OpKind::Write)
+        .map(|e| (e.file, e.start, e.bytes))
+}
+
+/// Bytes of the `writes` to `ckpt_files` issued before `cutoff`.
+fn ckpt_bytes_before(
+    ckpt_files: &[FileId],
+    writes: impl Iterator<Item = (FileId, Time, u64)>,
+    cutoff: Time,
+) -> u64 {
+    writes
+        .filter(|(file, start, _)| *start < cutoff && ckpt_files.contains(file))
+        .map(|(_, _, bytes)| bytes)
+        .sum()
 }
 
 #[cfg(test)]
@@ -342,28 +324,6 @@ mod tests {
         assert_eq!(a.exec_time, b.exec_time);
         assert_eq!(a.trace.events(), b.trace.events());
         assert_eq!(a.events, b.events);
-    }
-
-    #[test]
-    fn backend_routed_recovery_matches_pfs_direct() {
-        let cfg = EscatConfig::tiny(EscatVersion::C);
-        let rec = cfg.recoverable(CheckpointPolicy::Fixed { interval: 1 });
-        let baseline = run(rec.workload(), tiny_pfs(cfg.nodes), SimOptions::default())
-            .unwrap()
-            .exec_time;
-        let crashes = crash_at(baseline.scale(0.6), Time::from_secs(1));
-        let direct =
-            run_with_recovery(&rec, &crashes, tiny_pfs(cfg.nodes), SimOptions::default()).unwrap();
-        let routed = run_with_recovery_backend(
-            &rec,
-            &crashes,
-            &BackendConfig::Pfs(tiny_pfs(cfg.nodes)),
-            SimOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(direct.recovery, routed.recovery);
-        assert_eq!(direct.exec_time, routed.exec_time);
-        assert_eq!(direct.trace.events(), routed.trace.events());
     }
 
     #[test]

@@ -35,19 +35,16 @@
 //! dedicated runs and are shared by every co-resident job.
 
 use crate::recovery::RecoveryStats;
-use crate::simulator::{run, RunResult, SimError, SimOptions};
+use crate::simulator::{run, Engine, Gang, RunResult, SimError, SimOptions};
 use sioscope_faults::{FaultKind, FaultSchedule};
 use sioscope_machine::MeshModel;
-use sioscope_pfs::{BackendStats, Pfs, PfsConfig, PfsError, ResilienceStats};
+use sioscope_pfs::{BackendStats, Pfs, PfsConfig, PfsError, ResilienceStats, StorageBackend};
 use sioscope_sched::{
     AllocPolicy, JobOutcome, JobStream, Partition, PartitionAllocator, QueuePolicy, ScheduleStats,
 };
-use sioscope_sim::{
-    EventQueue, FileId, JobId, NodeId, Pid, RendezvousOutcome, RendezvousTable, Time,
-};
+use sioscope_sim::{FileId, JobId, NodeId, Pid, Time};
 use sioscope_trace::{IoEvent, JobMap, TraceRecorder};
-use sioscope_workloads::Stmt;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Why a scheduled run failed.
@@ -164,15 +161,7 @@ enum SEv {
     FaultTransition,
 }
 
-struct JobNode {
-    pc: usize,
-    issue_time: Time,
-    collective_seq: u32,
-    finished: bool,
-    finish_time: Time,
-}
-
-struct Job {
+struct Job<'s> {
     template: usize,
     arrival: Time,
     /// Dedicated-mode execution time: the EASY estimate and the
@@ -188,15 +177,13 @@ struct Job {
     partition: Option<Partition>,
     pid_base: u32,
     file_base: u32,
-    nodes: Vec<JobNode>,
-    unfinished: usize,
+    /// The current attempt's processes, while it runs.
+    gang: Option<Gang<'s>>,
     done: bool,
     finish: Time,
     /// Resume events consumed by the current attempt.
     events: u64,
-    trace: TraceRecorder,
     res_base: ResilienceStats,
-    commits: BTreeMap<u32, Time>,
     rework_lost: Time,
     restart_latency: Time,
     result: Option<RunResult>,
@@ -211,14 +198,6 @@ fn resilience_delta(now: &ResilienceStats, base: &ResilienceStats) -> Resilience
         aborts: now.aborts - base.aborts,
         writethroughs: now.writethroughs - base.writethroughs,
     }
-}
-
-/// Collective rendezvous keys must be unique per (job, attempt) so a
-/// killed attempt's half-formed groups can never capture arrivals from
-/// its successor. Job 0's first attempt keeps `key == seq`, preserving
-/// bit-identity with the dedicated-mode simulator.
-fn collective_key(job: u32, attempt: u32, seq: u32) -> u64 {
-    (u64::from(job) << 40) | (u64::from(attempt) << 32) | u64::from(seq)
 }
 
 /// Run every job of `stream` through one shared machine and PFS.
@@ -278,86 +257,80 @@ pub fn run_schedule(
         estimates.push(r.exec_time);
     }
 
-    let mesh = MeshModel::new(machine.mesh);
     let cols = machine.mesh.cols;
-    let mut pfs = Pfs::new(pfs_cfg);
-
-    let mut queue: EventQueue<SEv> = EventQueue::new();
-    let mut collectives = RendezvousTable::new();
+    let mut engine = Engine::new(Pfs::new(pfs_cfg), MeshModel::new(machine.mesh), &options);
     let mut fault_transitions = 0u64;
-    if let Some(state) = pfs.fault_state() {
-        for &t in state.transitions() {
-            queue.schedule(t, SEv::FaultTransition);
-        }
+    for t in engine.backend.fault_transition_times() {
+        engine.queue.schedule(t, SEv::FaultTransition);
     }
     for ev in &crashes.events {
         if let FaultKind::ComputeNodeCrash { node, rework } = ev.kind {
-            queue.schedule(ev.at, SEv::Crash { node, rework });
+            engine.queue.schedule(ev.at, SEv::Crash { node, rework });
         }
     }
 
     let mut arrivals = stream.initial_arrivals();
     let mut spawned = arrivals.len() as u32;
     for (i, a) in arrivals.iter().enumerate() {
-        queue.schedule(a.at, SEv::Arrive(i as u32));
+        engine.queue.schedule(a.at, SEv::Arrive(i as u32));
     }
 
     let mut jobs: Vec<Job> = Vec::new();
     let mut pending: VecDeque<u32> = VecDeque::new();
-    // Global pid/file watermarks: bases are monotone, never reused, so
-    // a dead attempt's ids can never alias a live one's.
+    // Global pid/file watermarks and the dispatch count: monotone,
+    // never reused, so a dead attempt's ids and collective groups can
+    // never alias a live one's.
     let mut next_pid: u32 = 0;
     let mut next_file: u32 = 0;
-    let mut completions = Vec::new();
+    let mut dispatches: u64 = 0;
 
     // Start one job on a granted partition: fresh global pid and file
-    // ranges, partition-cell mesh placement, all nodes resumed at now.
+    // ranges, partition-cell mesh placement, its own collective keys
+    // (the first dispatch's are the dedicated run's), all nodes resumed
+    // at now.
     macro_rules! dispatch {
         ($j:expr, $part:expr, $now:expr) => {{
             let j = $j as usize;
             let part: Partition = $part;
             let now: Time = $now;
-            let workload = &stream.templates[jobs[j].template].workload;
+            let job = &mut jobs[j];
+            let workload = &stream.templates[job.template].workload;
             let n = workload.nodes;
-            jobs[j].attempts += 1;
-            if jobs[j].first_start.is_none() {
-                jobs[j].first_start = Some(now);
-            }
-            jobs[j].start = now;
-            jobs[j].pid_base = next_pid;
+            job.attempts += 1;
+            job.first_start.get_or_insert(now);
+            job.start = now;
+            job.pid_base = next_pid;
             next_pid += n;
-            let attempt = jobs[j].attempt;
             for p in 0..n {
-                let global = NodeId(jobs[j].pid_base + p);
-                pfs.place_compute_node(global, Some(part.position_of(p)));
+                let global = NodeId(job.pid_base + p);
+                engine
+                    .backend
+                    .place_compute_node(global, Some(part.position_of(p)));
             }
-            jobs[j].file_base = next_file;
+            job.file_base = next_file;
             for spec in &workload.files {
-                let name = format!("job{j}.a{attempt}/{}", spec.name);
-                pfs.create_file_with_size(&name, spec.initial_size);
+                let name = format!("job{j}.a{}/{}", job.attempt, spec.name);
+                engine
+                    .backend
+                    .create_file_with_size(&name, spec.initial_size);
                 next_file += 1;
             }
-            jobs[j].nodes = (0..n)
-                .map(|_| JobNode {
-                    pc: 0,
-                    issue_time: Time::ZERO,
-                    collective_seq: 0,
-                    finished: false,
-                    finish_time: Time::ZERO,
-                })
-                .collect();
-            jobs[j].unfinished = n as usize;
-            jobs[j].events = 0;
-            jobs[j].trace = TraceRecorder::new();
-            jobs[j].res_base = pfs.resilience_stats();
-            jobs[j].commits.clear();
-            jobs[j].partition = Some(part);
+            job.gang = Some(Gang::new(
+                workload,
+                job.pid_base,
+                job.file_base,
+                dispatches << 32,
+            ));
+            dispatches += 1;
+            job.events = 0;
+            job.res_base = engine.backend.resilience_stats();
+            job.partition = Some(part);
             for p in 0..n {
-                queue.schedule(
+                engine.queue.schedule(
                     now,
                     SEv::Resume {
                         job: j as u32,
-                        attempt,
+                        attempt: job.attempt,
                         pid: p,
                     },
                 );
@@ -365,9 +338,9 @@ pub fn run_schedule(
         }};
     }
 
-    while let Some(ev) = queue.pop() {
-        if options.max_events > 0 && queue.popped() > options.max_events {
-            return Err(SchedError::EventBudgetExceeded(queue.popped()));
+    while let Some(ev) = engine.queue.pop() {
+        if options.max_events > 0 && engine.queue.popped() > options.max_events {
+            return Err(SchedError::EventBudgetExceeded(engine.queue.popped()));
         }
         let now = ev.time;
         let (j, attempt, p) = match ev.payload {
@@ -389,25 +362,22 @@ pub fn run_schedule(
                     partition: None,
                     pid_base: 0,
                     file_base: 0,
-                    nodes: Vec::new(),
-                    unfinished: 0,
+                    gang: None,
                     done: false,
                     finish: Time::ZERO,
                     events: 0,
-                    trace: TraceRecorder::new(),
                     res_base: ResilienceStats::default(),
-                    commits: BTreeMap::new(),
                     rework_lost: Time::ZERO,
                     restart_latency: Time::ZERO,
                     result: None,
                 });
                 pending.push_back(i);
-                queue.schedule(now, SEv::TryDispatch);
+                engine.queue.schedule(now, SEv::TryDispatch);
                 continue;
             }
             SEv::Requeue(job) => {
                 pending.push_back(job);
-                queue.schedule(now, SEv::TryDispatch);
+                engine.queue.schedule(now, SEv::TryDispatch);
                 continue;
             }
             SEv::Crash { node, rework } => {
@@ -421,15 +391,12 @@ pub fn run_schedule(
                     job.attempt += 1; // tombstone every in-flight event
                     job.rework_lost += now.saturating_sub(job.start);
                     job.restart_latency += rework;
-                    job.nodes.clear();
-                    job.unfinished = 0;
+                    job.gang = None;
                     job.events = 0;
-                    job.trace = TraceRecorder::new();
-                    job.commits.clear();
                     let part = job.partition.take().expect("victim was running");
                     allocator.free(&part);
-                    queue.schedule(now + rework, SEv::Requeue(v as u32));
-                    queue.schedule(now, SEv::TryDispatch);
+                    engine.queue.schedule(now + rework, SEv::Requeue(v as u32));
+                    engine.queue.schedule(now, SEv::TryDispatch);
                 }
                 continue;
             }
@@ -453,7 +420,10 @@ pub fn run_schedule(
                     let mut running: Vec<(Time, u32)> = jobs
                         .iter()
                         .filter(|job| job.partition.is_some() && !job.done)
-                        .map(|job| (job.start + job.dedicated, job.nodes.len() as u32))
+                        .map(|job| {
+                            let nodes = stream.templates[job.template].workload.nodes;
+                            (job.start + job.dedicated, nodes)
+                        })
                         .collect();
                     running.sort();
                     let mut avail = allocator.free_nodes();
@@ -492,193 +462,70 @@ pub fn run_schedule(
         };
 
         // Tombstone: a crash bumped the attempt after this was queued.
-        if jobs[j].attempt != attempt || jobs[j].done {
+        let job = &mut jobs[j];
+        if job.attempt != attempt || job.done {
             continue;
         }
-        jobs[j].events += 1;
-        let workload = &stream.templates[jobs[j].template].workload;
-        let n = workload.nodes;
-        let pid_base = jobs[j].pid_base;
-        let file_base = jobs[j].file_base;
-        let state = &mut jobs[j].nodes[p as usize];
-        debug_assert!(!state.finished, "job {j} pid {p} resumed after finishing");
-        let program = &workload.programs[p as usize];
-
-        if state.pc >= program.len() {
-            state.finished = true;
-            state.finish_time = now;
-            jobs[j].unfinished -= 1;
-            if jobs[j].unfinished == 0 {
-                // Job complete: free its partition, snapshot its
-                // result, and let the queue at the nodes.
-                let job = &mut jobs[j];
-                job.done = true;
-                job.finish = now;
-                let part = job.partition.take().expect("finished job was running");
-                allocator.free(&part);
-                let node_finish: Vec<Time> = job.nodes.iter().map(|s| s.finish_time).collect();
-                let mut trace = std::mem::take(&mut job.trace);
-                trace.sort();
-                let recovery = if job.attempts > 1 {
-                    RecoveryStats {
-                        crashes: job.attempts - 1,
-                        attempts: job.attempts,
-                        rework: job.rework_lost,
-                        restart_latency: job.restart_latency,
-                        checkpoint_write_bytes: 0,
-                        checkpoint_read_bytes: 0,
-                        time_to_solution: now.saturating_sub(job.arrival),
-                    }
-                } else {
-                    RecoveryStats::default()
-                };
-                job.result = Some(RunResult {
-                    name: workload.name.clone(),
-                    version: workload.version.clone(),
-                    exec_time: now.saturating_sub(job.start),
-                    node_finish,
-                    trace,
-                    events: job.events,
-                    resilience: resilience_delta(&pfs.resilience_stats(), &job.res_base),
-                    fault_transitions: 0,
-                    checkpoint_commits: job.commits.iter().map(|(&k, &t)| (k, t)).collect(),
-                    // The shared PFS has no volatile staging tier:
-                    // every commit is durable at its commit instant.
-                    durable_commits: job.commits.iter().map(|(&k, &t)| (k, t)).collect(),
-                    recovery,
-                    backend_stats: BackendStats::default(),
-                });
-                queue.schedule(now, SEv::TryDispatch);
-                if let Some(a) = stream.next_arrival_after(spawned, now) {
-                    arrivals.push(a);
-                    queue.schedule(a.at, SEv::Arrive(spawned));
-                    spawned += 1;
-                }
-            }
+        job.events += 1;
+        let gang = job.gang.as_mut().expect("a live attempt has its processes");
+        let wake = |local: Pid| SEv::Resume {
+            job: j as u32,
+            attempt,
+            pid: local.0,
+        };
+        let finished = gang
+            .step(Pid(p), now, &mut engine, wake)
+            .map_err(|(stmt, source)| SchedError::Pfs {
+                job: JobId(j as u32),
+                pid: Pid(p),
+                stmt,
+                source,
+            })?;
+        if !finished {
             continue;
         }
-        let stmt_idx = state.pc;
-        state.pc += 1;
-
-        match &program[stmt_idx] {
-            Stmt::Compute(d) => {
-                queue.schedule(
-                    now + *d,
-                    SEv::Resume {
-                        job: j as u32,
-                        attempt,
-                        pid: p,
-                    },
-                );
+        // Job complete: free its partition, snapshot its result, and
+        // let the queue at the nodes.
+        job.done = true;
+        job.finish = now;
+        let part = job.partition.take().expect("finished job was running");
+        allocator.free(&part);
+        let (node_finish, trace, commits) = job.gang.take().expect("the gang just ran").finish();
+        let recovery = if job.attempts > 1 {
+            RecoveryStats {
+                crashes: job.attempts - 1,
+                attempts: job.attempts,
+                rework: job.rework_lost,
+                restart_latency: job.restart_latency,
+                checkpoint_write_bytes: 0,
+                checkpoint_read_bytes: 0,
+                time_to_solution: now.saturating_sub(job.arrival),
             }
-            Stmt::Io { file, op } => {
-                let fid = FileId(file_base + *file);
-                jobs[j].nodes[p as usize].issue_time = now;
-                completions.clear();
-                match pfs.submit_into(now, Pid(pid_base + p), fid, op, &mut completions) {
-                    Ok(true) => {
-                        for c in completions.drain(..) {
-                            // Group completions only span this job's
-                            // pids (files are job-private).
-                            let local = c.pid.0 - pid_base;
-                            let issued = jobs[j].nodes[local as usize].issue_time;
-                            jobs[j].trace.record(IoEvent {
-                                pid: Pid(local),
-                                file: FileId(*file),
-                                kind: c.kind,
-                                start: issued,
-                                duration: c.finish.saturating_sub(issued),
-                                bytes: c.bytes,
-                                offset: c.offset,
-                                mode: c.mode,
-                            });
-                            queue.schedule(
-                                c.finish.max(now),
-                                SEv::Resume {
-                                    job: j as u32,
-                                    attempt,
-                                    pid: local,
-                                },
-                            );
-                        }
-                    }
-                    Ok(false) => {
-                        // Blocked in a forming group; the closing
-                        // arrival's submit call delivers completions.
-                    }
-                    Err(source) => {
-                        return Err(SchedError::Pfs {
-                            job: JobId(j as u32),
-                            pid: Pid(p),
-                            stmt: stmt_idx,
-                            source,
-                        });
-                    }
-                }
-            }
-            Stmt::CheckpointCommit(k) => {
-                let slot = jobs[j].commits.entry(*k).or_insert(Time::ZERO);
-                *slot = (*slot).max(now);
-                queue.schedule(
-                    now,
-                    SEv::Resume {
-                        job: j as u32,
-                        attempt,
-                        pid: p,
-                    },
-                );
-            }
-            collective @ (Stmt::Barrier | Stmt::Broadcast { .. } | Stmt::Gather { .. }) => {
-                let seq = jobs[j].nodes[p as usize].collective_seq;
-                jobs[j].nodes[p as usize].collective_seq += 1;
-                let key = collective_key(j as u32, attempt, seq);
-                match collectives.arrive(key, Pid(p), now, n as usize) {
-                    RendezvousOutcome::Waiting => {}
-                    RendezvousOutcome::Complete { arrivals, release } => {
-                        let base = release + options.collective_overhead;
-                        let resume = |queue: &mut EventQueue<SEv>, local: Pid, t: Time| {
-                            queue.schedule(
-                                t,
-                                SEv::Resume {
-                                    job: j as u32,
-                                    attempt,
-                                    pid: local.0,
-                                },
-                            );
-                        };
-                        match collective {
-                            Stmt::Barrier => {
-                                for (lp, _) in arrivals {
-                                    resume(&mut queue, lp, base.max(now));
-                                }
-                            }
-                            Stmt::Broadcast { bytes, .. } => {
-                                let t = base + mesh.broadcast_time(n, *bytes);
-                                for (lp, _) in arrivals {
-                                    resume(&mut queue, lp, t.max(now));
-                                }
-                            }
-                            Stmt::Gather {
-                                root,
-                                bytes_per_node,
-                            } => {
-                                let root_pid = Pid(*root);
-                                let gather_t = base + mesh.broadcast_time(n, *bytes_per_node);
-                                for (lp, _) in arrivals {
-                                    let t = if lp == root_pid {
-                                        gather_t
-                                    } else {
-                                        base + mesh
-                                            .message_time_hops(*bytes_per_node, mesh.diameter() / 2)
-                                    };
-                                    resume(&mut queue, lp, t.max(now));
-                                }
-                            }
-                            _ => unreachable!(),
-                        }
-                    }
-                }
-            }
+        } else {
+            RecoveryStats::default()
+        };
+        let workload = &stream.templates[job.template].workload;
+        job.result = Some(RunResult {
+            name: workload.name.clone(),
+            version: workload.version.clone(),
+            exec_time: now.saturating_sub(job.start),
+            node_finish,
+            trace,
+            events: job.events,
+            resilience: resilience_delta(&engine.backend.resilience_stats(), &job.res_base),
+            fault_transitions: 0,
+            // The shared PFS has no volatile staging tier: every commit
+            // is durable at its commit instant.
+            durable_commits: commits.clone(),
+            checkpoint_commits: commits,
+            recovery,
+            backend_stats: BackendStats::default(),
+        });
+        engine.queue.schedule(now, SEv::TryDispatch);
+        if let Some(a) = stream.next_arrival_after(spawned, now) {
+            arrivals.push(a);
+            engine.queue.schedule(a.at, SEv::Arrive(spawned));
+            spawned += 1;
         }
     }
 
@@ -739,9 +586,9 @@ pub fn run_schedule(
     let stats = ScheduleStats {
         policy: policy.label().to_string(),
         makespan,
-        total_events: queue.popped(),
+        total_events: engine.queue.popped(),
         jobs: outcomes,
-        ion_utilization: pfs.ion_utilizations(last_finish),
+        ion_utilization: engine.backend.ion_utilizations(last_finish),
     };
     Ok(ScheduleOutcome {
         stats,
@@ -759,7 +606,7 @@ mod tests {
     use sioscope_sched::{JobTemplate, StreamKind};
     use sioscope_sim::Time;
     use sioscope_trace::TraceIndex;
-    use sioscope_workloads::{FileSpec, OsRelease, Workload};
+    use sioscope_workloads::{FileSpec, OsRelease, Stmt, Workload};
 
     /// One compute burst, then every node reads `io_bytes` from a
     /// shared file — enough I/O to make PFS contention visible.
@@ -971,6 +818,61 @@ mod tests {
         );
         // The final attempt replays the whole program.
         assert_eq!(job.trace.len(), dedicated.trace.len());
+    }
+
+    #[test]
+    fn a_jobs_257th_attempt_keeps_to_its_own_collective_groups() {
+        let workload = |name: &str, programs: Vec<Vec<Stmt>>| Workload {
+            name: name.into(),
+            version: "S".into(),
+            os: OsRelease::Osf13,
+            nodes: programs.len() as u32,
+            files: vec![],
+            programs,
+            phases: vec![],
+        };
+        let first = vec![Stmt::Barrier, Stmt::Compute(Time::from_secs(1))];
+        let late = vec![
+            Stmt::Compute(Time::from_secs(10)),
+            Stmt::Barrier,
+            Stmt::Compute(Time::from_millis(1)),
+        ];
+        let early = vec![Stmt::Barrier, Stmt::Compute(Time::from_millis(1))];
+        // Job 1's barrier stays open for ten seconds while 256 crashes
+        // strike job 0, one per millisecond, each a fresh dispatch.
+        let stream = scripted(
+            vec![
+                template("four", workload("four", vec![first; 4])),
+                template("two", workload("two", vec![late, early])),
+            ],
+            vec![(Time::ZERO, 0), (Time::ZERO, 1)],
+        );
+        let mut crashes = FaultSchedule::empty();
+        for k in 1..=256 {
+            crashes.push(
+                Time::from_millis(k),
+                FaultKind::ComputeNodeCrash {
+                    node: 0,
+                    rework: Time::from_micros(100),
+                },
+            );
+        }
+        let out = run_schedule(
+            &stream,
+            QueuePolicy::Fcfs,
+            AllocPolicy::FirstFit,
+            &crashes,
+            machine(2),
+            SimOptions::default(),
+        )
+        .unwrap();
+        let attempts: Vec<u32> = out.stats.jobs.iter().map(|j| j.attempts).collect();
+        let finish: Vec<Time> = out.stats.jobs.iter().map(|j| j.finish).collect();
+        assert_eq!(attempts, [257, 1]);
+        assert_eq!(
+            finish,
+            [Time::from_micros(1_256_150), Time::from_micros(10_001_050)]
+        );
     }
 
     #[test]

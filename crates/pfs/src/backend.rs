@@ -18,9 +18,9 @@
 //! * [`crate::burst::BurstBuffer`] — a host-side log in front of the
 //!   PFS that absorbs writes locally and drains them asynchronously.
 
-use crate::burst::{BurstBuffer, BurstBufferConfig};
+use crate::burst::BurstBufferConfig;
 use crate::error::PfsError;
-use crate::object::{ObjectStore, ObjectStoreConfig};
+use crate::object::ObjectStoreConfig;
 use crate::op::{Completion, IoOp};
 use crate::resilience::ResilienceStats;
 use crate::server::{Pfs, PfsConfig};
@@ -248,15 +248,6 @@ impl BackendConfig {
                 );
                 msgs
             }
-        }
-    }
-
-    /// Build the backend this configuration describes.
-    pub fn build(&self) -> Box<dyn StorageBackend> {
-        match self {
-            BackendConfig::Pfs(c) => Box::new(Pfs::new(c.clone())),
-            BackendConfig::Object(c) => Box::new(ObjectStore::new(c.clone())),
-            BackendConfig::Burst(c) => Box::new(BurstBuffer::new(c.clone())),
         }
     }
 }

