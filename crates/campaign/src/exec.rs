@@ -219,7 +219,7 @@ fn run_resolved(run: &RunSpec) -> Result<(String, BTreeMap<String, u64>), String
             let backend = BackendKind::from_id(backend)
                 .ok_or_else(|| format!("unknown backend `{backend}`"))?;
             let scale = resolve_scale(scale)?;
-            let metrics = canon::workload_run_backend(id, scale, backend, *fault_events, *seed)?;
+            let metrics = canon::workload_run(id, scale, backend, *fault_events, *seed)?;
             Ok(("ok".to_string(), metrics))
         }
         RunSpec::Contention {

@@ -20,7 +20,7 @@ use crate::experiments::contention::{
     contended_machine, mix_stream, run_stream, CLASS_TAU, COMPUTE_BOUND, IO_BOUND,
 };
 use crate::experiments::Scale;
-use crate::simulator::{run, run_backend, SimOptions};
+use crate::simulator::{run_backend, SimOptions};
 use sioscope_faults::{FaultGen, FaultSchedule};
 pub use sioscope_pfs::BackendKind;
 use sioscope_pfs::{BackendConfig, BurstBufferConfig, ObjectStoreConfig, PfsConfig};
@@ -165,99 +165,69 @@ fn micros(secs: f64) -> u64 {
     (secs.max(0.0) * 1_000_000.0).round() as u64
 }
 
-/// Simulate one workload end-to-end on its Caltech machine, with
-/// `fault_events` injected I/O-node faults drawn from `seed`, and
-/// reduce the run to integer metrics.
-///
-/// The fault horizon is the workload's own fault-free execution time
-/// (mirroring the `fault_intensity` sweep), so the fault-free
-/// baseline is simulated first whenever `fault_events > 0`.
-pub fn workload_run(
-    id: WorkloadId,
-    scale: Scale,
-    fault_events: u32,
-    seed: u64,
-) -> Result<BTreeMap<String, u64>, String> {
-    let workload = id.build(scale);
-    let cfg = PfsConfig::caltech(workload.nodes, workload.os);
-    let cfg = if fault_events == 0 {
-        cfg
-    } else {
-        let horizon = run(&workload, cfg.clone(), SimOptions::default())
-            .map_err(|e| format!("{} fault-free baseline: {e}", id.id()))?
-            .exec_time;
-        let mut faulty = cfg;
-        faulty.faults = FaultGen::new(seed, horizon, faulty.machine.io_nodes)
-            .with_events(fault_events as usize)
-            .schedule();
-        faulty
-    };
-    let result =
-        run(&workload, cfg, SimOptions::default()).map_err(|e| format!("{}: {e}", id.id()))?;
-    Ok(BTreeMap::from([
-        ("exec_time_ns".to_string(), result.exec_time.as_nanos()),
-        ("io_time_ns".to_string(), result.total_io_time().as_nanos()),
-        ("events".to_string(), result.events),
-        ("fault_transitions".to_string(), result.fault_transitions),
-        ("trace_events".to_string(), result.trace.len() as u64),
-    ]))
+/// The canonical configuration of one storage tier for `workload`: the
+/// Caltech PFS, the modern object store, or a burst buffer absorbing
+/// every file over the Caltech PFS, with `faults` installed on the
+/// tier itself.
+pub fn tier_config(kind: BackendKind, workload: &Workload, faults: FaultSchedule) -> BackendConfig {
+    match kind {
+        BackendKind::Pfs => {
+            let mut c = PfsConfig::caltech(workload.nodes, workload.os);
+            c.faults = faults;
+            BackendConfig::Pfs(c)
+        }
+        BackendKind::Object => {
+            let mut c = ObjectStoreConfig::modern(workload.nodes);
+            c.faults = faults;
+            BackendConfig::Object(c)
+        }
+        BackendKind::Burst => {
+            let mut c = BurstBufferConfig::over(PfsConfig::caltech(workload.nodes, workload.os));
+            c.faults = faults;
+            BackendConfig::Burst(c)
+        }
+    }
 }
 
-/// Simulate one workload on a named storage tier and reduce the run
-/// to integer metrics.
+/// Simulate one workload end-to-end on a named storage tier (see
+/// [`tier_config`]), with `fault_events` injected faults of that tier
+/// drawn from `seed`, and reduce the run to integer metrics.
 ///
-/// The `pfs` tier delegates to [`workload_run`] verbatim, so its
-/// metrics (and therefore its content addresses' *values*) are
-/// bit-identical to the pre-backend path. The `object` tier adds
-/// `puts`/`gets` counters; `fault_events > 0` draws *object-tier*
-/// faults (metadata-shard outages, degraded-service windows) from the
-/// seed's object stream. The `burst` tier absorbs every file into the
-/// host-side log over the same Caltech PFS and adds the drain
-/// accounting counters; `fault_events > 0` draws *burst-tier* faults
-/// (drain stalls, burst-node crashes) from the seed's burst stream.
-/// Either way the fault horizon is the same-tier fault-free execution
-/// time, mirroring the PFS path.
-pub fn workload_run_backend(
+/// The fault horizon is the workload's own fault-free execution time
+/// on the tier (mirroring the `fault_intensity` sweep), so the
+/// fault-free baseline is simulated first whenever `fault_events > 0`.
+/// The PFS tier draws I/O-node faults and reports the five common
+/// metrics. The object tier draws metadata-shard outages and
+/// degraded-service windows, and adds its `puts`/`gets` counters. The
+/// burst tier draws drain stalls and burst-node crashes, and adds its
+/// drain accounting. Under faults, those two tiers also report their
+/// resilience actions, and the burst tier its lost bytes.
+pub fn workload_run(
     id: WorkloadId,
     scale: Scale,
     backend: BackendKind,
     fault_events: u32,
     seed: u64,
 ) -> Result<BTreeMap<String, u64>, String> {
-    if backend == BackendKind::Pfs {
-        return workload_run(id, scale, fault_events, seed);
-    }
     let workload = id.build(scale);
-    // The fault horizon is the tier's own fault-free execution time.
-    let horizon = |base: &BackendConfig| -> Result<Time, String> {
-        run_backend(&workload, base, SimOptions::default())
-            .map(|r| r.exec_time)
-            .map_err(|e| format!("{} fault-free baseline: {e}", id.id()))
-    };
-    let cfg = match backend {
-        BackendKind::Pfs => unreachable!("handled above"),
-        BackendKind::Object => {
-            let mut obj = ObjectStoreConfig::modern(workload.nodes);
-            if fault_events > 0 {
-                let h = horizon(&BackendConfig::Object(obj.clone()))?;
-                obj.faults = FaultGen::new(seed, h, workload.nodes)
-                    .with_events(fault_events as usize)
-                    .object_schedule(obj.md_shards.max(1) as u32);
+    let clean = tier_config(backend, &workload, FaultSchedule::empty());
+    let faults = if fault_events == 0 {
+        FaultSchedule::empty()
+    } else {
+        let horizon = run_backend(&workload, &clean, SimOptions::default())
+            .map_err(|e| format!("{} fault-free baseline: {e}", id.id()))?
+            .exec_time;
+        let draw =
+            |scope: u32| FaultGen::new(seed, horizon, scope).with_events(fault_events as usize);
+        match &clean {
+            BackendConfig::Pfs(c) => draw(c.machine.io_nodes).schedule(),
+            BackendConfig::Object(c) => {
+                draw(workload.nodes).object_schedule(c.md_shards.max(1) as u32)
             }
-            BackendConfig::Object(obj)
-        }
-        BackendKind::Burst => {
-            let pfs = PfsConfig::caltech(workload.nodes, workload.os);
-            let mut burst = BurstBufferConfig::over(pfs);
-            if fault_events > 0 {
-                let h = horizon(&BackendConfig::Burst(burst.clone()))?;
-                burst.faults = FaultGen::new(seed, h, burst.pfs.machine.io_nodes)
-                    .with_events(fault_events as usize)
-                    .burst_schedule();
-            }
-            BackendConfig::Burst(burst)
+            BackendConfig::Burst(c) => draw(c.pfs.machine.io_nodes).burst_schedule(),
         }
     };
+    let cfg = tier_config(backend, &workload, faults);
     let result = run_backend(&workload, &cfg, SimOptions::default())
         .map_err(|e| format!("{}: {e}", id.id()))?;
     let mut metrics = BTreeMap::from([
@@ -269,6 +239,8 @@ pub fn workload_run_backend(
     ]);
     let s = result.backend_stats;
     match backend {
+        // The PFS metric set is older than the other tiers; cached
+        // results and reports depend on it staying as it is.
         BackendKind::Pfs => {}
         BackendKind::Object => {
             metrics.insert("puts".to_string(), s.puts);
@@ -285,7 +257,7 @@ pub fn workload_run_backend(
             }
         }
     }
-    if fault_events > 0 {
+    if fault_events > 0 && backend != BackendKind::Pfs {
         metrics.insert(
             "resilience_actions".to_string(),
             result.resilience.total_actions(),
@@ -398,8 +370,8 @@ mod tests {
 
     #[test]
     fn workload_runs_are_deterministic_integer_metrics() {
-        let a = workload_run(WorkloadId::EscatB, Scale::Smoke, 0, 0).unwrap();
-        let b = workload_run(WorkloadId::EscatB, Scale::Smoke, 0, 0).unwrap();
+        let a = workload_run(WorkloadId::EscatB, Scale::Smoke, BackendKind::Pfs, 0, 0).unwrap();
+        let b = workload_run(WorkloadId::EscatB, Scale::Smoke, BackendKind::Pfs, 0, 0).unwrap();
         assert_eq!(a, b);
         assert!(a["exec_time_ns"] > 0);
         assert!(a["events"] > 0);
@@ -408,41 +380,38 @@ mod tests {
 
     #[test]
     fn fault_injection_engages_the_calendar() {
-        let faulty = workload_run(WorkloadId::PrismA, Scale::Smoke, 2, 0xF417).unwrap();
-        assert!(faulty["fault_transitions"] > 0, "{faulty:?}");
-        let clean = workload_run(WorkloadId::PrismA, Scale::Smoke, 0, 0xF417).unwrap();
-        assert!(faulty["exec_time_ns"] >= clean["exec_time_ns"]);
-    }
-
-    #[test]
-    fn pfs_tier_is_the_legacy_entry_point() {
-        let direct = workload_run(WorkloadId::EscatB, Scale::Smoke, 2, 0xF417).unwrap();
-        let routed = workload_run_backend(
-            WorkloadId::EscatB,
+        let faulty = workload_run(
+            WorkloadId::PrismA,
             Scale::Smoke,
             BackendKind::Pfs,
             2,
             0xF417,
         )
         .unwrap();
-        assert_eq!(direct, routed);
+        assert!(faulty["fault_transitions"] > 0, "{faulty:?}");
+        let clean = workload_run(
+            WorkloadId::PrismA,
+            Scale::Smoke,
+            BackendKind::Pfs,
+            0,
+            0xF417,
+        )
+        .unwrap();
+        assert!(faulty["exec_time_ns"] >= clean["exec_time_ns"]);
     }
 
     #[test]
     fn tiers_are_deterministic_and_distinct() {
         for backend in [BackendKind::Object, BackendKind::Burst] {
-            let a = workload_run_backend(WorkloadId::PrismA, Scale::Smoke, backend, 0, 0).unwrap();
-            let b = workload_run_backend(WorkloadId::PrismA, Scale::Smoke, backend, 0, 0).unwrap();
+            let a = workload_run(WorkloadId::PrismA, Scale::Smoke, backend, 0, 0).unwrap();
+            let b = workload_run(WorkloadId::PrismA, Scale::Smoke, backend, 0, 0).unwrap();
             assert_eq!(a, b, "{backend} must be deterministic");
         }
-        let pfs =
-            workload_run_backend(WorkloadId::PrismA, Scale::Smoke, BackendKind::Pfs, 0, 0).unwrap();
+        let pfs = workload_run(WorkloadId::PrismA, Scale::Smoke, BackendKind::Pfs, 0, 0).unwrap();
         let object =
-            workload_run_backend(WorkloadId::PrismA, Scale::Smoke, BackendKind::Object, 0, 0)
-                .unwrap();
+            workload_run(WorkloadId::PrismA, Scale::Smoke, BackendKind::Object, 0, 0).unwrap();
         let burst =
-            workload_run_backend(WorkloadId::PrismA, Scale::Smoke, BackendKind::Burst, 0, 0)
-                .unwrap();
+            workload_run(WorkloadId::PrismA, Scale::Smoke, BackendKind::Burst, 0, 0).unwrap();
         assert!(object.contains_key("puts") && object.contains_key("gets"));
         assert!(burst.contains_key("bytes_logged"));
         assert_eq!(burst["bytes_logged"], burst["bytes_drained"]);
@@ -452,7 +421,7 @@ mod tests {
 
     #[test]
     fn object_tier_takes_object_faults() {
-        let faulty = workload_run_backend(
+        let faulty = workload_run(
             WorkloadId::EscatB,
             Scale::Smoke,
             BackendKind::Object,
@@ -463,15 +432,14 @@ mod tests {
         assert!(faulty["fault_transitions"] > 0, "{faulty:?}");
         assert!(faulty.contains_key("resilience_actions"), "{faulty:?}");
         let clean =
-            workload_run_backend(WorkloadId::EscatB, Scale::Smoke, BackendKind::Object, 0, 0)
-                .unwrap();
+            workload_run(WorkloadId::EscatB, Scale::Smoke, BackendKind::Object, 0, 0).unwrap();
         assert!(faulty["exec_time_ns"] >= clean["exec_time_ns"]);
         assert!(!clean.contains_key("resilience_actions"));
     }
 
     #[test]
     fn burst_tier_takes_burst_faults() {
-        let faulty = workload_run_backend(
+        let faulty = workload_run(
             WorkloadId::PrismA,
             Scale::Smoke,
             BackendKind::Burst,

@@ -41,16 +41,13 @@
 //! seed budget (the CI `chaos-smoke` job); the functions are public
 //! so soaks can also run in-process from tests.
 
-use crate::canon::WorkloadId;
+use crate::canon::{tier_config, WorkloadId};
 use crate::coupled::{run_coupled, Route};
 use crate::experiments::{side_by_side, Scale};
 use crate::recovery::run_with_recovery_backend;
 use crate::simulator::{run_backend, RunResult, SimOptions};
 use sioscope_faults::{FaultGen, FaultKind, FaultSchedule};
-use sioscope_pfs::{
-    BackendConfig, BackendKind, BackendStats, BurstBufferConfig, ObjectStoreConfig, PfsConfig,
-    ResilienceStats,
-};
+use sioscope_pfs::{BackendKind, BackendStats, PfsConfig, ResilienceStats};
 use sioscope_sim::{par, Time};
 use sioscope_stream::StagingConfig;
 use sioscope_trace::binary::{digest, fnv64};
@@ -162,29 +159,6 @@ impl ChaosVerdict {
     }
 }
 
-/// The tier config the chaos harness runs: the canonical Caltech PFS,
-/// the modern object store, or the absorb-everything burst buffer,
-/// with `faults` installed on the tier itself.
-fn tier_cfg(kind: BackendKind, workload: &Workload, faults: FaultSchedule) -> BackendConfig {
-    match kind {
-        BackendKind::Pfs => {
-            let mut c = PfsConfig::caltech(workload.nodes, workload.os);
-            c.faults = faults;
-            BackendConfig::Pfs(c)
-        }
-        BackendKind::Object => {
-            let mut c = ObjectStoreConfig::modern(workload.nodes);
-            c.faults = faults;
-            BackendConfig::Object(c)
-        }
-        BackendKind::Burst => {
-            let mut c = BurstBufferConfig::over(PfsConfig::caltech(workload.nodes, workload.os));
-            c.faults = faults;
-            BackendConfig::Burst(c)
-        }
-    }
-}
-
 /// The seed's tier-appropriate fuzzed schedule over `horizon`.
 fn tier_schedule(
     kind: BackendKind,
@@ -264,7 +238,7 @@ fn recovery_pair(tier: BackendKind, seed: u64, clean_horizon: Time, events: usiz
         run_with_recovery_backend(
             &rec,
             crashes,
-            &tier_cfg(tier, rec.workload(), rec_faults.clone()),
+            &tier_config(tier, rec.workload(), rec_faults.clone()),
             SimOptions::default(),
         )
         .expect(what)
@@ -299,7 +273,7 @@ pub fn chaos_case(
         RunSummary::of(
             run_backend(
                 &workload,
-                &tier_cfg(tier, &workload, faults.clone()),
+                &tier_config(tier, &workload, faults.clone()),
                 SimOptions::default(),
             )
             .unwrap_or_else(|e| panic!("{} on {}: {e}", id.id(), tier.id())),
@@ -644,7 +618,7 @@ mod tests {
         let w = id.build(Scale::Smoke);
         let clean = run_backend(
             &w,
-            &tier_cfg(BackendKind::Pfs, &w, FaultSchedule::empty()),
+            &tier_config(BackendKind::Pfs, &w, FaultSchedule::empty()),
             SimOptions::default(),
         )
         .expect("fault-free run");
@@ -693,7 +667,7 @@ mod tests {
         let w = WorkloadId::all()[0].build(Scale::Smoke);
         let r = run_backend(
             &w,
-            &tier_cfg(BackendKind::Pfs, &w, FaultSchedule::empty()),
+            &tier_config(BackendKind::Pfs, &w, FaultSchedule::empty()),
             SimOptions::default(),
         )
         .expect("smoke run");

@@ -12,31 +12,19 @@
 //! which *invert* (striping parallelism becomes single-target
 //! serialization when a file maps wholly to one object).
 
+use crate::canon::tier_config;
 use crate::experiments::{side_by_side, Experiment, ExperimentOutput, Scale, ShapeCheck};
 use crate::simulator::{run_backend, RunResult, SimOptions};
 use sioscope_faults::{FaultKind, FaultSchedule};
-use sioscope_pfs::{
-    BackendConfig, BackendKind, BurstBufferConfig, ObjectStoreConfig, OpKind, PfsConfig,
-};
+use sioscope_pfs::{BackendConfig, BackendKind, OpKind};
 use sioscope_sim::{par, Time};
 use sioscope_workloads::{EscatConfig, EscatVersion, PrismConfig, PrismVersion, Workload};
 use std::fmt::Write as _;
 
-fn tier_config(kind: BackendKind, workload: &Workload) -> BackendConfig {
-    match kind {
-        BackendKind::Pfs => BackendConfig::Pfs(PfsConfig::caltech(workload.nodes, workload.os)),
-        BackendKind::Object => BackendConfig::Object(ObjectStoreConfig::modern(workload.nodes)),
-        BackendKind::Burst => BackendConfig::Burst(BurstBufferConfig::over(PfsConfig::caltech(
-            workload.nodes,
-            workload.os,
-        ))),
-    }
-}
-
 fn run_tier(kind: BackendKind, workload: &Workload) -> RunResult {
     run_backend(
         workload,
-        &tier_config(kind, workload),
+        &tier_config(kind, workload, FaultSchedule::empty()),
         SimOptions::default(),
     )
     .unwrap_or_else(|e| panic!("{} on {kind}: {e}", workload.name))
@@ -189,8 +177,8 @@ pub fn prism(scale: Scale) -> ExperimentOutput {
 }
 
 /// Shared scaffolding for the two tier-fault experiments: run the
-/// workload fault-free, engaged-but-empty, and twice with the
-/// schedule `faults` derives from the fault-free run, render the
+/// workload on the `kind` tier fault-free, engaged-but-empty, and twice
+/// with the schedule `faults` derives from the fault-free run, render the
 /// comparison, and assert the invariants every faulted tier must hold
 /// (hook bit-neutrality, replay determinism, never-faster).
 /// Tier-specific checks are appended by the caller.
@@ -198,9 +186,10 @@ fn faulted_tier(
     experiment: Experiment,
     title: &str,
     workload: &Workload,
-    build: &dyn Fn(FaultSchedule) -> BackendConfig,
+    kind: BackendKind,
     faults: &dyn Fn(&RunResult) -> FaultSchedule,
 ) -> (ExperimentOutput, RunResult) {
+    let build = |faults: FaultSchedule| tier_config(kind, workload, faults);
     let run = |(what, cfg): &(&str, BackendConfig)| {
         run_backend(workload, cfg, SimOptions::default()).expect(what)
     };
@@ -293,11 +282,6 @@ pub fn faulty_object(scale: Scale) -> ExperimentOutput {
         Scale::Smoke => EscatConfig::tiny(EscatVersion::B).build(),
         Scale::Full => EscatConfig::ethylene(EscatVersion::B).build(),
     };
-    let build = |faults: FaultSchedule| {
-        let mut obj = ObjectStoreConfig::modern(workload.nodes);
-        obj.faults = faults;
-        BackendConfig::Object(obj)
-    };
     // Shard 0 dark for the entire run (and past its end, so the
     // ladder can never wait the outage out) — every shard-0 metadata
     // op must fail over. The degraded window slows every transfer in
@@ -326,7 +310,7 @@ pub fn faulty_object(scale: Scale) -> ExperimentOutput {
         Experiment::FaultyObject,
         "Object tier failover: shard-0 outage + degraded-service window",
         &workload,
-        &build,
+        BackendKind::Object,
         &faults,
     );
     let rz = faulted.resilience;
@@ -367,11 +351,6 @@ pub fn faulty_burst(scale: Scale) -> ExperimentOutput {
         Scale::Smoke => PrismConfig::tiny(PrismVersion::C).build(),
         Scale::Full => PrismConfig::test_problem(PrismVersion::C).build(),
     };
-    let build = |faults: FaultSchedule| {
-        let mut burst = BurstBufferConfig::over(PfsConfig::caltech(workload.nodes, workload.os));
-        burst.faults = faults;
-        BackendConfig::Burst(burst)
-    };
     // Crash exactly when the largest write retires from the log: its
     // drain to the inner PFS cannot have finished (the drain channel
     // is slower than the log), so its bytes are resident and lost.
@@ -407,7 +386,7 @@ pub fn faulty_burst(scale: Scale) -> ExperimentOutput {
         Experiment::FaultyBurst,
         "Burst tier failover: drain stall + burst-node crash at peak residency",
         &workload,
-        &build,
+        BackendKind::Burst,
         &faults,
     );
     let s = faulted.backend_stats;

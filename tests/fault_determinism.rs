@@ -15,9 +15,10 @@
 //! vocabulary replays exactly (resilience ledger and byte ledger
 //! included).
 
+use sioscope::canon::tier_config;
 use sioscope::simulator::{run, run_backend, RunResult, SimOptions};
 use sioscope_faults::{FaultGen, FaultSchedule};
-use sioscope_pfs::{BackendConfig, BackendKind, BurstBufferConfig, ObjectStoreConfig, PfsConfig};
+use sioscope_pfs::{BackendKind, PfsConfig};
 use sioscope_prop::cases;
 use sioscope_sim::Time;
 use sioscope_workloads::{EscatConfig, EscatVersion, PrismConfig, PrismVersion, Workload};
@@ -83,27 +84,6 @@ fn faulty_runs_replay_exactly() {
     assert_eq!(a.trace.events(), b.trace.events());
 }
 
-/// The workload's view of one storage tier with a schedule installed.
-fn tier_cfg(kind: BackendKind, w: &Workload, faults: FaultSchedule) -> BackendConfig {
-    match kind {
-        BackendKind::Pfs => {
-            let mut cfg = PfsConfig::caltech(w.nodes, w.os);
-            cfg.faults = faults;
-            BackendConfig::Pfs(cfg)
-        }
-        BackendKind::Object => {
-            let mut cfg = ObjectStoreConfig::modern(w.nodes);
-            cfg.faults = faults;
-            BackendConfig::Object(cfg)
-        }
-        BackendKind::Burst => {
-            let mut cfg = BurstBufferConfig::over(PfsConfig::caltech(w.nodes, w.os));
-            cfg.faults = faults;
-            BackendConfig::Burst(cfg)
-        }
-    }
-}
-
 /// The tier's own fault vocabulary for a seed, as the canonical run
 /// surface would draw it.
 fn tier_schedule(kind: BackendKind, seed: u64, events: usize, io_nodes: u32) -> FaultSchedule {
@@ -121,13 +101,13 @@ fn disengaged_and_engaged_empty_schedules_are_invisible_on_every_tier() {
     for kind in BackendKind::all() {
         let plain = run_backend(
             &w,
-            &tier_cfg(kind, &w, FaultSchedule::empty()),
+            &tier_config(kind, &w, FaultSchedule::empty()),
             SimOptions::default(),
         )
         .expect("plain tier run");
         let engaged = run_backend(
             &w,
-            &tier_cfg(kind, &w, FaultSchedule::engaged_empty()),
+            &tier_config(kind, &w, FaultSchedule::engaged_empty()),
             SimOptions::default(),
         )
         .expect("engaged-empty tier run");
@@ -181,11 +161,11 @@ fn tier_fault_runs_replay_exactly_on_every_tier() {
             let faults = tier_schedule(kind, seed, events, io_nodes);
             let a = run_backend(
                 &w,
-                &tier_cfg(kind, &w, faults.clone()),
+                &tier_config(kind, &w, faults.clone()),
                 SimOptions::default(),
             )
             .expect("faulted tier run");
-            let b = run_backend(&w, &tier_cfg(kind, &w, faults), SimOptions::default())
+            let b = run_backend(&w, &tier_config(kind, &w, faults), SimOptions::default())
                 .expect("replayed tier run");
             assert_eq!(a.exec_time, b.exec_time, "{}", kind.id());
             assert_eq!(a.events, b.events);
