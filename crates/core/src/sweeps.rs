@@ -341,166 +341,92 @@ pub fn mtbf_sweep(rec: &Recoverable, mtbf_percents: &[u32], seed: u64) -> Sweep 
     }
 }
 
-/// Vary PRISM's checkpoint interval under one fixed crash schedule —
-/// the classic U-curve: dense checkpoints waste time committing,
-/// sparse checkpoints waste time replaying lost work, and Young's
-/// optimum sits between. Every point faces the *same* crashes
-/// (exponential with MTBF `0.8 ×` the policy-free baseline, generated
-/// once), so the axis varies only the commit cadence.
-pub fn checkpoint_interval_sweep(cfg: &PrismConfig, intervals: &[u32], seed: u64) -> Sweep {
-    let baseline_w = cfg.build();
-    let base_cfg = PfsConfig::caltech(baseline_w.nodes, baseline_w.os);
-    let baseline = run(&baseline_w, base_cfg.clone(), SimOptions::default())
+/// Where a checkpoint-interval sweep's checkpoint files land.
+#[derive(Debug, Clone)]
+pub enum CheckpointTier {
+    /// The Caltech PFS itself.
+    Pfs,
+    /// A burst buffer over the Caltech PFS that absorbs the checkpoint
+    /// files, with these burst-tier faults installed.
+    Burst(FaultSchedule),
+}
+
+impl CheckpointTier {
+    /// The sweep's reported parameter: `checkpoint_interval` on the
+    /// PFS, `checkpoint_interval_burst` on a fault-free burst buffer
+    /// and `checkpoint_interval_burst_crash` on a faulted one.
+    fn parameter(&self) -> &'static str {
+        match self {
+            CheckpointTier::Pfs => "checkpoint_interval",
+            CheckpointTier::Burst(faults) if faults.is_empty() => "checkpoint_interval_burst",
+            CheckpointTier::Burst(_) => "checkpoint_interval_burst_crash",
+        }
+    }
+}
+
+/// The seeded environment the checkpoint-interval sweeps share, derived
+/// from the fault-free run of `cfg`'s policy-free workload on the
+/// Caltech PFS. It holds compute crashes, exponential with MTBF `0.8 ×`
+/// that baseline over [`crash_environment`]'s horizon, and three
+/// burst-tier faults placed over one attempt's horizon so they land
+/// mid-attempt. Every tier faces the same crashes, so the sweeps'
+/// curves compare directly.
+fn checkpoint_environment(cfg: &PrismConfig, seed: u64) -> (FaultSchedule, FaultSchedule) {
+    let w = cfg.build();
+    let pfs = PfsConfig::caltech(w.nodes, w.os);
+    let io_nodes = pfs.machine.io_nodes;
+    let baseline = run(&w, pfs, SimOptions::default())
         .unwrap_or_else(|e| panic!("checkpoint sweep baseline: {e}"))
         .exec_time;
     let (horizon, rework) = crash_environment(baseline);
-    let crashes = FaultGen::new(seed, horizon, base_cfg.machine.io_nodes).compute_crash_schedule(
+    let crashes = FaultGen::new(seed, horizon, io_nodes).compute_crash_schedule(
         baseline.scale(0.8),
         rework,
-        baseline_w.nodes,
+        w.nodes,
     );
-    checkpoint_interval_sweep_with(cfg, intervals, &crashes)
-}
-
-/// [`checkpoint_interval_sweep`] against a caller-supplied crash
-/// schedule. Exposed so experiments and tests can place crashes at
-/// *measured* instants (e.g. just before a policy's commit) where the
-/// U-curve's right arm is provable rather than seed-dependent.
-pub fn checkpoint_interval_sweep_with(
-    cfg: &PrismConfig,
-    intervals: &[u32],
-    crashes: &FaultSchedule,
-) -> Sweep {
-    let baseline_w = cfg.build();
-    let base_cfg = PfsConfig::caltech(baseline_w.nodes, baseline_w.os);
-    let mut points: Vec<SweepPoint> = each(intervals, |&interval| {
-        let snapped = cfg.snap_interval(interval);
-        let rec = cfg.recoverable(CheckpointPolicy::Fixed { interval: snapped });
-        let r = run_with_recovery(&rec, crashes, base_cfg.clone(), SimOptions::default())
-            .unwrap_or_else(|e| panic!("interval={snapped}: {e}"));
-        SweepPoint {
-            label: format!("every {snapped} steps"),
-            value: u64::from(snapped),
-            exec_time: r.recovery.time_to_solution,
-            io_time: r.total_io_time(),
-            events: r.events,
-        }
-    });
-    points.sort_by_key(|p| p.value);
-    points.dedup_by_key(|p| p.value);
-    Sweep {
-        parameter: "checkpoint_interval",
-        workload: baseline_w.name.clone(),
-        points,
-    }
-}
-
-/// [`checkpoint_interval_sweep`] with a burst buffer absorbing the
-/// checkpoint files. The crash environment is derived from the *same*
-/// plain-PFS baseline with the same seed, so the two sweeps face
-/// identical crash schedules and their curves are directly
-/// comparable: with commits landing in the host-side log at
-/// near-zero foreground cost, the U-curve's left arm (dense
-/// checkpoints waste time committing) collapses and the curve
-/// flattens toward its replay-bounded floor.
-pub fn checkpoint_interval_sweep_burst(cfg: &PrismConfig, intervals: &[u32], seed: u64) -> Sweep {
-    let baseline_w = cfg.build();
-    let base_cfg = PfsConfig::caltech(baseline_w.nodes, baseline_w.os);
-    let baseline = run(&baseline_w, base_cfg.clone(), SimOptions::default())
-        .unwrap_or_else(|e| panic!("burst checkpoint sweep baseline: {e}"))
-        .exec_time;
-    let (horizon, rework) = crash_environment(baseline);
-    let crashes = FaultGen::new(seed, horizon, base_cfg.machine.io_nodes).compute_crash_schedule(
-        baseline.scale(0.8),
-        rework,
-        baseline_w.nodes,
-    );
-    checkpoint_interval_sweep_burst_with(cfg, intervals, &crashes)
-}
-
-/// [`checkpoint_interval_sweep_burst`] against a caller-supplied
-/// crash schedule.
-pub fn checkpoint_interval_sweep_burst_with(
-    cfg: &PrismConfig,
-    intervals: &[u32],
-    crashes: &FaultSchedule,
-) -> Sweep {
-    let baseline_w = cfg.build();
-    let base_cfg = PfsConfig::caltech(baseline_w.nodes, baseline_w.os);
-    let mut points: Vec<SweepPoint> = each(intervals, |&interval| {
-        let snapped = cfg.snap_interval(interval);
-        let rec = cfg.recoverable(CheckpointPolicy::Fixed { interval: snapped });
-        let tier = BackendConfig::Burst(BurstBufferConfig::absorbing(
-            base_cfg.clone(),
-            rec.checkpoint_files().to_vec(),
-        ));
-        let r = run_with_recovery_backend(&rec, crashes, &tier, SimOptions::default())
-            .unwrap_or_else(|e| panic!("burst interval={snapped}: {e}"));
-        SweepPoint {
-            label: format!("every {snapped} steps"),
-            value: u64::from(snapped),
-            exec_time: r.recovery.time_to_solution,
-            io_time: r.total_io_time(),
-            events: r.events,
-        }
-    });
-    points.sort_by_key(|p| p.value);
-    points.dedup_by_key(|p| p.value);
-    Sweep {
-        parameter: "checkpoint_interval_burst",
-        workload: baseline_w.name.clone(),
-        points,
-    }
-}
-
-/// [`checkpoint_interval_sweep_burst`] with *burst-tier* faults
-/// injected on top of the same compute-crash schedule: drain stalls
-/// and a burst-node crash that destroys resident (not yet drained)
-/// checkpoint bytes. A commit whose bytes died in the log is not
-/// durable — the recovery driver must roll back past it — so the
-/// flattened burst U-curve un-flattens: dense checkpointing regains
-/// value because each commit bounds how much the log can lose.
-pub fn checkpoint_interval_sweep_burst_crash(
-    cfg: &PrismConfig,
-    intervals: &[u32],
-    seed: u64,
-) -> Sweep {
-    let baseline_w = cfg.build();
-    let base_cfg = PfsConfig::caltech(baseline_w.nodes, baseline_w.os);
-    let baseline = run(&baseline_w, base_cfg.clone(), SimOptions::default())
-        .unwrap_or_else(|e| panic!("burst-crash checkpoint sweep baseline: {e}"))
-        .exec_time;
-    let (horizon, rework) = crash_environment(baseline);
-    let fgen = FaultGen::new(seed, horizon, base_cfg.machine.io_nodes);
-    let crashes = fgen.compute_crash_schedule(baseline.scale(0.8), rework, baseline_w.nodes);
-    // The same seeded burst-fault scenario at every point, placed over
-    // one attempt's horizon so the faults land mid-attempt.
-    let burst_faults = FaultGen::new(seed, baseline, base_cfg.machine.io_nodes)
+    let burst_faults = FaultGen::new(seed, baseline, io_nodes)
         .with_events(3)
         .burst_schedule();
-    checkpoint_interval_sweep_burst_crash_with(cfg, intervals, &crashes, &burst_faults)
+    (crashes, burst_faults)
 }
 
-/// [`checkpoint_interval_sweep_burst_crash`] against caller-supplied
-/// compute-crash and burst-fault schedules. Exposed so tests can place
-/// a burst-node crash exactly where checkpoint bytes are resident.
-pub fn checkpoint_interval_sweep_burst_crash_with(
+/// Vary PRISM's checkpoint interval under one fixed crash schedule,
+/// with the checkpoint files on `tier`.
+///
+/// On the PFS this is the classic U-curve: dense checkpoints waste time
+/// committing, sparse checkpoints waste time replaying lost work, and
+/// Young's optimum sits between. Every point faces the *same*
+/// `crashes`, so the axis varies only the commit cadence. A burst
+/// buffer lands the commits in its host-side log at near-zero
+/// foreground cost, so the left arm collapses and the curve flattens
+/// toward its replay-bounded floor. Burst-tier faults (drain stalls and
+/// a burst-node crash that destroys resident checkpoint bytes)
+/// un-flatten it: a commit whose bytes died in the log is not durable,
+/// so recovery rolls back past it, and dense checkpointing regains
+/// value because each commit bounds how much the log can lose.
+pub fn checkpoint_interval_sweep(
     cfg: &PrismConfig,
     intervals: &[u32],
+    tier: &CheckpointTier,
     crashes: &FaultSchedule,
-    burst_faults: &FaultSchedule,
 ) -> Sweep {
     let baseline_w = cfg.build();
     let base_cfg = PfsConfig::caltech(baseline_w.nodes, baseline_w.os);
+    let parameter = tier.parameter();
     let mut points: Vec<SweepPoint> = each(intervals, |&interval| {
         let snapped = cfg.snap_interval(interval);
         let rec = cfg.recoverable(CheckpointPolicy::Fixed { interval: snapped });
-        let mut burst =
-            BurstBufferConfig::absorbing(base_cfg.clone(), rec.checkpoint_files().to_vec());
-        burst.faults = burst_faults.clone();
-        let tier = BackendConfig::Burst(burst);
-        let r = run_with_recovery_backend(&rec, crashes, &tier, SimOptions::default())
-            .unwrap_or_else(|e| panic!("burst-crash interval={snapped}: {e}"));
+        let storage = match tier {
+            CheckpointTier::Pfs => BackendConfig::Pfs(base_cfg.clone()),
+            CheckpointTier::Burst(faults) => {
+                let mut burst =
+                    BurstBufferConfig::absorbing(base_cfg.clone(), rec.checkpoint_files().to_vec());
+                burst.faults = faults.clone();
+                BackendConfig::Burst(burst)
+            }
+        };
+        let r = run_with_recovery_backend(&rec, crashes, &storage, SimOptions::default())
+            .unwrap_or_else(|e| panic!("{parameter} interval={snapped}: {e}"));
         SweepPoint {
             label: format!("every {snapped} steps"),
             value: u64::from(snapped),
@@ -512,7 +438,7 @@ pub fn checkpoint_interval_sweep_burst_crash_with(
     points.sort_by_key(|p| p.value);
     points.dedup_by_key(|p| p.value);
     Sweep {
-        parameter: "checkpoint_interval_burst_crash",
+        parameter,
         workload: baseline_w.name.clone(),
         points,
     }
@@ -667,26 +593,20 @@ pub fn run_sweep(id: SweepId, scale: Scale) -> Sweep {
             let rec = cfg.recoverable(CheckpointPolicy::Fixed { interval: 1 });
             mtbf_sweep(&rec, &[25, 50, 100, 200, 400], 0x4EC0)
         }
-        SweepId::CheckpointInterval => {
+        SweepId::CheckpointInterval
+        | SweepId::CheckpointIntervalBurst
+        | SweepId::CheckpointIntervalBurstCrash => {
             let cfg = match scale {
                 Scale::Smoke => PrismConfig::tiny(PrismVersion::B),
                 Scale::Full => PrismConfig::test_problem(PrismVersion::B),
             };
-            checkpoint_interval_sweep(&cfg, &[1, 2, 5, 10, 25, 125, 250, 625], 0x0C7)
-        }
-        SweepId::CheckpointIntervalBurst => {
-            let cfg = match scale {
-                Scale::Smoke => PrismConfig::tiny(PrismVersion::B),
-                Scale::Full => PrismConfig::test_problem(PrismVersion::B),
+            let (crashes, burst_faults) = checkpoint_environment(&cfg, 0x0C7);
+            let tier = match id {
+                SweepId::CheckpointInterval => CheckpointTier::Pfs,
+                SweepId::CheckpointIntervalBurst => CheckpointTier::Burst(FaultSchedule::empty()),
+                _ => CheckpointTier::Burst(burst_faults),
             };
-            checkpoint_interval_sweep_burst(&cfg, &[1, 2, 5, 10, 25, 125, 250, 625], 0x0C7)
-        }
-        SweepId::CheckpointIntervalBurstCrash => {
-            let cfg = match scale {
-                Scale::Smoke => PrismConfig::tiny(PrismVersion::B),
-                Scale::Full => PrismConfig::test_problem(PrismVersion::B),
-            };
-            checkpoint_interval_sweep_burst_crash(&cfg, &[1, 2, 5, 10, 25, 125, 250, 625], 0x0C7)
+            checkpoint_interval_sweep(&cfg, &[1, 2, 5, 10, 25, 125, 250, 625], &tier, &crashes)
         }
         SweepId::LoadFactor => load_factor_sweep(&[25, 50, 100, 200, 400], scale),
         SweepId::StagingDepth => {
@@ -920,7 +840,7 @@ mod tests {
                 rework: Time::from_secs(1),
             },
         );
-        let sweep = checkpoint_interval_sweep_with(&cfg, &[10, 20], &crashes);
+        let sweep = checkpoint_interval_sweep(&cfg, &[10, 20], &CheckpointTier::Pfs, &crashes);
         assert_eq!(sweep.parameter, "checkpoint_interval");
         assert_eq!(sweep.points.len(), 2);
         assert_eq!(sweep.points[0].value, 10);
@@ -941,8 +861,10 @@ mod tests {
     fn burst_buffer_flattens_the_checkpoint_u_curve() {
         let cfg = PrismConfig::tiny(PrismVersion::B);
         let intervals = [1, 2, 5, 10, 25];
-        let plain = checkpoint_interval_sweep(&cfg, &intervals, 0x0C7);
-        let burst = checkpoint_interval_sweep_burst(&cfg, &intervals, 0x0C7);
+        let (crashes, _) = checkpoint_environment(&cfg, 0x0C7);
+        let plain = checkpoint_interval_sweep(&cfg, &intervals, &CheckpointTier::Pfs, &crashes);
+        let clean = CheckpointTier::Burst(FaultSchedule::empty());
+        let burst = checkpoint_interval_sweep(&cfg, &intervals, &clean, &crashes);
         assert_eq!(burst.parameter, "checkpoint_interval_burst");
         assert_eq!(plain.points.len(), burst.points.len());
         let min_tts = |s: &Sweep| {
@@ -977,8 +899,13 @@ mod tests {
     fn burst_faults_never_improve_the_flattened_u_curve() {
         let cfg = PrismConfig::tiny(PrismVersion::B);
         let intervals = [1, 5, 25];
-        let clean = checkpoint_interval_sweep_burst(&cfg, &intervals, 0x0C7);
-        let faulted = checkpoint_interval_sweep_burst_crash(&cfg, &intervals, 0x0C7);
+        let (crashes, burst_faults) = checkpoint_environment(&cfg, 0x0C7);
+        let sweep = |faults: &FaultSchedule| {
+            let tier = CheckpointTier::Burst(faults.clone());
+            checkpoint_interval_sweep(&cfg, &intervals, &tier, &crashes)
+        };
+        let clean = sweep(&FaultSchedule::empty());
+        let faulted = sweep(&burst_faults);
         assert_eq!(faulted.parameter, "checkpoint_interval_burst_crash");
         assert_eq!(clean.points.len(), faulted.points.len());
         for (f, c) in faulted.points.iter().zip(&clean.points) {
@@ -992,7 +919,7 @@ mod tests {
             );
         }
         // Deterministic: same seed, same curve.
-        let again = checkpoint_interval_sweep_burst_crash(&cfg, &intervals, 0x0C7);
+        let again = sweep(&checkpoint_environment(&cfg, 0x0C7).1);
         for (a, b) in faulted.points.iter().zip(&again.points) {
             assert_eq!(a.exec_time, b.exec_time);
             assert_eq!(a.events, b.events);
@@ -1003,7 +930,8 @@ mod tests {
     fn seeded_checkpoint_interval_sweep_snaps_and_dedups_intervals() {
         let cfg = PrismConfig::tiny(PrismVersion::B);
         // 3 snaps to divisor 2, 4 to itself; 5 and 6 both snap to 5.
-        let sweep = checkpoint_interval_sweep(&cfg, &[3, 4, 5, 6], 0x0C7);
+        let (crashes, _) = checkpoint_environment(&cfg, 0x0C7);
+        let sweep = checkpoint_interval_sweep(&cfg, &[3, 4, 5, 6], &CheckpointTier::Pfs, &crashes);
         let values: Vec<u64> = sweep.points.iter().map(|p| p.value).collect();
         assert_eq!(values, vec![2, 4, 5]);
         assert!(sweep.points.iter().all(|p| p.exec_time > Time::ZERO));
