@@ -41,7 +41,7 @@ pub mod backend;
 pub mod comparison;
 pub mod contention;
 pub mod escat;
-mod memo;
+pub(crate) mod memo;
 pub mod prism;
 pub mod recovery;
 pub mod resilience;
@@ -269,12 +269,17 @@ impl ExperimentOutput {
 ///
 /// Experiments share simulated runs through per-application memoization
 /// caches so that, say, the four ESCAT figures do not re-simulate the
-/// same six progressions. Benchmarks that want to time a *cold* pass of
-/// the registry call this between iterations; ordinary callers never
-/// need it.
+/// same six progressions, and [`canon::workload_run`] simulates each
+/// fault-free run of a (workload, scale, tier) once per process however
+/// many seeds and fault intensities ask for it. Benchmarks that want to
+/// time a *cold* pass of the registry or of a campaign call this
+/// between iterations; ordinary callers never need it.
+///
+/// [`canon::workload_run`]: crate::canon::workload_run
 pub fn clear_run_caches() {
     escat::clear_cache();
     prism::clear_cache();
+    crate::canon::clear_cache();
 }
 
 /// [`par::map`] over a fixed number of independent runs on every
