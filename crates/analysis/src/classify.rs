@@ -43,7 +43,7 @@ pub enum IoClass {
 
 impl IoClass {
     /// Human label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             IoClass::CompulsoryInput => "compulsory (input)",
             IoClass::CompulsoryOutput => "compulsory (output)",

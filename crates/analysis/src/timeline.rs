@@ -70,7 +70,7 @@ impl Timeline {
     }
 
     /// Smallest nonzero value (for log-scale axis floors).
-    pub fn min_nonzero(&self) -> Option<u64> {
+    pub(crate) fn min_nonzero(&self) -> Option<u64> {
         self.points.iter().map(|&(_, v)| v).filter(|&v| v > 0).min()
     }
 
@@ -126,7 +126,7 @@ impl Timeline {
 
 /// Convert a duration-valued series (e.g. seek durations) to
 /// nanosecond values for plotting.
-pub fn durations_to_points(series: &[(Time, Time)]) -> Vec<(Time, u64)> {
+pub(crate) fn durations_to_points(series: &[(Time, Time)]) -> Vec<(Time, u64)> {
     series.iter().map(|&(t, d)| (t, d.as_nanos())).collect()
 }
 

@@ -30,10 +30,10 @@ use sioscope::experiments::{run_experiment, Experiment};
 use sioscope::report;
 use sioscope::sweeps::{run_sweep, SweepId};
 use sioscope_bench::{
-    artifact_resumable, exit_with, scale_from_env, try_experiments_from_args, try_sweeps_from_args,
-    write_atomic, CliError,
+    artifact_resumable, scale_from_env, try_experiments_from_args, try_sweeps_from_args,
 };
 use sioscope_campaign::json::Json;
+use sioscope_campaign::{exit_with, write_atomic, CliError};
 use std::path::PathBuf;
 
 struct Cli {

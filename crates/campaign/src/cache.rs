@@ -19,7 +19,7 @@ use crate::json::Json;
 
 /// Schema tag for on-disk entries. Bump on any change to the entry
 /// layout *or* to the content-address function.
-pub const ENTRY_SCHEMA: &str = "sioscope-campaign-run/1";
+pub(crate) const ENTRY_SCHEMA: &str = "sioscope-campaign-run/1";
 
 /// One cached run result. All metrics are integers (nanoseconds,
 /// counts, fixed-point milli/micro units) so the JSON rendering is
@@ -43,7 +43,7 @@ impl CacheEntry {
     }
 
     /// The entry as canonical JSON.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut obj = BTreeMap::new();
         obj.insert("schema".to_string(), Json::Str(ENTRY_SCHEMA.to_string()));
         obj.insert("hash".to_string(), Json::Str(self.hash.clone()));
@@ -60,7 +60,7 @@ impl CacheEntry {
 
     /// Parse an entry back out of JSON, validating the schema tag.
     /// Returns `None` on any shape mismatch.
-    pub fn from_json(value: &Json) -> Option<CacheEntry> {
+    pub(crate) fn from_json(value: &Json) -> Option<CacheEntry> {
         let obj = value.as_object()?;
         if obj.get("schema")?.as_str()? != ENTRY_SCHEMA {
             return None;
@@ -79,7 +79,7 @@ impl CacheEntry {
 }
 
 /// The file an entry for `hash` lives at under `cache_dir`.
-pub fn entry_path(cache_dir: &Path, hash: &str) -> PathBuf {
+pub(crate) fn entry_path(cache_dir: &Path, hash: &str) -> PathBuf {
     cache_dir.join(format!("{hash}.json"))
 }
 

@@ -49,9 +49,8 @@ pub mod minitoml;
 pub mod report;
 pub mod spec;
 
-pub use cache::CacheEntry;
-pub use cliutil::{exit_with, tmp_sibling, write_atomic, CliError};
+pub use cliutil::{exit_with, write_atomic, CliError};
 pub use confhash::config_hash;
 pub use exec::{run_campaign, ExecOptions};
-pub use report::{CampaignReport, RunReport};
+pub use report::CampaignReport;
 pub use spec::{CampaignSpec, RunSpec};

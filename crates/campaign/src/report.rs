@@ -19,7 +19,7 @@ use crate::json::Json;
 use crate::spec::RunSpec;
 
 /// Schema tag for the aggregated report JSON.
-pub const REPORT_SCHEMA: &str = "sioscope-campaign-report/1";
+pub(crate) const REPORT_SCHEMA: &str = "sioscope-campaign-report/1";
 
 /// One run's contribution to the report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,7 +61,7 @@ impl CampaignReport {
 
     /// Metric sums across all `ok` runs, keyed by metric name.
     /// Saturating: a campaign report must aggregate, not overflow.
-    pub fn totals(&self) -> BTreeMap<String, u64> {
+    pub(crate) fn totals(&self) -> BTreeMap<String, u64> {
         let mut totals: BTreeMap<String, u64> = BTreeMap::new();
         for run in self.runs.iter().filter(|r| r.entry.is_ok()) {
             for (key, value) in &run.entry.metrics {
@@ -73,7 +73,7 @@ impl CampaignReport {
     }
 
     /// The deterministic report as JSON.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let runs = self
             .runs
             .iter()

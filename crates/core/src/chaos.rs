@@ -60,7 +60,7 @@ use std::collections::BTreeMap;
 /// fault transitions, trace length, and FNV-64 digests of the binary
 /// trace and the per-node finish vector. Identical format to the
 /// committed `tests/golden/backend_baseline.txt` columns.
-pub fn fingerprint(r: &RunResult) -> String {
+pub(crate) fn fingerprint(r: &RunResult) -> String {
     let mut finish = Vec::with_capacity(r.node_finish.len() * 8);
     for t in &r.node_finish {
         finish.extend_from_slice(&t.as_nanos().to_le_bytes());

@@ -30,7 +30,7 @@ use sioscope_workloads::StreamCadence;
 
 /// Consumer analysis bandwidth at 100% speed: how fast the in-situ
 /// analysis digests staged bytes.
-pub const ANALYZE_BW: u64 = 8_000_000;
+pub(crate) const ANALYZE_BW: u64 = 8_000_000;
 
 /// The file-based hand-off route: PFS-class service rates for the
 /// checkpoint files the producer writes and the consumer reads back.
@@ -60,7 +60,7 @@ impl FileRoute {
     }
 
     /// Structural problems (empty = valid).
-    pub fn validate(&self) -> Vec<String> {
+    pub(crate) fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
         if self.write_bw == 0 || self.read_bw == 0 {
             problems.push("file route bandwidths must be positive".into());

@@ -84,7 +84,7 @@ fn prism_workload(version: PrismVersion, scale: Scale) -> Workload {
 /// "Request aggregation and prefetching by the file system would
 /// simplify code structure and eliminate the need for code
 /// restructuring."
-pub fn aggregation(scale: Scale) -> ExperimentOutput {
+pub(crate) fn aggregation(scale: Scale) -> ExperimentOutput {
     let w = escat_workload(EscatVersion::C, scale);
     let base = escat::run_version(EscatVersion::C, EscatDataset::Ethylene, scale);
     let agg = run_with_policy(&w, PolicyConfig::aggregation_only());
@@ -161,7 +161,7 @@ fn sequential_scan_workload(scale: Scale) -> Workload {
 }
 
 /// Prefetching: the sequential reload pattern with read-ahead enabled.
-pub fn prefetch(scale: Scale) -> ExperimentOutput {
+pub(crate) fn prefetch(scale: Scale) -> ExperimentOutput {
     let w = sequential_scan_workload(scale);
     let [base, pf] = run_with_policies([
         (&w, PolicyConfig::measured_pfs()),
@@ -188,7 +188,7 @@ pub fn prefetch(scale: Scale) -> ExperimentOutput {
 
 /// Write-behind: asynchronous draining on top of aggregation for
 /// ESCAT C.
-pub fn write_behind(scale: Scale) -> ExperimentOutput {
+pub(crate) fn write_behind(scale: Scale) -> ExperimentOutput {
     let w = escat_workload(EscatVersion::C, scale);
     let [agg, wb] = run_with_policies([
         (&w, PolicyConfig::aggregation_only()),
@@ -220,7 +220,7 @@ pub fn write_behind(scale: Scale) -> ExperimentOutput {
 /// version A into version C; this experiment asks how much of that
 /// I/O-time win the §7 file-system policies would have delivered to
 /// the *unmodified* version A.
-pub fn no_restructuring(scale: Scale) -> ExperimentOutput {
+pub(crate) fn no_restructuring(scale: Scale) -> ExperimentOutput {
     let wa = escat_workload(EscatVersion::A, scale);
     let wb = escat_workload(EscatVersion::B, scale);
     let a_measured = escat::run_version(EscatVersion::A, EscatDataset::Ethylene, scale);
@@ -313,7 +313,7 @@ pub fn no_restructuring(scale: Scale) -> ExperimentOutput {
 /// same mechanisms per stream on its own. The adaptive configuration
 /// should recover most of the statically tuned win with no
 /// application-side knowledge.
-pub fn adaptive(scale: Scale) -> ExperimentOutput {
+pub(crate) fn adaptive(scale: Scale) -> ExperimentOutput {
     let w = escat_workload(EscatVersion::C, scale);
     let measured = escat::run_version(EscatVersion::C, EscatDataset::Ethylene, scale);
     let [tuned, adaptive] = run_with_policies([
@@ -370,7 +370,7 @@ pub fn adaptive(scale: Scale) -> ExperimentOutput {
 /// disable vs. version B's buffered header reads — quantifying the
 /// §5.4 observation that "a few small reads can dominate overall I/O
 /// time".
-pub fn caching(scale: Scale) -> ExperimentOutput {
+pub(crate) fn caching(scale: Scale) -> ExperimentOutput {
     // Version C as written (buffering disabled on the restart file).
     let with_disable = prism::run_version(PrismVersion::C, scale);
     // The counterfactual: same code without the SetBuffering(false)

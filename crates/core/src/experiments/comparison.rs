@@ -58,7 +58,7 @@ fn render_row(out: &mut String, label: &str, d: &Dimensions) {
 }
 
 /// Run the §6 comparison.
-pub fn section6(scale: Scale) -> ExperimentOutput {
+pub(crate) fn section6(scale: Scale) -> ExperimentOutput {
     let mut rendered =
         String::from("Section 6: application comparison across the three I/O dimensions\n");
     let _ = writeln!(

@@ -14,7 +14,7 @@ pub struct ShapeCheck {
 
 impl ShapeCheck {
     /// Build a check from a predicate and evidence string.
-    pub fn new(name: impl Into<String>, pass: bool, detail: impl Into<String>) -> Self {
+    pub(crate) fn new(name: impl Into<String>, pass: bool, detail: impl Into<String>) -> Self {
         ShapeCheck {
             name: name.into(),
             pass,
@@ -23,7 +23,7 @@ impl ShapeCheck {
     }
 
     /// Check that `measured` is within `[lo, hi]`.
-    pub fn in_range(name: impl Into<String>, measured: f64, lo: f64, hi: f64) -> Self {
+    pub(crate) fn in_range(name: impl Into<String>, measured: f64, lo: f64, hi: f64) -> Self {
         ShapeCheck {
             name: name.into(),
             pass: measured >= lo && measured <= hi,
@@ -32,7 +32,13 @@ impl ShapeCheck {
     }
 
     /// Check that `a > b` (strict ordering of two measured values).
-    pub fn greater(name: impl Into<String>, a_label: &str, a: f64, b_label: &str, b: f64) -> Self {
+    pub(crate) fn greater(
+        name: impl Into<String>,
+        a_label: &str,
+        a: f64,
+        b_label: &str,
+        b: f64,
+    ) -> Self {
         ShapeCheck {
             name: name.into(),
             pass: a > b,
@@ -42,7 +48,7 @@ impl ShapeCheck {
 }
 
 /// Render a check list as text.
-pub fn render_checks(checks: &[ShapeCheck]) -> String {
+pub(crate) fn render_checks(checks: &[ShapeCheck]) -> String {
     let mut out = String::new();
     for c in checks {
         out.push_str(if c.pass { "  [pass] " } else { "  [FAIL] " });

@@ -46,9 +46,7 @@ pub mod schedule;
 pub mod simulator;
 pub mod sweeps;
 
-pub use chaos::{chaos_case, chaos_soak, stream_chaos_case, ChaosTier, ChaosVerdict};
-pub use coupled::{run_coupled, CoupledOutcome, FileRoute, Route};
-pub use experiments::{Experiment, ExperimentOutput};
+pub use coupled::{run_coupled, FileRoute, Route};
 pub use recovery::{run_with_recovery, run_with_recovery_backend, RecoveryStats};
-pub use schedule::{run_schedule, SchedError, ScheduleOutcome};
-pub use simulator::{run, run_backend, RunResult, SimError, SimOptions};
+pub use schedule::{run_schedule, ScheduleOutcome};
+pub use simulator::{run, run_backend, RunResult, SimOptions};

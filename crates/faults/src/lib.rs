@@ -35,4 +35,4 @@ pub mod state;
 
 pub use generator::FaultGen;
 pub use schedule::{FaultEvent, FaultKind, FaultSchedule, Tier};
-pub use state::{BurstFaultState, ComputeCrash, FaultState, ObjectFaultState};
+pub use state::{BurstFaultState, FaultState, ObjectFaultState};

@@ -97,7 +97,7 @@ impl PfsCosts {
     /// ESCAT version B (Table 2-B); (c) M_ASYNC seeks are three orders
     /// of magnitude cheaper (Fig. 5 B vs C y-axis scales: seconds vs
     /// tenths).
-    pub fn paragon_osf() -> Self {
+    pub(crate) fn paragon_osf() -> Self {
         Self::for_os(crate::mode::OsRelease::Osf13)
     }
 

@@ -54,7 +54,7 @@ pub use burst::{BurstAbsorb, BurstBuffer, BurstBufferConfig};
 pub use costs::PfsCosts;
 pub use error::PfsError;
 pub use mode::IoMode;
-pub use object::{ObjectMeta, ObjectStore, ObjectStoreConfig};
+pub use object::{ObjectStore, ObjectStoreConfig};
 pub use op::{Completion, IoOp, OpKind, Outcome};
 pub use policy::PolicyConfig;
 pub use resilience::{ResilienceConfig, ResilienceStats};

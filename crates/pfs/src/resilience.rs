@@ -97,7 +97,7 @@ impl ResilienceStats {
     }
 
     /// Accumulate another run's counters into this one.
-    pub fn merge(&mut self, other: &ResilienceStats) {
+    pub(crate) fn merge(&mut self, other: &ResilienceStats) {
         self.timeouts += other.timeouts;
         self.retries += other.retries;
         self.reroutes += other.reroutes;

@@ -30,5 +30,5 @@ pub mod stream;
 
 pub use alloc::{AllocPolicy, Partition, PartitionAllocator};
 pub use policy::QueuePolicy;
-pub use stats::{JobOutcome, ScheduleStats, DEFAULT_BSLD_TAU};
-pub use stream::{JobArrival, JobStream, JobTemplate, StreamKind};
+pub use stats::{JobOutcome, ScheduleStats};
+pub use stream::{JobStream, JobTemplate, StreamKind};

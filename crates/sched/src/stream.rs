@@ -135,7 +135,7 @@ impl JobStream {
     }
 
     /// Weighted template pick for arrival `index`; pure in `index`.
-    pub fn pick_template(&self, index: u32) -> usize {
+    pub(crate) fn pick_template(&self, index: u32) -> usize {
         let total: u64 = self.templates.iter().map(|t| u64::from(t.weight)).sum();
         let mut rng = DetRng::new(self.seed)
             .fork(TEMPLATE_SALT)

@@ -34,9 +34,9 @@ pub mod rng;
 pub mod time;
 pub mod timeline;
 
-pub use calendar::{Calendar, CalendarPool, Reservation};
-pub use event::{EventQueue, ScheduledEvent};
-pub use hash::{DetHashMap, DetHashSet, FxBuildHasher, FxHasher};
+pub use calendar::{Calendar, CalendarPool};
+pub use event::EventQueue;
+pub use hash::{DetHashMap, DetHashSet, FxHasher};
 pub use ids::{FileId, JobId, NodeId, Pid};
 pub use rendezvous::{RendezvousOutcome, RendezvousTable};
 pub use rng::DetRng;

@@ -35,4 +35,4 @@ pub use event::IoEvent;
 pub use index::TraceIndex;
 pub use jobmap::JobMap;
 pub use recorder::TraceRecorder;
-pub use summary::{FileRegionSummary, LifetimeSummary, OpStats, TimeWindowSummary};
+pub use summary::{FileRegionSummary, LifetimeSummary, TimeWindowSummary};

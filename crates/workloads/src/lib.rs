@@ -34,9 +34,9 @@ pub mod replay;
 pub mod streaming;
 pub mod synthetic;
 
-pub use checkpoint::{young_interval, CheckpointPolicy, Recoverable};
+pub use checkpoint::{CheckpointPolicy, Recoverable};
 pub use escat::{EscatConfig, EscatDataset, EscatVersion};
 pub use prism::{PrismConfig, PrismVersion};
-pub use program::{FileSpec, PhaseDesc, Stmt, Workload};
+pub use program::{FileSpec, Stmt, Workload};
 pub use sioscope_pfs::mode::OsRelease;
-pub use streaming::{Burst, StreamCadence};
+pub use streaming::StreamCadence;
