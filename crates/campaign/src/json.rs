@@ -171,7 +171,7 @@ impl Json {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
         skip_ws(bytes, &mut pos);
-        let value = parse_value(bytes, &mut pos, 0)?;
+        let value = parse_value(text, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError {
@@ -216,7 +216,8 @@ fn err(at: usize, msg: impl Into<String>) -> JsonError {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     if depth > MAX_DEPTH {
         return Err(err(*pos, "nesting too deep"));
     }
@@ -225,7 +226,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
         Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -236,7 +237,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
             }
             loop {
                 skip_ws(bytes, pos);
-                items.push(parse_value(bytes, pos, depth + 1)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -259,14 +260,14 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
             loop {
                 skip_ws(bytes, pos);
                 let key_at = *pos;
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
                     return Err(err(*pos, "expected `:` after object key"));
                 }
                 *pos += 1;
                 skip_ws(bytes, pos);
-                let value = parse_value(bytes, pos, depth + 1)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 if map.insert(key, value).is_some() {
                     return Err(err(key_at, "duplicate object key"));
                 }
@@ -281,7 +282,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Json
                 }
             }
         }
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
+        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(text, pos),
         Some(c) => Err(err(*pos, format!("unexpected byte `{}`", *c as char))),
     }
 }
@@ -300,7 +301,8 @@ fn parse_keyword(
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_number(text: &str, pos: &mut usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -342,7 +344,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             return Err(err(*pos, "expected a digit in exponent"));
         }
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("digits are ASCII");
+    // `start` and `pos` sit on ASCII bytes, so both are char boundaries.
+    let text = &text[start..*pos];
     if integral {
         if let Ok(n) = text.parse::<u64>() {
             return Ok(Json::UInt(n));
@@ -354,7 +357,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     Ok(Json::RawNum(text.to_string()))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(err(*pos, "expected `\"`"));
     }
@@ -379,7 +383,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
-                        let hi = parse_hex4(bytes, pos)?;
+                        let hi = parse_hex4(text, pos)?;
                         let code = if (0xD800..0xDC00).contains(&hi) {
                             // High surrogate: require the low half.
                             if bytes.get(*pos + 1) != Some(&b'\\')
@@ -388,7 +392,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                                 return Err(err(*pos, "lone surrogate in \\u escape"));
                             }
                             *pos += 2;
-                            let lo = parse_hex4(bytes, pos)?;
+                            let lo = parse_hex4(text, pos)?;
                             if !(0xDC00..0xE000).contains(&lo) {
                                 return Err(err(*pos, "invalid low surrogate"));
                             }
@@ -412,8 +416,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
             }
             Some(_) => {
                 // Copy the whole run of ordinary characters at once.
-                // The input is a &str and the run starts and ends at
-                // ASCII bytes, so it is whole UTF-8.
+                // The run starts after, and ends at, an ASCII byte or
+                // the end of input, so both ends are char boundaries.
                 let start = *pos;
                 while bytes
                     .get(*pos)
@@ -421,7 +425,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 {
                     *pos += 1;
                 }
-                out.push_str(std::str::from_utf8(&bytes[start..*pos]).expect("runs end at ASCII"));
+                out.push_str(&text[start..*pos]);
             }
         }
     }
@@ -429,18 +433,21 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
 
 /// Parse the four hex digits of a `\uXXXX` escape; on entry `pos` is
 /// at the `u`, on exit at its last hex digit.
-fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
+fn parse_hex4(text: &str, pos: &mut usize) -> Result<u32, JsonError> {
     let start = *pos + 1;
     let end = start + 4;
-    if end > bytes.len() {
+    if end > text.len() {
         return Err(err(*pos, "truncated \\u escape"));
     }
-    let hex = std::str::from_utf8(&bytes[start..end])
-        .ok()
-        .filter(|h| h.chars().all(|c| c.is_ascii_hexdigit()))
+    let code = text
+        .get(start..end)
+        .and_then(|hex| {
+            hex.chars()
+                .try_fold(0, |code, c| Some(code * 16 + c.to_digit(16)?))
+        })
         .ok_or_else(|| err(start, "invalid \\u escape"))?;
     *pos = end - 1;
-    Ok(u32::from_str_radix(hex, 16).expect("checked hex"))
+    Ok(code)
 }
 
 #[cfg(test)]

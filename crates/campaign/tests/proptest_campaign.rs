@@ -5,7 +5,8 @@
 //! * distinct resolved configs never collide in a realistic
 //!   population of run specs.
 
-use sioscope_campaign::spec::{BACKEND_IDS, POLICY_IDS, SCALE_IDS, WORKLOAD_IDS};
+use sioscope::canon::{self, BackendKind, PolicyId, WorkloadId};
+use sioscope::experiments::Scale;
 use sioscope_campaign::{config_hash, CampaignSpec, RunSpec};
 use sioscope_prop::cases;
 use sioscope_sim::DetRng;
@@ -20,6 +21,23 @@ struct Axes {
     seeds: Vec<u64>,
     policies: Vec<&'static str>,
     load_pcts: Vec<u32>,
+}
+
+/// The registries' stable ids, in registry order.
+fn workload_ids() -> Vec<&'static str> {
+    WorkloadId::all().into_iter().map(WorkloadId::id).collect()
+}
+fn backend_ids() -> Vec<&'static str> {
+    BackendKind::all()
+        .into_iter()
+        .map(BackendKind::id)
+        .collect()
+}
+fn policy_ids() -> Vec<&'static str> {
+    PolicyId::all().into_iter().map(PolicyId::id).collect()
+}
+fn scale_ids() -> [&'static str; 2] {
+    [Scale::Smoke, Scale::Full].map(canon::scale_id)
 }
 
 /// One of `ids`, uniformly.
@@ -51,13 +69,13 @@ fn few(rng: &mut DetRng, lo: u64, hi: u64) -> Vec<u64> {
 
 fn axes(rng: &mut DetRng) -> Axes {
     Axes {
-        scale: select(rng, &SCALE_IDS),
-        workloads: subsequence(rng, &WORKLOAD_IDS, 4),
-        backends: subsequence(rng, &BACKEND_IDS, 3),
+        scale: select(rng, &scale_ids()),
+        workloads: subsequence(rng, &workload_ids(), 4),
+        backends: subsequence(rng, &backend_ids(), 3),
         fault_events: few(rng, 0, 8).into_iter().map(|v| v as u32).collect(),
         // TOML integers are i64, so spec-file seeds top out there.
         seeds: few(rng, 0, i64::MAX as u64),
-        policies: subsequence(rng, &POLICY_IDS, 2),
+        policies: subsequence(rng, &policy_ids(), 2),
         load_pcts: few(rng, 1, 400).into_iter().map(|v| v as u32).collect(),
     }
 }
@@ -142,17 +160,17 @@ fn distinct_configs_never_collide() {
         let workload_runs = rng.range_inclusive(0, 63);
         let mut runs: Vec<RunSpec> = (0..workload_runs)
             .map(|_| RunSpec::Workload {
-                id: select(rng, &WORKLOAD_IDS).to_string(),
-                backend: select(rng, &BACKEND_IDS).to_string(),
-                scale: select(rng, &SCALE_IDS).to_string(),
+                id: select(rng, &workload_ids()).to_string(),
+                backend: select(rng, &backend_ids()).to_string(),
+                scale: select(rng, &scale_ids()).to_string(),
                 fault_events: rng.range_inclusive(0, 64) as u32,
                 seed: rng.range_inclusive(0, u64::MAX),
             })
             .collect();
         let contention_runs = rng.range_inclusive(0, 63);
         runs.extend((0..contention_runs).map(|_| RunSpec::Contention {
-            policy: select(rng, &POLICY_IDS).to_string(),
-            scale: select(rng, &SCALE_IDS).to_string(),
+            policy: select(rng, &policy_ids()).to_string(),
+            scale: select(rng, &scale_ids()).to_string(),
             load_pct: rng.range_inclusive(1, 400) as u32,
             seed: rng.range_inclusive(0, u64::MAX),
         }));

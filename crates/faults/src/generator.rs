@@ -62,7 +62,7 @@ impl FaultGen {
 
     /// Materialize the schedule: the first [`FaultGen::events`] events
     /// of the stream. Generated schedules always pass
-    /// [`FaultSchedule::validate`] for this generator's `io_nodes`.
+    /// [`FaultSchedule::validate_for`] for this generator's `io_nodes`.
     pub fn schedule(&self) -> FaultSchedule {
         let mut rng = DetRng::new(self.seed ^ FAULT_STREAM_SALT);
         let mut sched = FaultSchedule::empty();
@@ -245,7 +245,8 @@ mod tests {
             let mut g = gen(16);
             g.seed = seed;
             let s = g.schedule();
-            assert!(s.validate(8).is_empty(), "seed {seed}: {:?}", s.validate(8));
+            let problems = s.validate_for(8, u32::MAX);
+            assert!(problems.is_empty(), "seed {seed}: {problems:?}");
         }
     }
 

@@ -14,6 +14,8 @@ use sioscope_trace::{
     FileRegionSummary, IoEvent, LifetimeSummary, TimeWindowSummary, TraceIndex, TraceRecorder,
 };
 
+mod oracle;
+
 /// Events with deliberately nasty shapes: frequent zero durations
 /// (degenerate intervals), shared start instants, and offsets at the
 /// saturation edge of the u64 range.
@@ -87,7 +89,7 @@ fn lifetime_indexed_matches_oracle() {
             for f in 0..5u32 {
                 assert_eq!(
                     LifetimeSummary::from_index(&idx, FileId(f)),
-                    LifetimeSummary::build(&events, FileId(f))
+                    oracle::lifetime(&events, FileId(f))
                 );
             }
         }
@@ -108,20 +110,20 @@ fn window_indexed_matches_oracle() {
             let idx = TraceIndex::build(&input);
             assert_eq!(
                 TimeWindowSummary::from_index(&idx, t0, t1),
-                TimeWindowSummary::build(&events, t0, t1)
+                oracle::window(&events, t0, t1)
             );
             // Degenerate window at `a` — exercises the correction term.
             let t = Time::from_nanos(a);
             assert_eq!(
                 TimeWindowSummary::from_index(&idx, t, t),
-                TimeWindowSummary::build(&events, t, t)
+                oracle::window(&events, t, t)
             );
             // Degenerate window pinned to an actual event start, where
             // zero-duration events are guaranteed to sit when present.
             if let Some(e) = events.first() {
                 assert_eq!(
                     TimeWindowSummary::from_index(&idx, e.start, e.start),
-                    TimeWindowSummary::build(&events, e.start, e.start)
+                    oracle::window(&events, e.start, e.start)
                 );
             }
         }
@@ -153,7 +155,7 @@ fn region_indexed_matches_oracle() {
             let idx = TraceIndex::build(&input);
             assert_eq!(
                 FileRegionSummary::from_index(&idx, FileId(file), lo, hi),
-                FileRegionSummary::build(&events, FileId(file), lo, hi)
+                oracle::region(&events, FileId(file), lo, hi)
             );
         }
     });
@@ -321,20 +323,20 @@ fn large_build_matches_oracles() {
     for f in 0..6u32 {
         assert_eq!(
             LifetimeSummary::from_index(&idx, FileId(f)),
-            LifetimeSummary::build(&events, FileId(f))
+            oracle::lifetime(&events, FileId(f))
         );
     }
     for (a, b) in [(0, 10_000_000), (1_000_000, 2_000_000), (5_000, 5_000)] {
         let (t0, t1) = (Time::from_nanos(a), Time::from_nanos(b));
         assert_eq!(
             TimeWindowSummary::from_index(&idx, t0, t1),
-            TimeWindowSummary::build(&events, t0, t1)
+            oracle::window(&events, t0, t1)
         );
     }
     for (lo, hi) in [(0u64, 1 << 29), (1 << 20, 1 << 21), (0, u64::MAX)] {
         assert_eq!(
             FileRegionSummary::from_index(&idx, FileId(2), lo, hi),
-            FileRegionSummary::build(&events, FileId(2), lo, hi)
+            oracle::region(&events, FileId(2), lo, hi)
         );
     }
 }

@@ -100,7 +100,8 @@ fn main() {
     );
 
     for file_idx in [0u32, 1] {
-        let summary = LifetimeSummary::build(result.trace.events(), sioscope_sim::FileId(file_idx));
+        let summary =
+            LifetimeSummary::from_index(result.trace.index(), sioscope_sim::FileId(file_idx));
         println!(
             "file {}: {} bytes accessed, open span {:?}",
             workload.files[file_idx as usize].name,

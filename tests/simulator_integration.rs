@@ -82,14 +82,14 @@ fn summaries_are_consistent_with_raw_trace() {
     // summed across files equal global counts.
     let mut total_reads = 0;
     for f in 0..9u32 {
-        let s = LifetimeSummary::build(r.trace.events(), sioscope_sim::FileId(f));
+        let s = LifetimeSummary::from_index(r.trace.index(), sioscope_sim::FileId(f));
         total_reads += s.per_kind.get(&OpKind::Read).map(|x| x.count).unwrap_or(0);
     }
     assert_eq!(total_reads, r.trace.of_kind(OpKind::Read).count() as u64);
 
     // A window covering everything equals the whole trace.
-    let w = TimeWindowSummary::build(
-        r.trace.events(),
+    let w = TimeWindowSummary::from_index(
+        r.trace.index(),
         Time::ZERO,
         r.exec_time + Time::from_secs(1),
     );
@@ -99,8 +99,8 @@ fn summaries_are_consistent_with_raw_trace() {
     // A region covering all offsets of one file equals that file's
     // data ops.
     let restart = sioscope_sim::FileId(1);
-    let region = FileRegionSummary::build(r.trace.events(), restart, 0, u64::MAX);
-    let lifetime = LifetimeSummary::build(r.trace.events(), restart);
+    let region = FileRegionSummary::from_index(r.trace.index(), restart, 0, u64::MAX);
+    let lifetime = LifetimeSummary::from_index(r.trace.index(), restart);
     let data_ops = lifetime
         .per_kind
         .iter()
