@@ -99,7 +99,7 @@ impl PrismConfig {
     /// cadence is bit-reproducible against the file-based workload.
     ///
     /// # Panics
-    /// Panics if [`PrismConfig::validate`] reports problems.
+    /// Panics if `PrismConfig::validate` reports problems.
     pub fn stream_cadence(&self) -> StreamCadence {
         let problems = self.validate();
         assert!(problems.is_empty(), "invalid PRISM config: {problems:?}");
