@@ -25,9 +25,11 @@
 //!
 //! A trace is encoded and decoded whole: [`encode`] / [`write_file`]
 //! and [`decode`] / [`read_file`]. [`digest`] hashes the encoding
-//! without building it.
+//! without building it, and [`index_digest`] hashes it from a
+//! [`TraceIndex`] alone.
 
 use crate::event::IoEvent;
+use crate::index::TraceIndex;
 use crate::recorder::TraceRecorder;
 use sioscope_pfs::{IoMode, OpKind};
 use sioscope_sim::{FileId, Pid, Time};
@@ -184,15 +186,28 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     fnv64_fold(0xcbf2_9ce4_8422_2325, bytes)
 }
 
+/// The [`fnv64`] of the encoding of `count` events, folded record by
+/// record without building the encoded buffer.
+fn digest_of(count: usize, events: impl Iterator<Item = IoEvent>) -> u64 {
+    let mut h = fnv64(&header(count as u64));
+    for e in events {
+        h = fnv64_fold(h, &record_bytes(&e));
+    }
+    h
+}
+
 /// [`fnv64`]`(&`[`encode`]`(trace))`, folded record by record without
 /// building the encoded buffer.
 pub fn digest(trace: &TraceRecorder) -> u64 {
-    let events = trace.events();
-    let mut h = fnv64(&header(events.len() as u64));
-    for e in events {
-        h = fnv64_fold(h, &record_bytes(e));
-    }
-    h
+    digest_of(trace.len(), trace.events().iter().copied())
+}
+
+/// The [`digest`] of the events `index` holds, folded over
+/// [`TraceIndex::iter`]. That is the digest of the trace the index was
+/// built from whenever the trace was in canonical order, as every
+/// simulator trace is; an index keeps no other order.
+pub fn index_digest(index: &TraceIndex) -> u64 {
+    digest_of(index.len(), index.iter())
 }
 
 /// The `N` bytes at `at..at + N` of `data`, for `from_le_bytes`.

@@ -757,7 +757,7 @@ impl TraceIndex {
 
     /// Sum of durations per kind — the indexed
     /// [`TraceRecorder::duration_by_kind`](crate::TraceRecorder::duration_by_kind).
-    pub(crate) fn duration_by_kind(&self) -> BTreeMap<OpKind, Time> {
+    pub fn duration_by_kind(&self) -> BTreeMap<OpKind, Time> {
         self.kinds_present()
             .map(|k| (k, self.duration_of(k)))
             .collect()
@@ -765,7 +765,7 @@ impl TraceIndex {
 
     /// Bytes per data kind — the indexed
     /// [`TraceRecorder::bytes_by_kind`](crate::TraceRecorder::bytes_by_kind).
-    pub(crate) fn bytes_by_kind(&self) -> BTreeMap<OpKind, u64> {
+    pub fn bytes_by_kind(&self) -> BTreeMap<OpKind, u64> {
         [OpKind::Read, OpKind::Write]
             .into_iter()
             .filter(|&k| self.kind(k).is_present())
@@ -774,7 +774,7 @@ impl TraceIndex {
     }
 
     /// Total client-observed I/O time over the whole trace.
-    pub(crate) fn total_io_time(&self) -> Time {
+    pub fn total_io_time(&self) -> Time {
         let total: u128 = self.by_kind.iter().map(|k| k.total_dur).sum();
         debug_assert!(total <= u128::from(u64::MAX), "duration sum overflows u64");
         Time::from_nanos(total as u64)

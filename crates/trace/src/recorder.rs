@@ -134,6 +134,18 @@ impl TraceRecorder {
         self.index.get_or_init(|| TraceIndex::build(&self.events))
     }
 
+    /// The index over this trace, keeping no raw events: the cached
+    /// index if there is one, a fresh build otherwise. The events are
+    /// freed once the index exists, so a caller that only queries the
+    /// trace holds one copy of it, not two. [`TraceIndex::iter`] gives
+    /// the events back in canonical order.
+    pub fn into_index(self) -> TraceIndex {
+        let TraceRecorder { events, index } = self;
+        index
+            .into_inner()
+            .unwrap_or_else(|| TraceIndex::build(&events))
+    }
+
     /// Sum of client-observed durations per operation kind — the raw
     /// material of Tables 2, 3 and 5.
     pub fn duration_by_kind(&self) -> BTreeMap<OpKind, Time> {
@@ -321,6 +333,22 @@ mod tests {
         assert_eq!(t.bytes_by_kind()[&OpKind::Read], 307); // rebuilt
         t.sort();
         assert_eq!(t.index().len(), 6);
+    }
+
+    #[test]
+    fn into_index_keeps_the_cached_index_or_builds_one() {
+        let warm = sample();
+        let column = warm.index().starts().as_ptr();
+        let kept = warm.into_index();
+        assert_eq!(
+            kept.starts().as_ptr(),
+            column,
+            "the cached index, not a rebuild"
+        );
+        assert_eq!(kept.len(), 5);
+        let cold = sample().into_index();
+        assert!(cold.iter().eq(sample().events().iter().copied()));
+        assert_eq!(cold.duration_by_kind(), sample().duration_by_kind());
     }
 
     #[test]

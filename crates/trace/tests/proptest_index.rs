@@ -11,7 +11,8 @@ use sioscope_pfs::{IoMode, OpKind};
 use sioscope_prop::cases;
 use sioscope_sim::{DetRng, FileId, Pid, Time};
 use sioscope_trace::{
-    FileRegionSummary, IoEvent, LifetimeSummary, TimeWindowSummary, TraceIndex, TraceRecorder,
+    binary, FileRegionSummary, IoEvent, LifetimeSummary, TimeWindowSummary, TraceIndex,
+    TraceRecorder,
 };
 
 mod oracle;
@@ -233,6 +234,28 @@ fn index_order_is_the_canonical_sort() {
         let indexed: Vec<IoEvent> = idx.iter().collect();
         assert_eq!(indexed, t.events().to_vec());
     });
+}
+
+/// On a trace in canonical order, as every simulator trace is, the
+/// digest folded over the index's events equals the recorder's `.siot`
+/// digest, whether the index was cached or built by `into_index`. The
+/// run goldens' `trace_digest` fields rest on this: memoized runs keep
+/// only their index.
+#[test]
+fn index_digest_equals_the_recorder_digest_in_canonical_order() {
+    cases(
+        "index_digest_equals_the_recorder_digest_in_canonical_order",
+        256,
+        |rng| {
+            let mut t = recorder(&arb_events(rng));
+            t.sort();
+            let expected = binary::digest(&t);
+            assert_eq!(binary::fnv64(&binary::encode(&t)), expected);
+            assert_eq!(binary::index_digest(t.index()), expected);
+            assert_eq!(binary::index_digest(&t.clone().into_index()), expected);
+            assert_eq!(binary::index_digest(&t.into_index()), expected);
+        },
+    );
 }
 
 /// The recorder's in-place permutation sort equals a stable
