@@ -5,11 +5,11 @@
 //! code restructuring" (§4.1), "the total read time decreases by 125
 //! seconds" (§5.3), "the write time in version B increases as a
 //! consequence of the concurrent writes" (§5.1). This module computes
-//! those deltas from two traces.
+//! those deltas from two traces' indexes.
 
 use sioscope_pfs::OpKind;
 use sioscope_sim::Time;
-use sioscope_trace::TraceRecorder;
+use sioscope_trace::TraceIndex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -45,31 +45,22 @@ pub struct Evolution {
 }
 
 impl Evolution {
-    /// Compare two traces.
-    pub fn between(
-        from_label: &str,
-        from: &TraceRecorder,
-        to_label: &str,
-        to: &TraceRecorder,
-    ) -> Self {
-        let mut per_kind: BTreeMap<OpKind, OpDelta> = BTreeMap::new();
-        for kind in OpKind::all() {
-            let from_time = from.of_kind(kind).map(|e| e.duration).sum::<Time>();
-            let to_time = to.of_kind(kind).map(|e| e.duration).sum::<Time>();
-            let from_count = from.of_kind(kind).count() as u64;
-            let to_count = to.of_kind(kind).count() as u64;
-            if from_count > 0 || to_count > 0 {
-                per_kind.insert(
-                    kind,
-                    OpDelta {
-                        from_time,
-                        to_time,
-                        from_count,
-                        to_count,
-                    },
-                );
-            }
-        }
+    /// Compare two traces through their indexes: per kind, one count
+    /// and one duration total each, with no scan of the events.
+    pub fn between(from_label: &str, from: &TraceIndex, to_label: &str, to: &TraceIndex) -> Self {
+        let per_kind = OpKind::all()
+            .into_iter()
+            .map(|kind| {
+                let delta = OpDelta {
+                    from_time: from.duration_of(kind),
+                    to_time: to.duration_of(kind),
+                    from_count: from.count_of(kind),
+                    to_count: to.count_of(kind),
+                };
+                (kind, delta)
+            })
+            .filter(|(_, d)| d.from_count > 0 || d.to_count > 0)
+            .collect();
         Evolution {
             from_label: from_label.to_string(),
             to_label: to_label.to_string(),
@@ -143,9 +134,9 @@ mod tests {
     use super::*;
     use sioscope_pfs::IoMode;
     use sioscope_sim::{FileId, Pid};
-    use sioscope_trace::IoEvent;
+    use sioscope_trace::{IoEvent, TraceRecorder};
 
-    fn trace(entries: &[(OpKind, u64)]) -> TraceRecorder {
+    fn trace(entries: &[(OpKind, u64)]) -> TraceIndex {
         let mut t = TraceRecorder::new();
         for &(kind, dur_ms) in entries {
             t.record(IoEvent {
@@ -159,7 +150,7 @@ mod tests {
                 mode: IoMode::MUnix,
             });
         }
-        t
+        t.into_index()
     }
 
     #[test]

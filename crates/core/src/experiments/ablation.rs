@@ -10,49 +10,78 @@
 //! memoized run the figures share, not a fresh simulation.
 
 use crate::experiments::{
-    escat, prism, side_by_side, Experiment, ExperimentOutput, Scale, ShapeCheck,
+    escat, prism, side_by_side, Experiment, ExperimentOutput, IndexedRun, Scale, ShapeCheck,
 };
 use crate::simulator::{run, RunResult, SimOptions};
-use sioscope_pfs::{PfsConfig, PolicyConfig};
+use sioscope_pfs::{OpKind, PfsConfig, PolicyConfig};
 use sioscope_sim::Time;
 use sioscope_workloads::{
     EscatConfig, EscatDataset, EscatVersion, PrismConfig, PrismVersion, Workload,
 };
 use std::fmt::Write as _;
 
-fn run_with_policy(workload: &Workload, policy: PolicyConfig) -> RunResult {
+/// What the ablation tables and checks read of one run. A fresh run is
+/// cut down to this where it ran, so no trace outlives its worker.
+struct Totals {
+    exec_time: Time,
+    /// Total client-observed I/O time.
+    io_time: Time,
+    /// Client-observed time in reads.
+    read_time: Time,
+}
+
+impl From<RunResult> for Totals {
+    fn from(r: RunResult) -> Totals {
+        Totals {
+            exec_time: r.exec_time,
+            io_time: r.total_io_time(),
+            read_time: r.trace.of_kind(OpKind::Read).map(|e| e.duration).sum(),
+        }
+    }
+}
+
+impl From<&IndexedRun> for Totals {
+    fn from(r: &IndexedRun) -> Totals {
+        Totals {
+            exec_time: r.exec_time,
+            io_time: r.total_io_time(),
+            read_time: r.index.duration_of(OpKind::Read),
+        }
+    }
+}
+
+/// The memoized run of ESCAT `version` (ethylene) on the measured PFS.
+fn measured_escat(version: EscatVersion, scale: Scale) -> Totals {
+    Totals::from(&*escat::run_version(version, EscatDataset::Ethylene, scale))
+}
+
+fn run_with_policy(workload: &Workload, policy: PolicyConfig) -> Totals {
     let mut cfg = PfsConfig::caltech(workload.nodes, workload.os);
     cfg.policy = policy;
     run(workload, cfg, SimOptions::default())
         .unwrap_or_else(|e| panic!("{} with {policy:?} failed: {e}", workload.name))
+        .into()
 }
 
 /// [`run_with_policy`] for each `(workload, policy)` pair, side by side.
-fn run_with_policies<const N: usize>(runs: [(&Workload, PolicyConfig); N]) -> [RunResult; N] {
+fn run_with_policies<const N: usize>(runs: [(&Workload, PolicyConfig); N]) -> [Totals; N] {
     side_by_side(&runs, |&(w, policy)| run_with_policy(w, policy))
 }
 
-fn render_pair(
-    title: &str,
-    baseline: &RunResult,
-    treated: &RunResult,
-    policy_name: &str,
-) -> String {
+fn render_pair(title: &str, baseline: &Totals, treated: &Totals, policy_name: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{title}");
     let _ = writeln!(
         out,
         "  measured PFS     : exec {:>10}, total I/O {:>10}",
-        baseline.exec_time,
-        baseline.total_io_time()
+        baseline.exec_time, baseline.io_time
     );
     let _ = writeln!(
         out,
         "  + {policy_name:<14}: exec {:>10}, total I/O {:>10}",
-        treated.exec_time,
-        treated.total_io_time()
+        treated.exec_time, treated.io_time
     );
-    let io_speedup = ratio(baseline.total_io_time(), treated.total_io_time());
+    let io_speedup = ratio(baseline.io_time, treated.io_time);
     let _ = writeln!(out, "  I/O-time speedup : {io_speedup:.2}x");
     out
 }
@@ -86,7 +115,7 @@ fn prism_workload(version: PrismVersion, scale: Scale) -> Workload {
 /// restructuring."
 pub(crate) fn aggregation(scale: Scale) -> ExperimentOutput {
     let w = escat_workload(EscatVersion::C, scale);
-    let base = escat::run_version(EscatVersion::C, EscatDataset::Ethylene, scale);
+    let base = measured_escat(EscatVersion::C, scale);
     let agg = run_with_policy(&w, PolicyConfig::aggregation_only());
     let rendered = render_pair(
         "Ablation: client write aggregation on ESCAT C staging writes",
@@ -94,7 +123,7 @@ pub(crate) fn aggregation(scale: Scale) -> ExperimentOutput {
         &agg,
         "aggregation",
     );
-    let speedup = ratio(base.total_io_time(), agg.total_io_time());
+    let speedup = ratio(base.io_time, agg.io_time);
     let checks = vec![ShapeCheck::new(
         "aggregating small writes reduces total I/O time",
         speedup > 1.0,
@@ -173,7 +202,7 @@ pub(crate) fn prefetch(scale: Scale) -> ExperimentOutput {
         &pf,
         "read-ahead",
     );
-    let speedup = ratio(base.total_io_time(), pf.total_io_time());
+    let speedup = ratio(base.io_time, pf.io_time);
     let checks = vec![ShapeCheck::new(
         "prefetching reduces total I/O time for sequential reads",
         speedup > 1.0,
@@ -200,7 +229,7 @@ pub(crate) fn write_behind(scale: Scale) -> ExperimentOutput {
         &wb,
         "write-behind",
     );
-    let speedup = ratio(agg.total_io_time(), wb.total_io_time());
+    let speedup = ratio(agg.io_time, wb.io_time);
     let checks = vec![ShapeCheck::new(
         "asynchronous draining further reduces client-observed I/O time",
         speedup >= 1.0,
@@ -223,15 +252,15 @@ pub(crate) fn write_behind(scale: Scale) -> ExperimentOutput {
 pub(crate) fn no_restructuring(scale: Scale) -> ExperimentOutput {
     let wa = escat_workload(EscatVersion::A, scale);
     let wb = escat_workload(EscatVersion::B, scale);
-    let a_measured = escat::run_version(EscatVersion::A, EscatDataset::Ethylene, scale);
-    let b_measured = escat::run_version(EscatVersion::B, EscatDataset::Ethylene, scale);
-    let c_measured = escat::run_version(EscatVersion::C, EscatDataset::Ethylene, scale);
+    let a_measured = measured_escat(EscatVersion::A, scale);
+    let b_measured = measured_escat(EscatVersion::B, scale);
+    let c_measured = measured_escat(EscatVersion::C, scale);
     let [a_policies, b_policies] = run_with_policies([
         (&wa, PolicyConfig::recommended()),
         (&wb, PolicyConfig::recommended()),
     ]);
 
-    let io = |r: &RunResult| r.total_io_time().as_secs_f64();
+    let io = |r: &Totals| r.io_time.as_secs_f64();
     // The B -> C rewrite was pure request/mode tuning (M_ASYNC instead
     // of seek-under-M_UNIX) - the part §4.4 says the file system
     // should have provided.
@@ -315,7 +344,7 @@ pub(crate) fn no_restructuring(scale: Scale) -> ExperimentOutput {
 /// application-side knowledge.
 pub(crate) fn adaptive(scale: Scale) -> ExperimentOutput {
     let w = escat_workload(EscatVersion::C, scale);
-    let measured = escat::run_version(EscatVersion::C, EscatDataset::Ethylene, scale);
+    let measured = measured_escat(EscatVersion::C, scale);
     let [tuned, adaptive] = run_with_policies([
         (&w, PolicyConfig::recommended()),
         (&w, PolicyConfig::adaptive()),
@@ -329,11 +358,10 @@ pub(crate) fn adaptive(scale: Scale) -> ExperimentOutput {
     let _ = writeln!(
         rendered,
         "  statically tuned : exec {:>10}, total I/O {:>10}",
-        tuned.exec_time,
-        tuned.total_io_time()
+        tuned.exec_time, tuned.io_time
     );
-    let win_tuned = ratio(measured.total_io_time(), tuned.total_io_time());
-    let win_adaptive = ratio(measured.total_io_time(), adaptive.total_io_time());
+    let win_tuned = ratio(measured.io_time, tuned.io_time);
+    let win_adaptive = ratio(measured.io_time, adaptive.io_time);
     let recovered = if win_tuned > 1.0 {
         (win_adaptive - 1.0) / (win_tuned - 1.0)
     } else {
@@ -372,7 +400,7 @@ pub(crate) fn adaptive(scale: Scale) -> ExperimentOutput {
 /// time".
 pub(crate) fn caching(scale: Scale) -> ExperimentOutput {
     // Version C as written (buffering disabled on the restart file).
-    let with_disable = prism::run_version(PrismVersion::C, scale);
+    let with_disable = Totals::from(&*prism::run_version(PrismVersion::C, scale));
     // The counterfactual: same code without the SetBuffering(false)
     // call.
     let mut wc_buffered = prism_workload(PrismVersion::C, scale);
@@ -394,14 +422,8 @@ pub(crate) fn caching(scale: Scale) -> ExperimentOutput {
         &buffered,
         "buffering",
     );
-    let read_time = |r: &RunResult| -> Time {
-        r.trace
-            .of_kind(sioscope_pfs::OpKind::Read)
-            .map(|e| e.duration)
-            .sum()
-    };
-    let rt_disabled = read_time(&with_disable);
-    let rt_buffered = read_time(&buffered);
+    let rt_disabled = with_disable.read_time;
+    let rt_buffered = buffered.read_time;
     let _ = writeln!(
         rendered,
         "  read time: disabled {rt_disabled}, buffered {rt_buffered}"

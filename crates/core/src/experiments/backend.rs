@@ -16,18 +16,50 @@ use crate::canon::tier_config;
 use crate::experiments::{side_by_side, Experiment, ExperimentOutput, Scale, ShapeCheck};
 use crate::simulator::{run_backend, RunResult, SimOptions};
 use sioscope_faults::{FaultKind, FaultSchedule};
-use sioscope_pfs::{BackendConfig, BackendKind, OpKind};
+use sioscope_pfs::{BackendConfig, BackendKind, BackendStats, OpKind, ResilienceStats};
 use sioscope_sim::{par, Time};
 use sioscope_workloads::{EscatConfig, EscatVersion, PrismConfig, PrismVersion, Workload};
 use std::fmt::Write as _;
 
-fn run_tier(kind: BackendKind, workload: &Workload) -> RunResult {
+/// What the tables and checks read of one tier run. Each worker cuts
+/// its run down to this, so no trace outlives the worker.
+struct TierRun {
+    exec_time: Time,
+    /// Total client-observed I/O time.
+    io_time: Time,
+    events: u64,
+    fault_transitions: u64,
+    /// Traced operations: one per completed client call.
+    trace_len: usize,
+    /// Traced reads and writes.
+    data_ops: u64,
+    resilience: ResilienceStats,
+    backend_stats: BackendStats,
+}
+
+impl From<RunResult> for TierRun {
+    fn from(r: RunResult) -> TierRun {
+        TierRun {
+            exec_time: r.exec_time,
+            io_time: r.total_io_time(),
+            events: r.events,
+            fault_transitions: r.fault_transitions,
+            trace_len: r.trace.len(),
+            data_ops: r.trace.events().iter().filter(|e| e.is_data()).count() as u64,
+            resilience: r.resilience,
+            backend_stats: r.backend_stats,
+        }
+    }
+}
+
+fn run_tier(kind: BackendKind, workload: &Workload) -> TierRun {
     run_backend(
         workload,
         &tier_config(kind, workload, FaultSchedule::empty()),
         SimOptions::default(),
     )
     .unwrap_or_else(|e| panic!("{} on {kind}: {e}", workload.name))
+    .into()
 }
 
 fn cross_tier(experiment: Experiment, title: &str, workloads: Vec<Workload>) -> ExperimentOutput {
@@ -69,7 +101,7 @@ fn cross_tier(experiment: Experiment, title: &str, workloads: Vec<Workload>) -> 
                 format!("{} {}", w.name, w.version),
                 kind.id(),
                 r.exec_time.as_secs_f64(),
-                r.total_io_time().as_secs_f64(),
+                r.io_time.as_secs_f64(),
                 r.events,
                 activity
             );
@@ -84,7 +116,7 @@ fn cross_tier(experiment: Experiment, title: &str, workloads: Vec<Workload>) -> 
         // Same request stream on every tier: the trace has one record
         // per completed client call regardless of how the tier served
         // it.
-        let lens: Vec<usize> = per_tier.iter().map(|(_, r)| r.trace.len()).collect();
+        let lens: Vec<usize> = per_tier.iter().map(|(_, r)| r.trace_len).collect();
         checks.push(ShapeCheck::new(
             format!("{label}: identical request stream across tiers"),
             lens.windows(2).all(|p| p[0] == p[1]),
@@ -93,12 +125,7 @@ fn cross_tier(experiment: Experiment, title: &str, workloads: Vec<Workload>) -> 
 
         // Every data op the object tier saw is accounted as a PUT or
         // GET — the flat namespace serves the whole stream.
-        let data_ops = object
-            .trace
-            .events()
-            .iter()
-            .filter(|e| e.kind == OpKind::Read || e.kind == OpKind::Write)
-            .count() as u64;
+        let data_ops = object.data_ops;
         let served = object.backend_stats.puts + object.backend_stats.gets;
         checks.push(ShapeCheck::new(
             format!("{label}: object tier serves all data ops as PUT/GET"),
@@ -187,28 +214,41 @@ fn faulted_tier(
     title: &str,
     workload: &Workload,
     kind: BackendKind,
-    faults: &dyn Fn(&RunResult) -> FaultSchedule,
-) -> (ExperimentOutput, RunResult) {
+    faults: &(dyn Fn(&RunResult) -> FaultSchedule + Sync),
+) -> (ExperimentOutput, TierRun) {
     let build = |faults: FaultSchedule| tier_config(kind, workload, faults);
-    let run = |(what, cfg): &(&str, BackendConfig)| {
+    let run = |what: &str, cfg: &BackendConfig| {
         run_backend(workload, cfg, SimOptions::default()).expect(what)
     };
     // The engaged-but-empty run needs no schedule, so it runs beside
-    // the fault-free run that shapes one.
-    let [clean, engaged] = side_by_side(
+    // the fault-free run. That run's worker derives the schedule from
+    // its own trace, which then goes no further.
+    let [(clean, placed), (engaged, _)] = side_by_side(
         &[
-            ("fault-free run", build(FaultSchedule::empty())),
-            ("engaged-empty run", build(FaultSchedule::engaged_empty())),
+            (
+                "fault-free run",
+                build(FaultSchedule::empty()),
+                Some(faults),
+            ),
+            (
+                "engaged-empty run",
+                build(FaultSchedule::engaged_empty()),
+                None,
+            ),
         ],
-        run,
+        |(what, cfg, place)| {
+            let r = run(what, cfg);
+            let placed = place.map(|faults| faults(&r));
+            (TierRun::from(r), placed)
+        },
     );
-    let faults = faults(&clean);
+    let faults = placed.expect("the fault-free run places the schedule");
     let [faulted, replay] = side_by_side(
         &[
             ("faulted run", build(faults.clone())),
             ("faulted replay", build(faults)),
         ],
-        run,
+        |(what, cfg)| TierRun::from(run(what, cfg)),
     );
 
     let mut rendered = String::new();
@@ -237,7 +277,7 @@ fn faulted_tier(
             "engaged-but-empty schedule is bit-neutral".to_string(),
             engaged.exec_time == clean.exec_time
                 && engaged.events == clean.events
-                && engaged.trace.len() == clean.trace.len(),
+                && engaged.trace_len == clean.trace_len,
             format!(
                 "exec {} vs {}, events {} vs {}",
                 engaged.exec_time, clean.exec_time, engaged.events, clean.events
@@ -247,7 +287,7 @@ fn faulted_tier(
             "same schedule replays bit-identically".to_string(),
             replay.exec_time == faulted.exec_time
                 && replay.events == faulted.events
-                && replay.trace.len() == faulted.trace.len()
+                && replay.trace_len == faulted.trace_len
                 && replay.resilience == faulted.resilience,
             format!("exec {} vs {}", replay.exec_time, faulted.exec_time),
         ),
@@ -325,13 +365,7 @@ pub(crate) fn faulty_object(scale: Scale) -> ExperimentOutput {
     let s = faulted.backend_stats;
     out.checks.push(ShapeCheck::new(
         "request stream served in full despite the outage".to_string(),
-        s.puts + s.gets
-            == faulted
-                .trace
-                .events()
-                .iter()
-                .filter(|e| e.kind == OpKind::Read || e.kind == OpKind::Write)
-                .count() as u64,
+        s.puts + s.gets == faulted.data_ops,
         format!("{} PUT+GET", s.puts + s.gets),
     ));
     let _ = writeln!(

@@ -15,10 +15,10 @@
 //!   from M_UNIX to the collective/asynchronous modes.
 
 use crate::experiments::{escat, prism, Experiment, ExperimentOutput, Scale, ShapeCheck};
-use crate::simulator::RunResult;
 use sioscope_analysis::{Cdf, ModeUsage, NodeBalance};
 use sioscope_pfs::{IoMode, OpKind};
 use sioscope_sim::Pid;
+use sioscope_trace::TraceIndex;
 use sioscope_workloads::{EscatDataset, EscatVersion, PrismVersion};
 use std::fmt::Write as _;
 
@@ -30,8 +30,7 @@ struct Dimensions {
     modes_used: usize,
 }
 
-fn measure(r: &RunResult) -> Dimensions {
-    let index = r.trace.index();
+fn measure(index: &TraceIndex) -> Dimensions {
     let reads = Cdf::of_kind(index, OpKind::Read);
     let writes = NodeBalance::of_kind(index, OpKind::Write);
     let modes = ModeUsage::from_index(index);
@@ -71,13 +70,13 @@ pub(crate) fn section6(scale: Scale) -> ExperimentOutput {
     let mut dims = Vec::new();
     for v in [EscatVersion::A, EscatVersion::B, EscatVersion::C] {
         let r = escat::run_version(v, EscatDataset::Ethylene, scale);
-        let d = measure(&r);
+        let d = measure(&r.index);
         render_row(&mut rendered, &format!("ESCAT-{}", v.label()), &d);
         dims.push((format!("ESCAT-{}", v.label()), d));
     }
     for v in PrismVersion::all() {
         let r = prism::run_version(v, scale);
-        let d = measure(&r);
+        let d = measure(&r.index);
         render_row(&mut rendered, &format!("PRISM-{}", v.label()), &d);
         dims.push((format!("PRISM-{}", v.label()), d));
     }

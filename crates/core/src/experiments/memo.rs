@@ -7,8 +7,65 @@
 //! result: a key is run once however many threads miss on it together.
 //! If the run panics, the slot stays empty and the next caller of the
 //! key runs it again.
+//!
+//! A canonical run is memoized as an [`IndexedRun`]: its scalars and
+//! its trace's [`TraceIndex`], with the raw events dropped once the
+//! index is built.
 
+use crate::simulator::RunResult;
+use sioscope_pfs::ResilienceStats;
+use sioscope_sim::Time;
+use sioscope_trace::TraceIndex;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// One copy of a run: the scalars the renderers and the run goldens
+/// read, and the trace as its [`TraceIndex`] alone. Every figure and
+/// table queries the index; [`TraceIndex::iter`] gives back the events
+/// in canonical order, which is the order the simulator records.
+#[derive(Debug)]
+pub struct IndexedRun {
+    /// Workload name.
+    pub name: String,
+    /// Version label.
+    pub version: String,
+    /// Wall-clock execution time: the latest completion across nodes.
+    pub exec_time: Time,
+    /// Per-node completion times.
+    pub node_finish: Vec<Time>,
+    /// Total simulation events processed.
+    pub events: u64,
+    /// Resilience actions the PFS took (all zero on fault-free runs).
+    pub resilience: ResilienceStats,
+    /// Fault-calendar transitions processed (zero on fault-free runs).
+    pub fault_transitions: u64,
+    /// The columnar index over the run's trace.
+    pub index: TraceIndex,
+}
+
+impl IndexedRun {
+    /// Total client-observed I/O time across all nodes.
+    pub fn total_io_time(&self) -> Time {
+        self.index.total_io_time()
+    }
+}
+
+impl From<RunResult> for IndexedRun {
+    /// Keep `run`'s scalars and index its trace, freeing the events.
+    /// What else a run carries (checkpoint commits, recovery and
+    /// backend counters) is empty or zero on a canonical run.
+    fn from(run: RunResult) -> Self {
+        IndexedRun {
+            name: run.name,
+            version: run.version,
+            exec_time: run.exec_time,
+            node_finish: run.node_finish,
+            events: run.events,
+            resilience: run.resilience,
+            fault_transitions: run.fault_transitions,
+            index: run.trace.into_index(),
+        }
+    }
+}
 
 type Slot<V> = Arc<OnceLock<Arc<V>>>;
 
@@ -56,10 +113,9 @@ impl<K: Copy + PartialEq, V> RunMemo<K, V> {
 
 #[cfg(test)]
 mod tests {
-    use super::RunMemo;
-    use crate::chaos::fingerprint;
+    use super::{IndexedRun, RunMemo};
     use crate::experiments::{escat, prism, Scale};
-    use crate::simulator::{run, SimOptions};
+    use crate::simulator::{run, RunResult, SimOptions};
     use sioscope_faults::FaultSchedule;
     use sioscope_pfs::{PfsConfig, PolicyConfig};
     use sioscope_workloads::{
@@ -112,35 +168,48 @@ mod tests {
     /// The experiments take these memo runs in place of runs they used
     /// to simulate themselves, on the measured-PFS policy with an empty
     /// fault schedule (recovery: the no-checkpoint workload). Each must
-    /// be the same run, bit for bit.
+    /// be the same run, bit for bit: the same scalars, and an index
+    /// that gives back the fresh run's trace event by event.
     #[test]
     fn memo_runs_are_the_runs_the_experiments_replaced() {
         let fresh = |w: &Workload| {
             let mut pfs = PfsConfig::caltech(w.nodes, w.os);
             pfs.policy = PolicyConfig::measured_pfs();
             pfs.faults = FaultSchedule::empty();
-            fingerprint(&run(w, pfs, SimOptions::default()).expect("fresh run"))
+            run(w, pfs, SimOptions::default()).expect("fresh run")
         };
-        let escat_memo =
-            |v| fingerprint(&escat::run_version(v, EscatDataset::Ethylene, Scale::Smoke));
-        let prism_memo = |v| fingerprint(&prism::run_version(v, Scale::Smoke));
+        let same = |memo: &IndexedRun, fresh: RunResult, what: &str| {
+            assert_eq!(memo.exec_time, fresh.exec_time, "{what}");
+            assert_eq!(memo.node_finish, fresh.node_finish, "{what}");
+            assert_eq!(memo.events, fresh.events, "{what}");
+            assert_eq!(memo.resilience, fresh.resilience, "{what}");
+            assert_eq!(memo.fault_transitions, fresh.fault_transitions, "{what}");
+            assert_eq!(memo.index.len(), fresh.trace.len(), "{what}");
+            for (i, (m, f)) in memo.index.iter().zip(fresh.trace.events()).enumerate() {
+                assert_eq!(m, *f, "{what}: event {i}");
+            }
+        };
+        let escat_memo = |v| escat::run_version(v, EscatDataset::Ethylene, Scale::Smoke);
+        let prism_memo = |v| prism::run_version(v, Scale::Smoke);
         for v in [EscatVersion::A, EscatVersion::B, EscatVersion::C] {
-            assert_eq!(
-                escat_memo(v),
-                fresh(&EscatConfig::tiny(v).build()),
-                "ESCAT {v:?}"
-            );
+            let what = format!("ESCAT {v:?}");
+            same(&escat_memo(v), fresh(&EscatConfig::tiny(v).build()), &what);
         }
         for v in [PrismVersion::B, PrismVersion::C] {
-            assert_eq!(
-                prism_memo(v),
-                fresh(&PrismConfig::tiny(v).build()),
-                "PRISM {v:?}"
-            );
+            let what = format!("PRISM {v:?}");
+            same(&prism_memo(v), fresh(&PrismConfig::tiny(v).build()), &what);
         }
         let plain = EscatConfig::tiny(EscatVersion::C).recoverable(CheckpointPolicy::None);
-        assert_eq!(escat_memo(EscatVersion::C), fresh(plain.workload()));
+        same(
+            &escat_memo(EscatVersion::C),
+            fresh(plain.workload()),
+            "ESCAT C, no checkpoints",
+        );
         let plain = PrismConfig::tiny(PrismVersion::B).recoverable(CheckpointPolicy::None);
-        assert_eq!(prism_memo(PrismVersion::B), fresh(plain.workload()));
+        same(
+            &prism_memo(PrismVersion::B),
+            fresh(plain.workload()),
+            "PRISM B, no checkpoints",
+        );
     }
 }

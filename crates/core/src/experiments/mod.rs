@@ -48,6 +48,7 @@ pub mod resilience;
 pub mod shape;
 pub mod stream;
 
+pub use memo::IndexedRun;
 pub use shape::ShapeCheck;
 use sioscope_sim::par;
 use std::fmt;

@@ -1,9 +1,9 @@
 //! PRISM experiments: Table 4, Figures 6–9, Table 5.
 
 use crate::experiments::memo::RunMemo;
-use crate::experiments::{Experiment, ExperimentOutput, Scale, ShapeCheck};
+use crate::experiments::{Experiment, ExperimentOutput, IndexedRun, Scale, ShapeCheck};
 use crate::paper;
-use crate::simulator::{run, RunResult, SimOptions};
+use crate::simulator::{run, SimOptions};
 use sioscope_analysis::plot;
 use sioscope_analysis::table::{render_io_table, IoTimeTable};
 use sioscope_analysis::{Cdf, Timeline};
@@ -20,7 +20,7 @@ fn config(version: PrismVersion, scale: Scale) -> PrismConfig {
     }
 }
 
-static RUNS: RunMemo<(PrismVersion, Scale), RunResult> = RunMemo::new();
+static RUNS: RunMemo<(PrismVersion, Scale), IndexedRun> = RunMemo::new();
 
 /// Drop every memoized PRISM run (benchmarks use this to time cold runs).
 pub(crate) fn clear_cache() {
@@ -28,16 +28,16 @@ pub(crate) fn clear_cache() {
 }
 
 /// Run (and memoize) one PRISM version at a given scale: the
-/// fault-free run on the measured Caltech PFS, with its trace index
-/// built before any caller sees it (see [`super::escat::run_version`]).
-pub fn run_version(version: PrismVersion, scale: Scale) -> Arc<RunResult> {
+/// fault-free run on the measured Caltech PFS, held as an
+/// [`IndexedRun`] whose index is built before any caller sees it and
+/// whose raw trace is freed (see [`super::escat::run_version`]).
+pub fn run_version(version: PrismVersion, scale: Scale) -> Arc<IndexedRun> {
     RUNS.get_or_run((version, scale), || {
         let workload = config(version, scale).build();
         let pfs = PfsConfig::caltech(workload.nodes, workload.os);
-        let result = run(&workload, pfs, SimOptions::default())
-            .unwrap_or_else(|e| panic!("PRISM {version:?} failed: {e}"));
-        result.trace.index();
-        result
+        run(&workload, pfs, SimOptions::default())
+            .unwrap_or_else(|e| panic!("PRISM {version:?} failed: {e}"))
+            .into()
     })
 }
 
@@ -146,7 +146,7 @@ pub(crate) fn table5(scale: Scale) -> ExperimentOutput {
         .iter()
         .map(|&v| {
             let r = run_version(v, scale);
-            IoTimeTable::from_durations(v.label(), &r.trace.duration_by_kind())
+            IoTimeTable::from_durations(v.label(), &r.index.duration_by_kind())
         })
         .collect();
     let rendered = render_io_table(
@@ -214,9 +214,9 @@ pub(crate) fn table5(scale: Scale) -> ExperimentOutput {
 pub(crate) fn fig7(scale: Scale) -> ExperimentOutput {
     let ra = run_version(PrismVersion::A, scale);
     let rc = run_version(PrismVersion::C, scale);
-    let read_a = Cdf::of_kind(ra.trace.index(), OpKind::Read);
-    let read_c = Cdf::of_kind(rc.trace.index(), OpKind::Read);
-    let write_c = Cdf::of_kind(rc.trace.index(), OpKind::Write);
+    let read_a = Cdf::of_kind(&ra.index, OpKind::Read);
+    let read_c = Cdf::of_kind(&rc.index, OpKind::Read);
+    let write_c = Cdf::of_kind(&rc.index, OpKind::Write);
     let mut rendered = String::new();
     rendered.push_str(&plot::cdf_plot(
         "Figure 7a: PRISM read sizes, versions A/B",
@@ -280,7 +280,7 @@ pub(crate) fn fig7(scale: Scale) -> ExperimentOutput {
 
 /// Figure 8 — read-size timelines for all three versions.
 pub(crate) fn fig8(scale: Scale) -> ExperimentOutput {
-    let runs: Vec<(PrismVersion, Arc<RunResult>)> = PrismVersion::all()
+    let runs: Vec<(PrismVersion, Arc<IndexedRun>)> = PrismVersion::all()
         .iter()
         .map(|&v| (v, run_version(v, scale)))
         .collect();
@@ -288,7 +288,7 @@ pub(crate) fn fig8(scale: Scale) -> ExperimentOutput {
     let mut spans = HashMap::new();
     let mut read_time = HashMap::new();
     for (v, r) in &runs {
-        let tl = Timeline::of_kind(r.trace.index(), OpKind::Read);
+        let tl = Timeline::of_kind(&r.index, OpKind::Read);
         rendered.push_str(&plot::scatter_log(
             &format!(
                 "Figure 8: PRISM read sizes vs execution time, version {} (log bytes)",
@@ -299,7 +299,7 @@ pub(crate) fn fig8(scale: Scale) -> ExperimentOutput {
             12,
         ));
         spans.insert(*v, tl.span());
-        read_time.insert(*v, r.trace.index().duration_of(OpKind::Read));
+        read_time.insert(*v, r.index.duration_of(OpKind::Read));
     }
     let ra = read_time[&PrismVersion::A].as_secs_f64();
     let rb = read_time[&PrismVersion::B].as_secs_f64();
@@ -338,7 +338,7 @@ pub(crate) fn fig8(scale: Scale) -> ExperimentOutput {
 /// checkpoints.
 pub(crate) fn fig9(scale: Scale) -> ExperimentOutput {
     let rc = run_version(PrismVersion::C, scale);
-    let tl = Timeline::of_kind(rc.trace.index(), OpKind::Write);
+    let tl = Timeline::of_kind(&rc.index, OpKind::Write);
     let rendered = plot::scatter_log(
         "Figure 9: PRISM write sizes vs execution time, version C (log bytes)",
         &tl,

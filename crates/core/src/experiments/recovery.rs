@@ -23,7 +23,7 @@
 //! fault-free run is the memoized one the figures share.
 
 use crate::experiments::{escat, prism, Experiment, ExperimentOutput, Scale, ShapeCheck};
-use crate::recovery::run_with_recovery;
+use crate::recovery::{run_with_recovery, RecoveryStats};
 use crate::simulator::{run, RunResult, SimOptions};
 use sioscope_faults::{FaultKind, FaultSchedule};
 use sioscope_pfs::{OpKind, PfsConfig};
@@ -51,6 +51,13 @@ fn checkpoint_write_time(r: &RunResult, rec: &Recoverable) -> Time {
         .fold(Time::ZERO, |acc, d| acc.saturating_add(d))
 }
 
+/// What the table and checks read of one recovery run: each worker
+/// cuts its run down to this, so no trace outlives the worker.
+struct RecoveryRun {
+    exec_time: Time,
+    recovery: RecoveryStats,
+}
+
 /// Run the recovery comparison; `baseline` is the execution time of
 /// `make(CheckpointPolicy::None)`'s workload run plain and fault-free.
 fn recovery_experiment(
@@ -69,15 +76,22 @@ fn recovery_experiment(
         PfsConfig::caltech(w.nodes, w.os)
     };
 
-    // The fixed policy's fault-free commit instants place the crash.
-    let marked = must_run(fixed.workload(), pfs.clone());
-    assert!(
-        marked.checkpoint_commits.len() >= 2,
-        "{}: fixed policy must commit at least twice to place the crash",
-        experiment.id()
-    );
-    let first_commit = marked.checkpoint_commits[0].1;
-    let second_commit = marked.checkpoint_commits[1].1;
+    // The fixed policy's fault-free commit instants place the crash,
+    // and its checkpoint writes give Young's formula a measured cost.
+    // The run is dropped before the policies' runs start.
+    let (first_commit, second_commit, checkpoint_write) = {
+        let marked = must_run(fixed.workload(), pfs.clone());
+        assert!(
+            marked.checkpoint_commits.len() >= 2,
+            "{}: fixed policy must commit at least twice to place the crash",
+            experiment.id()
+        );
+        (
+            marked.checkpoint_commits[0].1,
+            marked.checkpoint_commits[1].1,
+            checkpoint_write_time(&marked, &fixed),
+        )
+    };
     let crash_at = first_commit.saturating_add(second_commit) / 2;
     let reboot = baseline.scale(0.05).max(Time::from_secs(1));
     let mut crashes = FaultSchedule::empty();
@@ -92,7 +106,7 @@ fn recovery_experiment(
     // Young's interval from measured quantities: the per-checkpoint
     // write cost of the fixed cadence, and an MTBF pessimistically
     // assuming the partition fails most runs.
-    let checkpoint_cost = checkpoint_write_time(&marked, &fixed) / u64::from(fixed.checkpoints());
+    let checkpoint_cost = checkpoint_write / u64::from(fixed.checkpoints());
     let mtbf = baseline.scale(0.8);
     let young = make(CheckpointPolicy::Young {
         checkpoint_cost,
@@ -108,11 +122,15 @@ fn recovery_experiment(
         ("young", &young, &crashes),
     ];
     let mut results = par::map(&runs, par::available_threads(), |&(label, rec, faults)| {
-        run_with_recovery(rec, faults, pfs.clone(), SimOptions::default())
-            .unwrap_or_else(|e| panic!("{}: {label} recovery: {e}", experiment.id()))
+        let r = run_with_recovery(rec, faults, pfs.clone(), SimOptions::default())
+            .unwrap_or_else(|e| panic!("{}: {label} recovery: {e}", experiment.id()));
+        RecoveryRun {
+            exec_time: r.exec_time,
+            recovery: r.recovery,
+        }
     });
     let fault_free = results.remove(0);
-    let rows: Vec<(&'static str, u32, RunResult)> = runs[1..]
+    let rows: Vec<(&'static str, u32, RecoveryRun)> = runs[1..]
         .iter()
         .zip(results)
         .map(|(&(label, rec, _), r)| (label, rec.checkpoints(), r))
@@ -166,7 +184,7 @@ fn recovery_experiment(
         );
     }
 
-    fn find<'a>(rows: &'a [(&'static str, u32, RunResult)], label: &str) -> &'a RunResult {
+    fn find<'a>(rows: &'a [(&'static str, u32, RecoveryRun)], label: &str) -> &'a RecoveryRun {
         &rows.iter().find(|(l, _, _)| *l == label).expect("row").2
     }
     let r_none = find(&rows, "none");

@@ -37,20 +37,20 @@ fn main() {
     let rc = escat::run_version(EscatVersion::C, EscatDataset::Ethylene, scale);
     println!(
         "{}",
-        Evolution::between("A", &ra.trace, "B", &rb.trace).render()
+        Evolution::between("A", &ra.index, "B", &rb.index).render()
     );
     println!(
         "{}",
-        Evolution::between("B", &rb.trace, "C", &rc.trace).render()
+        Evolution::between("B", &rb.index, "C", &rc.index).render()
     );
-    let ab = Evolution::between("A", &ra.trace, "B", &rb.trace);
+    let ab = Evolution::between("A", &ra.index, "B", &rb.index);
     if let Some((k, saved)) = ab.biggest_win() {
         println!("A->B biggest win: {k} (-{saved:.1}s) — the node-zero read restructuring");
     }
     if let Some((k, added)) = ab.biggest_regression() {
         println!("A->B biggest cost: {k} (+{added:.1}s) — the M_UNIX seek pattern");
     }
-    let bc = Evolution::between("B", &rb.trace, "C", &rc.trace);
+    let bc = Evolution::between("B", &rb.index, "C", &rc.index);
     if let Some((k, saved)) = bc.biggest_win() {
         println!("B->C biggest win: {k} (-{saved:.1}s) — M_ASYNC");
     }

@@ -34,8 +34,8 @@ fn main() {
     let ra = prism::run_version(PrismVersion::A, scale);
     let rb = prism::run_version(PrismVersion::B, scale);
     let rc = prism::run_version(PrismVersion::C, scale);
-    let ab = Evolution::between("A", &ra.trace, "B", &rb.trace);
-    let bc = Evolution::between("B", &rb.trace, "C", &rc.trace);
+    let ab = Evolution::between("A", &ra.index, "B", &rb.index);
+    let bc = Evolution::between("B", &rb.index, "C", &rc.index);
     println!("{}", ab.render());
     println!("{}", bc.render());
     if let Some(d) = ab.delta(OpKind::Read) {

@@ -3,9 +3,9 @@
 //!
 //! Each experiment's rendered artifact (split at `\n`, one array
 //! element per line) and shape-check verdicts are written to
-//! `tests/golden/<id>.json`; the underlying `RunResult`s (exact
-//! nanosecond times, event counts, per-node finish times and the
-//! `.siot` digest of the full I/O trace) go to
+//! `tests/golden/<id>.json`; the memoized runs they are derived from
+//! (exact nanosecond times, event counts, per-node finish times and the
+//! `.siot` digest of the full I/O trace, folded over its index) go to
 //! `tests/golden/runs-escat.json` and `tests/golden/runs-prism.json`.
 //! Each registered sweep's rendered table and points (exact
 //! nanoseconds and event counts) go to `tests/golden/sweep-<id>.json`.
@@ -31,8 +31,7 @@
 //! Snapshots are captured at smoke scale so the suite stays cheap
 //! enough to run on every commit.
 
-use sioscope::experiments::{run_experiment, Experiment, Scale};
-use sioscope::simulator::RunResult;
+use sioscope::experiments::{run_experiment, Experiment, IndexedRun, Scale};
 use sioscope::sweeps::{run_sweep, SweepId};
 use sioscope_campaign::json::Json;
 use sioscope_pfs::OpKind;
@@ -65,7 +64,7 @@ fn by_kind<V>(map: BTreeMap<OpKind, V>, f: impl Fn(V) -> Json) -> Json {
     )
 }
 
-fn run_summary(r: &RunResult) -> Json {
+fn run_summary(r: &IndexedRun) -> Json {
     let s = &r.resilience;
     Json::obj(vec![
         ("name", Json::Str(r.name.clone())),
@@ -77,18 +76,21 @@ fn run_summary(r: &RunResult) -> Json {
             "node_finish_ns",
             Json::Array(r.node_finish.iter().map(|&t| nanos(t)).collect()),
         ),
-        ("trace_events", Json::UInt(r.trace.len() as u64)),
+        ("trace_events", Json::UInt(r.index.len() as u64)),
         (
             "trace_digest",
-            Json::Str(format!("{:016x}", sioscope_trace::binary::digest(&r.trace))),
+            Json::Str(format!(
+                "{:016x}",
+                sioscope_trace::binary::index_digest(&r.index)
+            )),
         ),
         (
             "duration_by_kind_ns",
-            by_kind(r.trace.duration_by_kind(), nanos),
+            by_kind(r.index.duration_by_kind(), nanos),
         ),
         (
             "bytes_by_kind",
-            by_kind(r.trace.bytes_by_kind(), Json::UInt),
+            by_kind(r.index.bytes_by_kind(), Json::UInt),
         ),
         (
             "resilience",
