@@ -1165,7 +1165,7 @@ impl Pfs {
     /// Bit-identical to the general path with no faults engaged: every
     /// segment there starts at `start` with factor 1, so per node the
     /// reservations chain back-to-back from `max(start, free_at)` —
-    /// exactly what [`Calendar::reserve_n`] computes — and the maximum
+    /// exactly what [`Calendar::reserve_batch`] computes — and the maximum
     /// finish over segments equals the maximum over per-node batch
     /// finishes because each node's last segment finishes latest.
     fn transfer_batched(
@@ -1202,7 +1202,7 @@ impl Pfs {
         for ion in 0..self.transfer_scratch.len() {
             let (total, n) = self.transfer_scratch[ion];
             if n > 0 {
-                let res = self.ions.reserve_n(ion, start, total, n);
+                let res = self.ions.reserve_batch(ion, start, total);
                 end = end.max(res.finish);
             }
         }
@@ -2274,7 +2274,7 @@ mod tests {
 
     /// Doubles as the batched-transfer equivalence check: the engaged
     /// (but empty) schedule takes the general per-segment transfer
-    /// path while the plain run takes the per-ion `reserve_n` fast
+    /// path while the plain run takes the per-ion `reserve_batch` fast
     /// path, and every observable — completion times and disk busy
     /// time — must still agree exactly.
     #[test]

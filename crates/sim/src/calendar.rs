@@ -46,7 +46,6 @@ impl Reservation {
 pub struct Calendar {
     free_at: Time,
     busy: Time,
-    served: u64,
 }
 
 impl Calendar {
@@ -61,28 +60,26 @@ impl Calendar {
         let finish = start + service;
         self.free_at = finish;
         self.busy += service;
-        self.served += 1;
         Reservation { start, finish }
     }
 
-    /// Reserve `n` back-to-back requests arriving together at
+    /// Reserve a batch of back-to-back requests arriving together at
     /// `arrival` with `total_service` aggregate demand, in one
     /// `free_at` advance.
     ///
     /// Because `Time` is integer nanoseconds and addition is
-    /// associative, this is *bit-identical* to `n` sequential
+    /// associative, this is *bit-identical* to sequential
     /// [`Calendar::reserve`] calls at the same arrival whose service
     /// demands sum to `total_service`: the first starts at
     /// `max(arrival, free_at)`, each subsequent one starts exactly at
-    /// its predecessor's finish, and `busy`/`served` advance by the
-    /// same totals. The returned reservation spans the whole batch
-    /// (start of the first through finish of the last).
-    pub(crate) fn reserve_n(&mut self, arrival: Time, total_service: Time, n: u64) -> Reservation {
+    /// its predecessor's finish, and `busy` advances by the same total.
+    /// The returned reservation spans the whole batch (start of the
+    /// first through finish of the last).
+    pub(crate) fn reserve_batch(&mut self, arrival: Time, total_service: Time) -> Reservation {
         let start = arrival.max(self.free_at);
         let finish = start + total_service;
         self.free_at = finish;
         self.busy += total_service;
-        self.served += n;
         Reservation { start, finish }
     }
 
@@ -138,19 +135,13 @@ impl CalendarPool {
         self.members[idx].reserve(arrival, service)
     }
 
-    /// Reserve `n` back-to-back requests on member `idx` (see
-    /// `Calendar::reserve_n`).
+    /// Reserve a batch of back-to-back requests on member `idx` (see
+    /// `Calendar::reserve_batch`).
     ///
     /// # Panics
     /// Panics if `idx` is out of range.
-    pub fn reserve_n(
-        &mut self,
-        idx: usize,
-        arrival: Time,
-        total_service: Time,
-        n: u64,
-    ) -> Reservation {
-        self.members[idx].reserve_n(arrival, total_service, n)
+    pub fn reserve_batch(&mut self, idx: usize, arrival: Time, total_service: Time) -> Reservation {
+        self.members[idx].reserve_batch(arrival, total_service)
     }
 
     /// Immutable view of a member.
@@ -199,7 +190,7 @@ mod tests {
     }
 
     #[test]
-    fn reserve_n_is_bit_identical_to_sequential_reserves() {
+    fn reserve_batch_is_bit_identical_to_sequential_reserves() {
         // Same arrivals, same per-request demands: the batched form
         // must leave the calendar in exactly the state the sequential
         // form does and span the same interval.
@@ -219,7 +210,7 @@ mod tests {
             last = sequential.reserve(arrival, d);
         }
         let total: Time = demands.iter().copied().sum();
-        let batch = batched.reserve_n(arrival, total, demands.len() as u64);
+        let batch = batched.reserve_batch(arrival, total);
         assert_eq!(batch.start, first.start);
         assert_eq!(batch.finish, last.finish);
         assert_eq!(batched.free_at(), sequential.free_at());
@@ -227,9 +218,9 @@ mod tests {
     }
 
     #[test]
-    fn reserve_n_on_pool_member() {
+    fn reserve_batch_on_pool_member() {
         let mut p = CalendarPool::new(2);
-        let r = p.reserve_n(1, Time::from_secs(1), Time::from_secs(4), 3);
+        let r = p.reserve_batch(1, Time::from_secs(1), Time::from_secs(4));
         assert_eq!(r.start, Time::from_secs(1));
         assert_eq!(r.finish, Time::from_secs(5));
         assert_eq!(p.total_busy(), Time::from_secs(4));

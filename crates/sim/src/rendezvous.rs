@@ -43,7 +43,6 @@ struct Group {
 #[derive(Debug, Default)]
 pub struct RendezvousTable {
     groups: DetHashMap<u64, Group>,
-    completed: u64,
 }
 
 impl RendezvousTable {
@@ -87,7 +86,6 @@ impl RendezvousTable {
                 .iter()
                 .map(|&(_, t)| t)
                 .fold(Time::ZERO, Time::max);
-            self.completed += 1;
             RendezvousOutcome::Complete {
                 arrivals: group.arrivals,
                 release,
