@@ -101,25 +101,24 @@ fn main() {
     // --backend <id> selects the storage tier the --demo simulation
     // runs against (characterization itself is tier-agnostic).
     let mut backend = sioscope_pfs::BackendKind::Pfs;
+    let tier_ids: Vec<&str> = sioscope_pfs::BackendKind::all()
+        .iter()
+        .map(|b| b.id())
+        .collect();
     if let Some(i) = args.iter().position(|a| a == "--backend") {
         let id = match args.get(i + 1) {
             Some(id) => id.clone(),
-            None => exit_with(CliError::BadArgs(
-                "--backend requires a tier id (pfs, object, burst)".into(),
-            )),
+            None => exit_with(CliError::BadArgs(format!(
+                "--backend requires a tier id ({})",
+                tier_ids.join(", ")
+            ))),
         };
         backend = match sioscope_pfs::BackendKind::from_id(&id) {
             Some(b) => b,
-            None => {
-                let known: Vec<&str> = sioscope_pfs::BackendKind::all()
-                    .iter()
-                    .map(|b| b.id())
-                    .collect();
-                exit_with(CliError::BadArgs(format!(
-                    "unknown backend `{id}` (expected one of: {})",
-                    known.join(", ")
-                )))
-            }
+            None => exit_with(CliError::BadArgs(format!(
+                "unknown backend `{id}` (expected one of: {})",
+                tier_ids.join(", ")
+            ))),
         };
         args.drain(i..=i + 1);
     }
@@ -138,10 +137,10 @@ fn main() {
         args.drain(i..=i + 1);
     }
     if args.is_empty() {
-        exit_with(CliError::BadArgs(
-            "usage: characterize [--backend <pfs|object|burst>] [--faults <label@frac,...>] [--demo] <trace.siot>"
-                .into(),
-        ));
+        exit_with(CliError::BadArgs(format!(
+            "usage: characterize [--backend <{}>] [--faults <label@frac,...>] [--demo] <trace.siot>",
+            tier_ids.join("|")
+        )));
     }
     let (demo, path) = if args[0] == "--demo" {
         match args.get(1) {
