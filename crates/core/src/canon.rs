@@ -195,9 +195,10 @@ pub fn tier_config(kind: BackendKind, workload: &Workload, faults: FaultSchedule
 type FaultFree = Result<BTreeMap<String, u64>, String>;
 
 /// The fault-free run of each (workload, scale, tier). Its seed is
-/// never read, so every seed and fault intensity of a campaign shares
-/// one simulation per process. Only the metrics stay, never the run and
-/// its trace: at most 9 ids x 2 scales x 3 tiers small maps.
+/// never read, so every seed and fault intensity of a campaign, and
+/// every sweep, shares one simulation per process. Only the metrics
+/// stay, never the run and its trace: at most 9 ids x 2 scales x 3
+/// tiers small maps.
 static FAULT_FREE: RunMemo<(WorkloadId, Scale, BackendKind), FaultFree> = RunMemo::new();
 
 /// Forget every memoized fault-free tier run.
@@ -215,7 +216,10 @@ pub(crate) fn clear_cache() {
 /// That fault-free run is simulated once per process for each
 /// (workload, scale, tier) and its metrics memoized, so a run with
 /// `fault_events == 0` reads them and a faulted run simulates only
-/// itself. The PFS tier draws I/O-node
+/// itself. The machine-configuration sweeps read the PFS tier's too:
+/// for their points on the canonical config, the fault-intensity
+/// horizon and the checkpoint sweeps' crash baseline
+/// ([`crate::sweeps`]). The PFS tier draws I/O-node
 /// faults and reports the five common metrics. The object tier draws
 /// metadata-shard outages and degraded-service windows, and adds its
 /// `puts`/`gets` counters. The burst tier draws drain stalls and

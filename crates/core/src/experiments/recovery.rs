@@ -56,40 +56,44 @@ fn checkpoint_write_time(r: &RunResult, rec: &Recoverable) -> Time {
 struct RecoveryRun {
     exec_time: Time,
     recovery: RecoveryStats,
+    /// Commit markers per node in the policy's workload.
+    checkpoints: u32,
 }
 
 /// Run the recovery comparison; `baseline` is the execution time of
 /// `make(CheckpointPolicy::None)`'s workload run plain and fault-free.
+/// Each row's workload is built inside the worker that runs it, so no
+/// policy's workload outlives its run.
 fn recovery_experiment(
     experiment: Experiment,
     title: &str,
-    make: &dyn Fn(CheckpointPolicy) -> Recoverable,
+    make: &(dyn Fn(CheckpointPolicy) -> Recoverable + Sync),
     fixed_interval: u32,
     baseline: Time,
 ) -> ExperimentOutput {
-    let none = make(CheckpointPolicy::None);
-    let fixed = make(CheckpointPolicy::Fixed {
+    let fixed_policy = CheckpointPolicy::Fixed {
         interval: fixed_interval,
-    });
-    let pfs = {
-        let w = none.workload();
-        PfsConfig::caltech(w.nodes, w.os)
     };
 
     // The fixed policy's fault-free commit instants place the crash,
     // and its checkpoint writes give Young's formula a measured cost.
-    // The run is dropped before the policies' runs start.
-    let (first_commit, second_commit, checkpoint_write) = {
-        let marked = must_run(fixed.workload(), pfs.clone());
+    // The run and its workload are dropped before the policies' runs
+    // start.
+    let (pfs, first_commit, second_commit, checkpoint_cost) = {
+        let fixed = make(fixed_policy);
+        let w = fixed.workload();
+        let pfs = PfsConfig::caltech(w.nodes, w.os);
+        let marked = must_run(w, pfs.clone());
         assert!(
             marked.checkpoint_commits.len() >= 2,
             "{}: fixed policy must commit at least twice to place the crash",
             experiment.id()
         );
         (
+            pfs,
             marked.checkpoint_commits[0].1,
             marked.checkpoint_commits[1].1,
-            checkpoint_write_time(&marked, &fixed),
+            checkpoint_write_time(&marked, &fixed) / u64::from(fixed.checkpoints()),
         )
     };
     let crash_at = first_commit.saturating_add(second_commit) / 2;
@@ -106,34 +110,39 @@ fn recovery_experiment(
     // Young's interval from measured quantities: the per-checkpoint
     // write cost of the fixed cadence, and an MTBF pessimistically
     // assuming the partition fails most runs.
-    let checkpoint_cost = checkpoint_write / u64::from(fixed.checkpoints());
     let mtbf = baseline.scale(0.8);
-    let young = make(CheckpointPolicy::Young {
+    let young_policy = CheckpointPolicy::Young {
         checkpoint_cost,
         mtbf,
-    });
+    };
 
     // The fault-free recovery run, then every policy under the crash.
     let no_faults = FaultSchedule::empty();
     let runs = [
-        ("fault-free", &none, &no_faults),
-        ("none", &none, &crashes),
-        ("fixed", &fixed, &crashes),
-        ("young", &young, &crashes),
+        ("fault-free", CheckpointPolicy::None, &no_faults),
+        ("none", CheckpointPolicy::None, &crashes),
+        ("fixed", fixed_policy, &crashes),
+        ("young", young_policy, &crashes),
     ];
-    let mut results = par::map(&runs, par::available_threads(), |&(label, rec, faults)| {
-        let r = run_with_recovery(rec, faults, pfs.clone(), SimOptions::default())
-            .unwrap_or_else(|e| panic!("{}: {label} recovery: {e}", experiment.id()));
-        RecoveryRun {
-            exec_time: r.exec_time,
-            recovery: r.recovery,
-        }
-    });
+    let mut results = par::map(
+        &runs,
+        par::available_threads(),
+        |&(label, policy, faults)| {
+            let rec = make(policy);
+            let r = run_with_recovery(&rec, faults, pfs.clone(), SimOptions::default())
+                .unwrap_or_else(|e| panic!("{}: {label} recovery: {e}", experiment.id()));
+            RecoveryRun {
+                exec_time: r.exec_time,
+                recovery: r.recovery,
+                checkpoints: rec.checkpoints(),
+            }
+        },
+    );
     let fault_free = results.remove(0);
-    let rows: Vec<(&'static str, u32, RecoveryRun)> = runs[1..]
+    let rows: Vec<(&'static str, RecoveryRun)> = runs[1..]
         .iter()
+        .map(|&(label, _, _)| label)
         .zip(results)
-        .map(|(&(label, rec, _), r)| (label, rec.checkpoints(), r))
         .collect();
 
     let mut rendered = String::new();
@@ -162,7 +171,7 @@ fn recovery_experiment(
         "vs base"
     );
     let _ = writeln!(rendered, "  {}", "-".repeat(91));
-    for (label, ckpts, r) in &rows {
+    for (label, r) in &rows {
         let st = r.recovery;
         let vs = if baseline.is_zero() {
             1.0
@@ -173,7 +182,7 @@ fn recovery_experiment(
             rendered,
             "  {:<8}{:>7}{:>9}{:>10}{:>11.1}s{:>11.1}s{:>13} B{:>11.1}s{:>8.2}x",
             label,
-            ckpts,
+            r.checkpoints,
             st.crashes,
             st.attempts,
             st.rework.as_secs_f64(),
@@ -184,8 +193,8 @@ fn recovery_experiment(
         );
     }
 
-    fn find<'a>(rows: &'a [(&'static str, u32, RecoveryRun)], label: &str) -> &'a RecoveryRun {
-        &rows.iter().find(|(l, _, _)| *l == label).expect("row").2
+    fn find<'a>(rows: &'a [(&'static str, RecoveryRun)], label: &str) -> &'a RecoveryRun {
+        &rows.iter().find(|(l, _)| *l == label).expect("row").1
     }
     let r_none = find(&rows, "none");
     let r_fixed = find(&rows, "fixed");
@@ -200,18 +209,18 @@ fn recovery_experiment(
         ),
         ShapeCheck::new(
             "the placed crash engages every policy",
-            rows.iter().all(|(_, _, r)| r.recovery.crashes >= 1),
+            rows.iter().all(|(_, r)| r.recovery.crashes >= 1),
             format!(
                 "crashes: {:?}",
                 rows.iter()
-                    .map(|(l, _, r)| (*l, r.recovery.crashes))
+                    .map(|(l, r)| (*l, r.recovery.crashes))
                     .collect::<Vec<_>>()
             ),
         ),
         ShapeCheck::new(
             "every policy rides out the crash and the reboot",
             rows.iter()
-                .all(|(_, _, r)| r.recovery.time_to_solution >= crash_at.saturating_add(reboot)),
+                .all(|(_, r)| r.recovery.time_to_solution >= crash_at.saturating_add(reboot)),
             format!("crash {crash_at} + reboot {reboot}"),
         ),
         ShapeCheck::new(
@@ -240,8 +249,8 @@ fn recovery_experiment(
         ),
         ShapeCheck::new(
             "Young's policy commits checkpoints",
-            young.checkpoints() >= 1 && r_young.recovery.attempts >= 2,
-            format!("{} checkpoints", young.checkpoints()),
+            r_young.checkpoints >= 1 && r_young.recovery.attempts >= 2,
+            format!("{} checkpoints", r_young.checkpoints),
         ),
     ];
     ExperimentOutput {

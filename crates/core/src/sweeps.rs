@@ -5,7 +5,15 @@
 //! architectures on I/O performance."* These sweeps re-run a paper
 //! workload while varying one machine parameter at a time, reporting
 //! execution time and total client-observed I/O time per point.
+//!
+//! A sweep names its workload by [`WorkloadId`] and [`Scale`] and builds
+//! it once. Every fault-free run it needs on the canonical Caltech PFS
+//! (a point whose config is that PFS, the fault-intensity horizon, the
+//! checkpoint sweeps' crash baseline) is read from the memo behind
+//! [`canon::workload_run`], so a process simulates each such run once
+//! across campaign runs and sweeps.
 
+use crate::canon::{self, BackendKind, WorkloadId};
 use crate::coupled::{run_coupled, Route};
 use crate::experiments::contention::{
     contended_machine, mix_stream, run_stream, CLASS_TAU, COMPUTE_BOUND, IO_BOUND,
@@ -178,21 +186,81 @@ fn run_point(workload: &Workload, cfg: PfsConfig, label: String, value: u64) -> 
     }
 }
 
-/// Vary the number of I/O nodes (the paper's headline example of a
-/// configuration study). Each point re-runs `workload` with the same
-/// compute partition but `n` I/O nodes/disk arrays.
-pub fn io_node_sweep(workload: &Workload, io_nodes: &[u32]) -> Sweep {
-    let mut points: Vec<SweepPoint> = each(io_nodes, |&n| {
-        let mut cfg = PfsConfig::caltech(workload.nodes, workload.os);
-        cfg.machine.io_nodes = n;
-        run_point(workload, cfg, format!("io_nodes={n}"), u64::from(n))
-    });
-    points.sort_by_key(|p| p.value);
-    Sweep {
-        parameter: "io_nodes",
-        workload: workload.name.clone(),
-        points,
+/// `id`'s fault-free run at `scale` on the canonical Caltech PFS, as an
+/// unlabelled point. It comes from the memo behind
+/// [`canon::workload_run`], so campaign runs and every sweep of a
+/// process share one simulation of it.
+fn canonical_run(id: WorkloadId, scale: Scale) -> SweepPoint {
+    let metrics = canon::workload_run(id, scale, BackendKind::Pfs, 0, 0)
+        .unwrap_or_else(|e| panic!("canonical run: {e}"));
+    SweepPoint {
+        label: String::new(),
+        value: 0,
+        exec_time: Time::from_nanos(metrics["exec_time_ns"]),
+        io_time: Time::from_nanos(metrics["io_time_ns"]),
+        events: metrics["events"],
     }
+}
+
+/// The workload a sweep varies the machine under: built once from the
+/// id and scale that also key its canonical run.
+struct Subject {
+    id: WorkloadId,
+    scale: Scale,
+    workload: Workload,
+}
+
+impl Subject {
+    fn new(id: WorkloadId, scale: Scale) -> Self {
+        Subject {
+            id,
+            scale,
+            workload: id.build(scale),
+        }
+    }
+
+    /// The Caltech PFS for the workload, which each point varies in one
+    /// parameter.
+    fn caltech(&self) -> PfsConfig {
+        PfsConfig::caltech(self.workload.nodes, self.workload.os)
+    }
+
+    /// The point that runs the workload on `cfg`. Where `cfg` is the
+    /// canonical PFS tier config, the run is [`canonical_run`].
+    fn point(&self, cfg: PfsConfig, label: String, value: u64) -> SweepPoint {
+        match canon::tier_config(BackendKind::Pfs, &self.workload, FaultSchedule::empty()) {
+            BackendConfig::Pfs(canonical) if canonical == cfg => SweepPoint {
+                label,
+                value,
+                ..canonical_run(self.id, self.scale)
+            },
+            _ => run_point(&self.workload, cfg, label, value),
+        }
+    }
+
+    /// A sweep of `parameter` over the workload, its points in
+    /// parameter order.
+    fn sweep(&self, parameter: &'static str, mut points: Vec<SweepPoint>) -> Sweep {
+        points.sort_by_key(|p| p.value);
+        Sweep {
+            parameter,
+            workload: self.workload.name.clone(),
+            points,
+        }
+    }
+}
+
+/// Vary the number of I/O nodes (the paper's headline example of a
+/// configuration study). Each point re-runs workload `id` at `scale`
+/// with the same compute partition but `n` I/O nodes/disk arrays.
+pub fn io_node_sweep(id: WorkloadId, scale: Scale, io_nodes: &[u32]) -> Sweep {
+    let s = Subject::new(id, scale);
+    let points = each(io_nodes, |&n| {
+        let mut cfg = s.caltech();
+        cfg.machine.io_nodes = n;
+        s.point(cfg, format!("io_nodes={n}"), u64::from(n))
+    });
+    s.sweep("io_nodes", points)
 }
 
 /// Vary the PFS stripe unit. Request sizes that were tuned to the
@@ -201,33 +269,25 @@ pub fn io_node_sweep(workload: &Workload, io_nodes: &[u32]) -> Sweep {
 /// paper's applications were coupled to one file-system constant
 /// (§6.2: "optimizations are closely tied to the idiosyncrasies of
 /// the parallel I/O system").
-pub fn stripe_sweep(workload: &Workload, units: &[u64]) -> Sweep {
-    let mut points: Vec<SweepPoint> = each(units, |&u| {
-        let mut cfg = PfsConfig::caltech(workload.nodes, workload.os);
+pub fn stripe_sweep(id: WorkloadId, scale: Scale, units: &[u64]) -> Sweep {
+    let s = Subject::new(id, scale);
+    let points = each(units, |&u| {
+        let mut cfg = s.caltech();
         cfg.stripe_unit = u;
-        run_point(workload, cfg, format!("stripe={}K", u >> 10), u)
+        s.point(cfg, format!("stripe={}K", u >> 10), u)
     });
-    points.sort_by_key(|p| p.value);
-    Sweep {
-        parameter: "stripe_unit",
-        workload: workload.name.clone(),
-        points,
-    }
+    s.sweep("stripe_unit", points)
 }
 
 /// Vary the disk array bandwidth (architecture generations).
-pub fn disk_bandwidth_sweep(workload: &Workload, bandwidths_mbps: &[u32]) -> Sweep {
-    let mut points: Vec<SweepPoint> = each(bandwidths_mbps, |&mbps| {
-        let mut cfg = PfsConfig::caltech(workload.nodes, workload.os);
+pub fn disk_bandwidth_sweep(id: WorkloadId, scale: Scale, bandwidths_mbps: &[u32]) -> Sweep {
+    let s = Subject::new(id, scale);
+    let points = each(bandwidths_mbps, |&mbps| {
+        let mut cfg = s.caltech();
         cfg.machine.disk.bandwidth_bps = f64::from(mbps) * 1e6;
-        run_point(workload, cfg, format!("{mbps}MB/s"), u64::from(mbps))
+        s.point(cfg, format!("{mbps}MB/s"), u64::from(mbps))
     });
-    points.sort_by_key(|p| p.value);
-    Sweep {
-        parameter: "disk_bandwidth",
-        workload: workload.name.clone(),
-        points,
-    }
+    s.sweep("disk_bandwidth", points)
 }
 
 /// Vary the number of degraded (single-spindle-failure) RAID-3
@@ -235,19 +295,15 @@ pub fn disk_bandwidth_sweep(workload: &Workload, bandwidths_mbps: &[u32]) -> Swe
 /// fault schedule of permanent spindle failures at time zero, so this
 /// sweep is now a client of the `sioscope-faults` subsystem rather
 /// than a special-cased machine flag.
-pub(crate) fn degraded_array_sweep(workload: &Workload, degraded_counts: &[u32]) -> Sweep {
-    let mut points: Vec<SweepPoint> = each(degraded_counts, |&k| {
-        let mut cfg = PfsConfig::caltech(workload.nodes, workload.os);
+pub(crate) fn degraded_array_sweep(id: WorkloadId, scale: Scale, degraded_counts: &[u32]) -> Sweep {
+    let s = Subject::new(id, scale);
+    let points = each(degraded_counts, |&k| {
+        let mut cfg = s.caltech();
         let ions: Vec<u32> = (0..k.min(cfg.machine.io_nodes)).collect();
         cfg.faults = FaultSchedule::degraded_from_start(&ions);
-        run_point(workload, cfg, format!("degraded={k}"), u64::from(k))
+        s.point(cfg, format!("degraded={k}"), u64::from(k))
     });
-    points.sort_by_key(|p| p.value);
-    Sweep {
-        parameter: "degraded_arrays",
-        workload: workload.name.clone(),
-        points,
-    }
+    s.sweep("degraded_arrays", points)
 }
 
 /// Vary the fault intensity: point `k` runs under the first `k`
@@ -256,26 +312,26 @@ pub(crate) fn degraded_array_sweep(workload: &Workload, degraded_counts: &[u32])
 /// `k + 1`'s — each point adds faults to the previous scenario
 /// instead of rolling an unrelated one, so execution-time inflation
 /// accumulates along the axis. Fault instants and window lengths are
-/// placed as fractions of the healthy run's execution time.
-pub fn fault_intensity_sweep(workload: &Workload, intensities: &[usize], seed: u64) -> Sweep {
-    let base_cfg = PfsConfig::caltech(workload.nodes, workload.os);
-    let horizon = run(workload, base_cfg.clone(), SimOptions::default())
-        .unwrap_or_else(|e| panic!("fault sweep baseline: {e}"))
-        .exec_time;
+/// placed as fractions of the healthy run's execution time, which is
+/// [`canonical_run`]'s.
+pub fn fault_intensity_sweep(
+    id: WorkloadId,
+    scale: Scale,
+    intensities: &[usize],
+    seed: u64,
+) -> Sweep {
+    let s = Subject::new(id, scale);
+    let horizon = canonical_run(id, scale).exec_time;
+    let base_cfg = s.caltech();
     let io_nodes = base_cfg.machine.io_nodes;
-    let mut points: Vec<SweepPoint> = each(intensities, |&k| {
+    let points = each(intensities, |&k| {
         let mut cfg = base_cfg.clone();
         cfg.faults = FaultGen::new(seed, horizon, io_nodes)
             .with_events(k)
             .schedule();
-        run_point(workload, cfg, format!("faults={k}"), k as u64)
+        s.point(cfg, format!("faults={k}"), k as u64)
     });
-    points.sort_by_key(|p| p.value);
-    Sweep {
-        parameter: "fault_intensity",
-        workload: workload.name.clone(),
-        points,
-    }
+    s.sweep("fault_intensity", points)
 }
 
 /// The crash environment shared by the recovery sweeps, derived from
@@ -347,25 +403,30 @@ impl CheckpointTier {
     }
 }
 
+/// PRISM B at `scale`: the checkpoint-interval sweeps' workload.
+fn prism_b(scale: Scale) -> PrismConfig {
+    match scale {
+        Scale::Smoke => PrismConfig::tiny(PrismVersion::B),
+        Scale::Full => PrismConfig::test_problem(PrismVersion::B),
+    }
+}
+
 /// The seeded environment the checkpoint-interval sweeps share, derived
-/// from the fault-free run of `cfg`'s policy-free workload on the
-/// Caltech PFS. It holds compute crashes, exponential with MTBF `0.8 ×`
+/// from [`canonical_run`] of PRISM B at `scale`, the policy-free
+/// workload. It holds compute crashes, exponential with MTBF `0.8 ×`
 /// that baseline over [`crash_environment`]'s horizon, and three
 /// burst-tier faults placed over one attempt's horizon so they land
 /// mid-attempt. Every tier faces the same crashes, so the sweeps'
 /// curves compare directly.
-fn checkpoint_environment(cfg: &PrismConfig, seed: u64) -> (FaultSchedule, FaultSchedule) {
-    let w = cfg.build();
-    let pfs = PfsConfig::caltech(w.nodes, w.os);
-    let io_nodes = pfs.machine.io_nodes;
-    let baseline = run(&w, pfs, SimOptions::default())
-        .unwrap_or_else(|e| panic!("checkpoint sweep baseline: {e}"))
-        .exec_time;
+fn checkpoint_environment(scale: Scale, seed: u64) -> (FaultSchedule, FaultSchedule) {
+    let cfg = prism_b(scale);
+    let io_nodes = PfsConfig::caltech(cfg.nodes, cfg.os()).machine.io_nodes;
+    let baseline = canonical_run(WorkloadId::PrismB, scale).exec_time;
     let (horizon, rework) = crash_environment(baseline);
     let crashes = FaultGen::new(seed, horizon, io_nodes).compute_crash_schedule(
         baseline.scale(0.8),
         rework,
-        w.nodes,
+        cfg.nodes,
     );
     let burst_faults = FaultGen::new(seed, baseline, io_nodes)
         .with_events(3)
@@ -374,7 +435,9 @@ fn checkpoint_environment(cfg: &PrismConfig, seed: u64) -> (FaultSchedule, Fault
 }
 
 /// Vary PRISM's checkpoint interval under one fixed crash schedule,
-/// with the checkpoint files on `tier`.
+/// with the checkpoint files on `tier`. Each interval snaps to a
+/// divisor of the step count first, and each snapped interval runs
+/// once.
 ///
 /// On the PFS this is the classic U-curve: dense checkpoints waste time
 /// committing, sparse checkpoints waste time replaying lost work, and
@@ -393,12 +456,13 @@ pub(crate) fn checkpoint_interval_sweep(
     tier: &CheckpointTier,
     crashes: &FaultSchedule,
 ) -> Sweep {
-    let baseline_w = cfg.build();
-    let base_cfg = PfsConfig::caltech(baseline_w.nodes, baseline_w.os);
+    let base_cfg = PfsConfig::caltech(cfg.nodes, cfg.os());
     let parameter = tier.parameter();
-    let mut points: Vec<SweepPoint> = each(intervals, |&interval| {
-        let snapped = cfg.snap_interval(interval);
-        let rec = cfg.recoverable(CheckpointPolicy::Fixed { interval: snapped });
+    let mut snapped: Vec<u32> = intervals.iter().map(|&i| cfg.snap_interval(i)).collect();
+    snapped.sort_unstable();
+    snapped.dedup();
+    let points = each(&snapped, |&interval| {
+        let rec = cfg.recoverable(CheckpointPolicy::Fixed { interval });
         let storage = match tier {
             CheckpointTier::Pfs => BackendConfig::Pfs(base_cfg.clone()),
             CheckpointTier::Burst(faults) => {
@@ -409,20 +473,18 @@ pub(crate) fn checkpoint_interval_sweep(
             }
         };
         let r = run_with_recovery_backend(&rec, crashes, &storage, SimOptions::default())
-            .unwrap_or_else(|e| panic!("{parameter} interval={snapped}: {e}"));
+            .unwrap_or_else(|e| panic!("{parameter} interval={interval}: {e}"));
         SweepPoint {
-            label: format!("every {snapped} steps"),
-            value: u64::from(snapped),
+            label: format!("every {interval} steps"),
+            value: u64::from(interval),
             exec_time: r.recovery.time_to_solution,
             io_time: r.total_io_time(),
             events: r.events,
         }
     });
-    points.sort_by_key(|p| p.value);
-    points.dedup_by_key(|p| p.value);
     Sweep {
         parameter,
-        workload: baseline_w.name.clone(),
+        workload: cfg.name(),
         points,
     }
 }
@@ -556,22 +618,15 @@ pub(crate) fn staging_depth_sweep(
 /// Run one registered sweep at the given scale with its canonical
 /// parameter grid — the single entry point the `repro` binary and the
 /// campaign engine share, so "the `io_nodes` sweep" means the same
-/// runs everywhere.
+/// runs everywhere. Each arm builds only the workload it runs.
 pub fn run_sweep(id: SweepId, scale: Scale) -> Sweep {
-    let escat_b = match scale {
-        Scale::Smoke => EscatConfig::tiny(EscatVersion::B).build(),
-        Scale::Full => EscatConfig::ethylene(EscatVersion::B).build(),
-    };
-    let prism_a = match scale {
-        Scale::Smoke => PrismConfig::tiny(PrismVersion::A).build(),
-        Scale::Full => PrismConfig::test_problem(PrismVersion::A).build(),
-    };
+    use WorkloadId::{EscatB, PrismA};
     match id {
-        SweepId::IoNodes => io_node_sweep(&escat_b, &[2, 4, 8, 16, 32]),
-        SweepId::StripeUnit => stripe_sweep(&escat_b, &[16 << 10, 64 << 10, 256 << 10]),
-        SweepId::DiskBandwidth => disk_bandwidth_sweep(&prism_a, &[2, 8, 32]),
-        SweepId::DegradedArrays => degraded_array_sweep(&prism_a, &[0, 4, 8]),
-        SweepId::FaultIntensity => fault_intensity_sweep(&prism_a, &[0, 2, 4, 8], 0xF417),
+        SweepId::IoNodes => io_node_sweep(EscatB, scale, &[2, 4, 8, 16, 32]),
+        SweepId::StripeUnit => stripe_sweep(EscatB, scale, &[16 << 10, 64 << 10, 256 << 10]),
+        SweepId::DiskBandwidth => disk_bandwidth_sweep(PrismA, scale, &[2, 8, 32]),
+        SweepId::DegradedArrays => degraded_array_sweep(PrismA, scale, &[0, 4, 8]),
+        SweepId::FaultIntensity => fault_intensity_sweep(PrismA, scale, &[0, 2, 4, 8], 0xF417),
         SweepId::Mtbf => {
             let cfg = match scale {
                 Scale::Smoke => EscatConfig::tiny(EscatVersion::C),
@@ -583,17 +638,14 @@ pub fn run_sweep(id: SweepId, scale: Scale) -> Sweep {
         SweepId::CheckpointInterval
         | SweepId::CheckpointIntervalBurst
         | SweepId::CheckpointIntervalBurstCrash => {
-            let cfg = match scale {
-                Scale::Smoke => PrismConfig::tiny(PrismVersion::B),
-                Scale::Full => PrismConfig::test_problem(PrismVersion::B),
-            };
-            let (crashes, burst_faults) = checkpoint_environment(&cfg, 0x0C7);
+            let (crashes, burst_faults) = checkpoint_environment(scale, 0x0C7);
             let tier = match id {
                 SweepId::CheckpointInterval => CheckpointTier::Pfs,
                 SweepId::CheckpointIntervalBurst => CheckpointTier::Burst(FaultSchedule::empty()),
                 _ => CheckpointTier::Burst(burst_faults),
             };
-            checkpoint_interval_sweep(&cfg, &[1, 2, 5, 10, 25, 125, 250, 625], &tier, &crashes)
+            let intervals = [1, 2, 5, 10, 25, 125, 250, 625];
+            checkpoint_interval_sweep(&prism_b(scale), &intervals, &tier, &crashes)
         }
         SweepId::LoadFactor => load_factor_sweep(&[25, 50, 100, 200, 400], scale),
         SweepId::StagingDepth => {
@@ -681,8 +733,7 @@ mod tests {
 
     #[test]
     fn io_node_sweep_runs_and_orders_points() {
-        let w = EscatConfig::tiny(EscatVersion::C).build();
-        let sweep = io_node_sweep(&w, &[2, 8, 4]);
+        let sweep = io_node_sweep(WorkloadId::EscatC, Scale::Smoke, &[2, 8, 4]);
         assert_eq!(sweep.points.len(), 3);
         assert_eq!(sweep.points[0].value, 2);
         assert_eq!(sweep.points[2].value, 8);
@@ -711,24 +762,25 @@ mod tests {
 
     #[test]
     fn more_io_nodes_never_hurt_a_staging_workload() {
-        let w = EscatConfig::tiny(EscatVersion::B).build();
-        let sweep = io_node_sweep(&w, &[1, 2, 4, 8, 16]);
+        let sweep = io_node_sweep(WorkloadId::EscatB, Scale::Smoke, &[1, 2, 4, 8, 16]);
         assert!(io_time_monotone_nonincreasing(&sweep), "{}", sweep.render());
         assert!(sweep.best_io_speedup() >= 1.0);
     }
 
     #[test]
     fn stripe_sweep_runs() {
-        let w = PrismConfig::tiny(PrismVersion::B).build();
-        let sweep = stripe_sweep(&w, &[16 << 10, 64 << 10, 256 << 10]);
+        let sweep = stripe_sweep(
+            WorkloadId::PrismB,
+            Scale::Smoke,
+            &[16 << 10, 64 << 10, 256 << 10],
+        );
         assert_eq!(sweep.points.len(), 3);
         assert!(sweep.points.iter().all(|p| p.io_time > Time::ZERO));
     }
 
     #[test]
     fn degraded_arrays_increase_io_time() {
-        let w = PrismConfig::tiny(PrismVersion::B).build();
-        let sweep = degraded_array_sweep(&w, &[0, 1, 2]);
+        let sweep = degraded_array_sweep(WorkloadId::PrismB, Scale::Smoke, &[0, 1, 2]);
         let healthy = sweep.points.first().expect("points").io_time;
         let worst = sweep.points.last().expect("points").io_time;
         assert!(worst > healthy, "{}", sweep.render());
@@ -738,8 +790,8 @@ mod tests {
 
     #[test]
     fn fault_intensity_zero_matches_healthy_and_inflation_accumulates() {
-        let w = PrismConfig::tiny(PrismVersion::B).build();
-        let sweep = fault_intensity_sweep(&w, &[0, 3, 8], 0xF417);
+        let sweep = fault_intensity_sweep(WorkloadId::PrismB, Scale::Smoke, &[0, 3, 8], 0xF417);
+        let w = WorkloadId::PrismB.build(Scale::Smoke);
         assert_eq!(sweep.points.len(), 3);
         let healthy = run(&w, PfsConfig::caltech(w.nodes, w.os), SimOptions::default()).unwrap();
         assert_eq!(
@@ -754,6 +806,61 @@ mod tests {
             "{}",
             sweep.render()
         );
+    }
+
+    /// Every value a sweep reads from the memo is the run it stands
+    /// for: a fresh `run` of the workload on `PfsConfig::caltech`. That
+    /// holds for the canonical point of each machine sweep, for the
+    /// fault-intensity horizon (the `faults=2` point is drawn over it)
+    /// and for the checkpoint sweeps' baseline, on a cold memo and
+    /// again on a warm one.
+    #[test]
+    fn memo_served_points_and_baselines_are_fresh_runs() {
+        use WorkloadId::{EscatB, PrismA, PrismB};
+        let fresh = |id: WorkloadId, faults: FaultSchedule| {
+            let w = id.build(Scale::Smoke);
+            let mut cfg = PfsConfig::caltech(w.nodes, w.os);
+            cfg.faults = faults;
+            run(&w, cfg, SimOptions::default()).expect("fresh run")
+        };
+        let clean = |id| fresh(id, FaultSchedule::empty());
+        let prism_a = clean(PrismA);
+        let prism_b = clean(PrismB);
+        let two_faults = FaultGen::new(0xF417, prism_a.exec_time, 16)
+            .with_events(2)
+            .schedule();
+        let expected = [
+            ("io_nodes=16", clean(EscatB)),
+            ("stripe=64K", clean(EscatB)),
+            ("8MB/s", clean(PrismA)),
+            ("degraded=0", clean(PrismA)),
+            ("faults=0", clean(PrismA)),
+            ("faults=2", fresh(PrismA, two_faults)),
+        ];
+        let smoke = Scale::Smoke;
+        crate::experiments::clear_run_caches();
+        for memo in ["cold", "warm"] {
+            let sweeps = [
+                io_node_sweep(EscatB, smoke, &[16]),
+                stripe_sweep(EscatB, smoke, &[64 << 10]),
+                disk_bandwidth_sweep(PrismA, smoke, &[8]),
+                degraded_array_sweep(PrismA, smoke, &[0]),
+                fault_intensity_sweep(PrismA, smoke, &[0, 2], 0xF417),
+            ];
+            let points: Vec<&SweepPoint> = sweeps.iter().flat_map(|s| &s.points).collect();
+            assert_eq!(points.len(), expected.len());
+            for (p, (label, r)) in points.iter().zip(&expected) {
+                assert_eq!(p.label, *label, "{memo} memo");
+                assert_eq!(
+                    (p.exec_time, p.io_time, p.events),
+                    (r.exec_time, r.total_io_time(), r.events),
+                    "{memo} memo: {label}"
+                );
+            }
+            let baseline = canonical_run(PrismB, smoke);
+            assert_eq!(baseline.exec_time, prism_b.exec_time, "{memo} memo");
+            assert_eq!(baseline.events, prism_b.events, "{memo} memo");
+        }
     }
 
     #[test]
@@ -867,7 +974,7 @@ mod tests {
     fn burst_buffer_flattens_the_checkpoint_u_curve() {
         let cfg = PrismConfig::tiny(PrismVersion::B);
         let intervals = [1, 2, 5, 10, 25];
-        let (crashes, _) = checkpoint_environment(&cfg, 0x0C7);
+        let (crashes, _) = checkpoint_environment(Scale::Smoke, 0x0C7);
         let plain = checkpoint_interval_sweep(&cfg, &intervals, &CheckpointTier::Pfs, &crashes);
         let clean = CheckpointTier::Burst(FaultSchedule::empty());
         let burst = checkpoint_interval_sweep(&cfg, &intervals, &clean, &crashes);
@@ -905,7 +1012,7 @@ mod tests {
     fn burst_faults_never_improve_the_flattened_u_curve() {
         let cfg = PrismConfig::tiny(PrismVersion::B);
         let intervals = [1, 5, 25];
-        let (crashes, burst_faults) = checkpoint_environment(&cfg, 0x0C7);
+        let (crashes, burst_faults) = checkpoint_environment(Scale::Smoke, 0x0C7);
         let sweep = |faults: &FaultSchedule| {
             let tier = CheckpointTier::Burst(faults.clone());
             checkpoint_interval_sweep(&cfg, &intervals, &tier, &crashes)
@@ -925,7 +1032,7 @@ mod tests {
             );
         }
         // Deterministic: same seed, same curve.
-        let again = sweep(&checkpoint_environment(&cfg, 0x0C7).1);
+        let again = sweep(&checkpoint_environment(Scale::Smoke, 0x0C7).1);
         for (a, b) in faulted.points.iter().zip(&again.points) {
             assert_eq!(a.exec_time, b.exec_time);
             assert_eq!(a.events, b.events);
@@ -936,7 +1043,7 @@ mod tests {
     fn seeded_checkpoint_interval_sweep_snaps_and_dedups_intervals() {
         let cfg = PrismConfig::tiny(PrismVersion::B);
         // 3 snaps to divisor 2, 4 to itself; 5 and 6 both snap to 5.
-        let (crashes, _) = checkpoint_environment(&cfg, 0x0C7);
+        let (crashes, _) = checkpoint_environment(Scale::Smoke, 0x0C7);
         let sweep = checkpoint_interval_sweep(&cfg, &[3, 4, 5, 6], &CheckpointTier::Pfs, &crashes);
         let values: Vec<u64> = sweep.points.iter().map(|p| p.value).collect();
         assert_eq!(values, vec![2, 4, 5]);
@@ -991,8 +1098,7 @@ mod tests {
 
     #[test]
     fn faster_disks_reduce_io_time() {
-        let w = PrismConfig::tiny(PrismVersion::A).build();
-        let sweep = disk_bandwidth_sweep(&w, &[2, 8, 32]);
+        let sweep = disk_bandwidth_sweep(WorkloadId::PrismA, Scale::Smoke, &[2, 8, 32]);
         let first = sweep.points.first().expect("points").io_time;
         let last = sweep.points.last().expect("points").io_time;
         assert!(last <= first, "{}", sweep.render());

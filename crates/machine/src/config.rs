@@ -10,7 +10,7 @@ use sioscope_sim::NodeId;
 /// The paper's platform is captured by [`MachineConfig::caltech_paragon`]:
 /// a 16×32 mesh (512 nodes), sixteen I/O nodes each with a 4.8 GB
 /// RAID-3 array, files striped in 64 KB units (the PFS default).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Mesh geometry and link timing.
     pub mesh: MeshParams,

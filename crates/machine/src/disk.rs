@@ -20,7 +20,7 @@
 use sioscope_sim::Time;
 
 /// Physical characteristics of one RAID-3 array.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiskParams {
     /// Fixed controller/command overhead per request.
     pub controller_overhead: Time,

@@ -9,7 +9,7 @@
 use sioscope_sim::Time;
 
 /// Mesh geometry and link timing parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeshParams {
     /// Mesh rows.
     pub rows: u32,

@@ -20,7 +20,7 @@
 use sioscope_sim::Time;
 
 /// Per-operation software costs of the PFS control and data paths.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PfsCosts {
     /// Serialized metadata service time for one `open` (the stripe
     /// directory update every open funnels through).

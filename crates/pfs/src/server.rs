@@ -33,7 +33,7 @@ use sioscope_sim::{
 };
 
 /// Full PFS configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PfsConfig {
     /// The machine the file system runs on.
     pub machine: MachineConfig,

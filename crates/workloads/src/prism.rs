@@ -223,6 +223,17 @@ impl PrismConfig {
         }
     }
 
+    /// The name of the workload [`PrismConfig::build`] gives
+    /// (`PRISM-B`).
+    pub fn name(&self) -> String {
+        format!("PRISM-{}", self.version.label())
+    }
+
+    /// The OS release every PRISM version ran under.
+    pub fn os(&self) -> OsRelease {
+        OsRelease::Osf13
+    }
+
     /// Number of checkpoints ("a total of five checkpoints" for the
     /// test problem).
     pub fn checkpoints(&self) -> u32 {
@@ -534,9 +545,9 @@ impl PrismConfig {
         }
 
         Workload {
-            name: format!("PRISM-{}", v.label()),
+            name: self.name(),
             version: v.label().to_string(),
-            os: OsRelease::Osf13,
+            os: self.os(),
             nodes: n,
             files,
             programs,

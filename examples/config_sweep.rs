@@ -7,25 +7,16 @@
 //! cargo run --release --example config_sweep
 //! ```
 
+use sioscope::canon::WorkloadId;
+use sioscope::experiments::Scale;
 use sioscope::sweeps::{disk_bandwidth_sweep, io_node_sweep, stripe_sweep};
-use sioscope_workloads::{EscatConfig, EscatVersion, PrismConfig, PrismVersion};
 
 fn main() {
-    let full = !matches!(std::env::var("SIOSCOPE_SCALE").as_deref(), Ok("smoke"));
-
-    let escat = if full {
-        EscatConfig::ethylene(EscatVersion::B).build()
-    } else {
-        EscatConfig::tiny(EscatVersion::B).build()
-    };
-    let prism = if full {
-        PrismConfig::test_problem(PrismVersion::A).build()
-    } else {
-        PrismConfig::tiny(PrismVersion::A).build()
-    };
+    let smoke = matches!(std::env::var("SIOSCOPE_SCALE").as_deref(), Ok("smoke"));
+    let scale = if smoke { Scale::Smoke } else { Scale::Full };
 
     println!("== I/O-node scaling (ESCAT B: the all-node staging workload) ==\n");
-    let sweep = io_node_sweep(&escat, &[2, 4, 8, 16, 32]);
+    let sweep = io_node_sweep(WorkloadId::EscatB, scale, &[2, 4, 8, 16, 32]);
     println!("{}", sweep.render());
     println!(
         "I/O-time speedup 2 -> best: {:.2}x\n",
@@ -34,7 +25,8 @@ fn main() {
 
     println!("== Stripe-unit sensitivity (ESCAT B tuned to 64 KB stripes) ==\n");
     let sweep = stripe_sweep(
-        &escat,
+        WorkloadId::EscatB,
+        scale,
         &[16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10],
     );
     println!("{}", sweep.render());
@@ -44,7 +36,7 @@ fn main() {
     );
 
     println!("== Disk-generation sweep (PRISM A: open/read-bound) ==\n");
-    let sweep = disk_bandwidth_sweep(&prism, &[2, 4, 8, 16, 32]);
+    let sweep = disk_bandwidth_sweep(WorkloadId::PrismA, scale, &[2, 4, 8, 16, 32]);
     println!("{}", sweep.render());
     println!(
         "Faster arrays barely help version A: its bottleneck is serialized\n\

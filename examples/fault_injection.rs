@@ -13,9 +13,9 @@
 //! SIOSCOPE_SCALE=smoke cargo run --example fault_injection
 //! ```
 
+use sioscope::canon::WorkloadId;
 use sioscope::experiments::{run_experiment, Experiment, Scale};
 use sioscope::sweeps::fault_intensity_sweep;
-use sioscope_workloads::{PrismConfig, PrismVersion};
 
 fn main() {
     let smoke = matches!(std::env::var("SIOSCOPE_SCALE").as_deref(), Ok("smoke"));
@@ -32,12 +32,7 @@ fn main() {
     }
 
     println!("== Fault-intensity sweep (PRISM B, seed-reproducible) ==\n");
-    let prism = if smoke {
-        PrismConfig::tiny(PrismVersion::B).build()
-    } else {
-        PrismConfig::test_problem(PrismVersion::B).build()
-    };
-    let sweep = fault_intensity_sweep(&prism, &[0, 1, 2, 4, 8], 0xF417);
+    let sweep = fault_intensity_sweep(WorkloadId::PrismB, scale, &[0, 1, 2, 4, 8], 0xF417);
     println!("{}", sweep.render());
     println!(
         "Schedules are nested by construction — intensity k is a prefix of\n\
