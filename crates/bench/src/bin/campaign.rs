@@ -124,7 +124,6 @@ fn real_main() -> Result<(), CliError> {
     let text =
         std::fs::read_to_string(&cli.spec_path).map_err(|e| CliError::io(&cli.spec_path, e))?;
     let spec = CampaignSpec::from_toml_str(&text).map_err(|e| CliError::BadArgs(e.to_string()))?;
-    sioscope_campaign::exec::validate_spec(&spec)?;
 
     match cli.command {
         Command::Plan => {
@@ -132,7 +131,7 @@ fn real_main() -> Result<(), CliError> {
             println!(
                 "campaign `{}` ({} scale): {} runs",
                 spec.name,
-                spec.scale,
+                sioscope::canon::scale_id(spec.scale),
                 runs.len()
             );
             for run in &runs {

@@ -26,12 +26,10 @@
 //! arguments, `3` an I/O failure (the failing path is printed), `4`
 //! artifacts ran but shape checks disagreed with the paper.
 
-use sioscope::experiments::{run_experiment, Experiment};
+use sioscope::experiments::{run_experiment, Experiment, Scale};
 use sioscope::report;
 use sioscope::sweeps::{run_sweep, SweepId};
-use sioscope_bench::{
-    artifact_resumable, scale_from_env, try_experiments_from_args, try_sweeps_from_args,
-};
+use sioscope_bench::{artifact_resumable, try_experiments_from_args, try_sweeps_from_args};
 use sioscope_campaign::json::Json;
 use sioscope_campaign::{exit_with, write_atomic, CliError};
 use std::path::PathBuf;
@@ -105,7 +103,7 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
 fn real_main() -> Result<(), CliError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = parse(&args)?;
-    let scale = scale_from_env();
+    let scale = Scale::from_env();
     if let Some(dir) = &cli.out {
         std::fs::create_dir_all(dir).map_err(|e| CliError::io(dir, e))?;
     }

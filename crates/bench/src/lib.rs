@@ -11,7 +11,7 @@
 //!
 //! This crate holds the command-line helpers they share.
 
-use sioscope::experiments::{Experiment, Scale};
+use sioscope::experiments::Experiment;
 use sioscope::sweeps::SweepId;
 use sioscope_campaign::CliError;
 use sioscope_faults::{FaultKind, FaultSchedule, Tier};
@@ -149,15 +149,6 @@ pub fn artifact_resumable(path: &Path) -> bool {
         return sioscope_campaign::json::Json::parse(&contents).is_ok();
     }
     true
-}
-
-/// Resolve the scale requested via the `SIOSCOPE_SCALE` environment
-/// variable (`full` default, `smoke` for quick runs).
-pub fn scale_from_env() -> Scale {
-    match std::env::var("SIOSCOPE_SCALE").as_deref() {
-        Ok("smoke") | Ok("SMOKE") => Scale::Smoke,
-        _ => Scale::Full,
-    }
 }
 
 /// Parse experiment filters from CLI arguments; empty = all.

@@ -15,9 +15,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::time::Instant;
 
-use sioscope::canon::{self, BackendKind, PolicyId, WorkloadId};
-use sioscope::experiments::{run_experiment, Experiment};
-use sioscope::sweeps::{run_sweep, SweepId};
+use sioscope::canon;
 use sioscope_sim::par;
 
 use crate::cache::{self, CacheEntry};
@@ -48,58 +46,12 @@ impl Default for ExecOptions {
     }
 }
 
-/// Check that every id the spec names resolves in the registries the
-/// executor will use. A spec parsed from TOML has already had its
-/// workload, backend, policy and scale ids checked against the same
-/// registries; this also covers a hand-built [`CampaignSpec`], and is
-/// the only validation experiment/sweep ids get. Failures map to
-/// exit 2.
-pub fn validate_spec(spec: &CampaignSpec) -> Result<(), CliError> {
-    let bad = |what: &str, id: &str, known: String| {
-        CliError::BadArgs(format!("unknown {what} id `{id}` (known: {known})"))
-    };
-    canon::scale_from_id(&spec.scale)
-        .ok_or_else(|| bad("scale", &spec.scale, "smoke, full".to_string()))?;
-    for id in &spec.workload_ids {
-        WorkloadId::from_id(id).ok_or_else(|| {
-            let known: Vec<&str> = WorkloadId::all().iter().map(|w| w.id()).collect();
-            bad("workload", id, known.join(", "))
-        })?;
-    }
-    for id in &spec.backends {
-        BackendKind::from_id(id).ok_or_else(|| {
-            let known: Vec<&str> = BackendKind::all().iter().map(|b| b.id()).collect();
-            bad("backend", id, known.join(", "))
-        })?;
-    }
-    for id in &spec.policies {
-        PolicyId::from_id(id).ok_or_else(|| {
-            let known: Vec<&str> = PolicyId::all().iter().map(|p| p.id()).collect();
-            bad("policy", id, known.join(", "))
-        })?;
-    }
-    for id in &spec.experiments {
-        Experiment::from_id(id).ok_or_else(|| {
-            let known: Vec<&str> = Experiment::all().iter().map(|e| e.id()).collect();
-            bad("experiment", id, known.join(", "))
-        })?;
-    }
-    for id in &spec.sweeps {
-        SweepId::from_id(id).ok_or_else(|| {
-            let known: Vec<&str> = SweepId::all().iter().map(|s| s.id()).collect();
-            bad("sweep", id, known.join(", "))
-        })?;
-    }
-    Ok(())
-}
-
 /// Run the whole campaign and aggregate the report. Cached results
 /// are reused (unless `no_cache`), fresh results are computed on up to
 /// `opts.jobs` threads and persisted under their content address —
 /// including failures, so a red run doesn't get recomputed on every
 /// resume.
 pub fn run_campaign(spec: &CampaignSpec, opts: &ExecOptions) -> Result<CampaignReport, CliError> {
-    validate_spec(spec)?;
     let runs = spec.expand();
     let looked_up: Vec<Lookup> = runs.iter().map(|run| lookup(run, opts)).collect();
     let misses: Vec<(&RunSpec, &Lookup)> = runs
@@ -117,7 +69,7 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &ExecOptions) -> Result<CampaignR
         .zip(looked_up)
         .map(|(run, l)| match l.entry {
             Some(entry) => Ok(RunReport {
-                spec: run.clone(),
+                spec: *run,
                 hash: l.hash,
                 entry,
                 cache_hit: true,
@@ -128,7 +80,7 @@ pub fn run_campaign(spec: &CampaignSpec, opts: &ExecOptions) -> Result<CampaignR
         .collect::<Result<Vec<_>, _>>()?;
     Ok(CampaignReport {
         name: spec.name.clone(),
-        scale: spec.scale.clone(),
+        scale: canon::scale_id(spec.scale).to_string(),
         runs: reports,
     })
 }
@@ -155,7 +107,7 @@ fn lookup(run: &RunSpec, opts: &ExecOptions) -> Lookup {
 /// Execute one cache miss and persist its entry (unless `no_cache`).
 fn execute_one(run: &RunSpec, l: &Lookup, opts: &ExecOptions) -> Result<RunReport, CliError> {
     let started = Instant::now();
-    let (status, metrics) = match catch_unwind(AssertUnwindSafe(|| run_resolved(run))) {
+    let (status, metrics) = match catch_unwind(AssertUnwindSafe(|| canon::execute(run))) {
         Ok(Ok((status, metrics))) => (status, metrics),
         Ok(Err(reason)) => (format!("failed: {reason}"), BTreeMap::new()),
         Err(payload) => {
@@ -178,7 +130,7 @@ fn execute_one(run: &RunSpec, l: &Lookup, opts: &ExecOptions) -> Result<RunRepor
         cache::store(&opts.cache_dir, &entry)?;
     }
     Ok(RunReport {
-        spec: run.clone(),
+        spec: *run,
         hash: l.hash.clone(),
         entry,
         cache_hit: false,
@@ -186,116 +138,11 @@ fn execute_one(run: &RunSpec, l: &Lookup, opts: &ExecOptions) -> Result<RunRepor
     })
 }
 
-/// Round a nonnegative float into fixed-point thousandths — the only
-/// place a float from the analysis layer crosses into campaign
-/// metrics.
-fn milli(x: f64) -> u64 {
-    (x.max(0.0) * 1_000.0).round() as u64
-}
-
-/// A deterministic 64-bit fingerprint of a rendered artifact, so the
-/// campaign report can assert "the rendering did not change" without
-/// embedding kilobytes of ASCII tables.
-fn render_fingerprint(rendered: &str) -> u64 {
-    use std::hash::Hasher as _;
-    let mut hasher = sioscope_sim::hash::FxHasher::default();
-    hasher.write(rendered.as_bytes());
-    hasher.finish()
-}
-
-/// Execute one resolved run and reduce it to (status, integer
-/// metrics). `Err` is an execution failure; `Ok` with a non-`"ok"`
-/// status is a run that completed but disagreed with the paper.
-fn run_resolved(run: &RunSpec) -> Result<(String, BTreeMap<String, u64>), String> {
-    match run {
-        RunSpec::Workload {
-            id,
-            backend,
-            scale,
-            fault_events,
-            seed,
-        } => {
-            let id = WorkloadId::from_id(id).ok_or_else(|| format!("unknown workload `{id}`"))?;
-            let backend = BackendKind::from_id(backend)
-                .ok_or_else(|| format!("unknown backend `{backend}`"))?;
-            let scale = resolve_scale(scale)?;
-            let metrics = canon::workload_run(id, scale, backend, *fault_events, *seed)?;
-            Ok(("ok".to_string(), metrics))
-        }
-        RunSpec::Contention {
-            policy,
-            scale,
-            load_pct,
-            seed,
-        } => {
-            let policy =
-                PolicyId::from_id(policy).ok_or_else(|| format!("unknown policy `{policy}`"))?;
-            let scale = resolve_scale(scale)?;
-            let metrics = canon::contention_run(policy, scale, *load_pct, *seed)?;
-            Ok(("ok".to_string(), metrics))
-        }
-        RunSpec::Experiment { id, scale } => {
-            let experiment =
-                Experiment::from_id(id).ok_or_else(|| format!("unknown experiment `{id}`"))?;
-            let scale = resolve_scale(scale)?;
-            let out = run_experiment(experiment, scale);
-            let failed = out.failures().len();
-            let metrics = BTreeMap::from([
-                ("checks_total".to_string(), out.checks.len() as u64),
-                ("checks_failed".to_string(), failed as u64),
-                ("rendered_bytes".to_string(), out.rendered.len() as u64),
-                ("rendered_fx".to_string(), render_fingerprint(&out.rendered)),
-            ]);
-            let status = if failed == 0 {
-                "ok".to_string()
-            } else {
-                format!("failed: {failed} shape check(s) disagree with the paper")
-            };
-            Ok((status, metrics))
-        }
-        RunSpec::Stream {
-            depth_kib,
-            consumer_pct,
-            scale,
-            seed,
-        } => {
-            let scale = resolve_scale(scale)?;
-            let metrics = canon::stream_run(*depth_kib, *consumer_pct, *seed, scale)?;
-            Ok(("ok".to_string(), metrics))
-        }
-        RunSpec::Sweep { id, scale } => {
-            let sweep_id = SweepId::from_id(id).ok_or_else(|| format!("unknown sweep `{id}`"))?;
-            let scale = resolve_scale(scale)?;
-            let sweep = run_sweep(sweep_id, scale);
-            let total_events: u64 = sweep.points.iter().map(|p| p.events).sum();
-            let total_io_ns: u64 = sweep.points.iter().map(|p| p.io_time.as_nanos()).sum();
-            let total_exec_ns: u64 = sweep.points.iter().map(|p| p.exec_time.as_nanos()).sum();
-            let metrics = BTreeMap::from([
-                ("points".to_string(), sweep.points.len() as u64),
-                ("total_events".to_string(), total_events),
-                ("total_io_time_ns".to_string(), total_io_ns),
-                ("total_exec_time_ns".to_string(), total_exec_ns),
-                (
-                    "best_io_speedup_milli".to_string(),
-                    milli(sweep.best_io_speedup()),
-                ),
-                (
-                    "rendered_fx".to_string(),
-                    render_fingerprint(&sweep.render()),
-                ),
-            ]);
-            Ok(("ok".to_string(), metrics))
-        }
-    }
-}
-
-fn resolve_scale(scale: &str) -> Result<sioscope::experiments::Scale, String> {
-    canon::scale_from_id(scale).ok_or_else(|| format!("unknown scale `{scale}`"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sioscope::canon::{BackendKind, PolicyId, WorkloadId};
+    use sioscope::experiments::Scale;
 
     fn tmp_cache(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -351,28 +198,13 @@ mod tests {
     }
 
     #[test]
-    fn unknown_registry_ids_fail_validation_with_exit_2() {
-        let spec = CampaignSpec::from_toml_str(concat!(
-            "[campaign]\n",
-            "name = \"bad\"\n",
-            "scale = \"smoke\"\n",
-            "[registry]\n",
-            "experiments = [\"escat-fig99\"]\n",
-        ))
-        .unwrap();
-        let err = run_campaign(&spec, &ExecOptions::default()).unwrap_err();
-        assert_eq!(err.exit_code(), 2);
-        assert!(err.to_string().contains("escat-fig99"));
-    }
-
-    #[test]
     fn a_panicking_run_is_isolated_and_reported() {
-        // An unknown id smuggled past validation (hand-built RunSpec)
-        // must produce a failed entry, not a crashed campaign.
+        // A run that fails must produce a failed entry, not a crashed
+        // campaign.
         let run = RunSpec::Workload {
-            id: "escat-b".into(),
-            backend: "pfs".into(),
-            scale: "smoke".into(),
+            id: WorkloadId::EscatB,
+            backend: BackendKind::Pfs,
+            scale: Scale::Smoke,
             fault_events: 0,
             seed: 0,
         };
@@ -384,11 +216,13 @@ mod tests {
         };
         let report = execute_one(&run, &lookup(&run, &opts), &opts).unwrap();
         assert!(report.entry.is_ok());
-        let bogus = RunSpec::Sweep {
-            id: "io_nodes".into(),
-            scale: "bogus-scale".into(),
+        let idle = RunSpec::Contention {
+            policy: PolicyId::Fcfs,
+            scale: Scale::Smoke,
+            load_pct: 0,
+            seed: 0,
         };
-        let report = execute_one(&bogus, &lookup(&bogus, &opts), &opts).unwrap();
-        assert!(report.entry.status.starts_with("failed: unknown scale"));
+        let report = execute_one(&idle, &lookup(&idle, &opts), &opts).unwrap();
+        assert_eq!(report.entry.status, "failed: load_pct must be >= 1");
     }
 }

@@ -152,12 +152,14 @@ impl CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sioscope::canon::{BackendKind, WorkloadId};
+    use sioscope::experiments::Scale;
 
     fn run(seed: u64, status: &str, hit: bool, wall_ns: u64) -> RunReport {
         let spec = RunSpec::Workload {
-            id: "escat-b".into(),
-            backend: "pfs".into(),
-            scale: "smoke".into(),
+            id: WorkloadId::EscatB,
+            backend: BackendKind::Pfs,
+            scale: Scale::Smoke,
             fault_events: 0,
             seed,
         };

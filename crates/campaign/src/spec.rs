@@ -8,16 +8,20 @@
 //! a single line ([`RunSpec::canon`]) that the content address is
 //! computed over.
 //!
-//! Everything here is resolved *values*, never source text: two specs
-//! that differ only in TOML key order, comments, whitespace, or
-//! integer spelling (`0x10` vs `16`) expand to identical run lists
-//! and therefore identical content addresses.
+//! Everything here is resolved *values*, never source text: every id
+//! is resolved against its registry once, at parse, so an unknown id
+//! of any kind is a [`SpecError`]. Two specs that differ only in TOML
+//! key order, comments, whitespace, or integer spelling (`0x10` vs
+//! `16`) expand to identical run lists and therefore identical content
+//! addresses.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
+pub use sioscope::canon::RunSpec;
 use sioscope::canon::{self, BackendKind, PolicyId, WorkloadId};
-use sioscope::experiments::Scale;
+use sioscope::experiments::{Experiment, Scale};
+use sioscope::sweeps::SweepId;
 
 use crate::minitoml::{self, TomlTable, TomlValue};
 
@@ -38,161 +42,32 @@ fn err(msg: impl Into<String>) -> SpecError {
     SpecError(msg.into())
 }
 
-/// One resolved run — a pure function of these fields and nothing
-/// else. Ordering is the deterministic campaign order: all workload
-/// runs, then contention runs, then experiments, then sweeps, each
-/// block in the derived `Ord`.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub enum RunSpec {
-    /// Simulate one workload end-to-end under a fault schedule, on
-    /// one storage tier.
-    Workload {
-        /// Workload id from the [`WorkloadId`] registry.
-        id: String,
-        /// Storage backend id from the [`BackendKind`] registry.
-        backend: String,
-        /// Scale id (`smoke` or `full`).
-        scale: String,
-        /// Number of injected fault events.
-        fault_events: u32,
-        /// RNG seed for the fault schedule.
-        seed: u64,
-    },
-    /// Schedule a contended job stream under one policy.
-    Contention {
-        /// Policy id from the [`PolicyId`] registry.
-        policy: String,
-        /// Scale id (`smoke` or `full`).
-        scale: String,
-        /// Load factor in percent (100 = the baseline stream).
-        load_pct: u32,
-        /// RNG seed for the job stream.
-        seed: u64,
-    },
-    /// Run one registered experiment and its checks.
-    Experiment {
-        /// Experiment id from the `sioscope` registry.
-        id: String,
-        /// Scale id (`smoke` or `full`).
-        scale: String,
-    },
-    /// Run one registered parameter sweep.
-    Sweep {
-        /// Sweep id from the `sioscope` registry.
-        id: String,
-        /// Scale id (`smoke` or `full`).
-        scale: String,
-    },
-    /// Run the coupled streaming pipeline over a bounded staging
-    /// queue. Declared last so the derived `Ord` keeps stream runs at
-    /// the end of the deterministic campaign order.
-    Stream {
-        /// Staging queue depth in KiB (`0` = unbounded).
-        depth_kib: u32,
-        /// Consumer analysis speed in percent (100 = reference).
-        consumer_pct: u32,
-        /// Scale id (`smoke` or `full`).
-        scale: String,
-        /// RNG seed folded into the producer's cadence.
-        seed: u64,
-    },
-}
-
-impl RunSpec {
-    /// The canonical serialization the content address is computed
-    /// over: one line, fixed field order, per-kind schema tag. This is
-    /// the *only* input to [`crate::config_hash`] — nothing about
-    /// source formatting, spec file layout, or execution environment
-    /// reaches it. Workload lines are `v=2` (the backend axis was
-    /// added to the schema); the other kinds remain `v=1`.
-    pub fn canon(&self) -> String {
-        match self {
-            RunSpec::Workload {
-                id,
-                backend,
-                scale,
-                fault_events,
-                seed,
-            } => {
-                format!("v=2;kind=workload;id={id};backend={backend};scale={scale};faults={fault_events};seed={seed}")
-            }
-            RunSpec::Contention {
-                policy,
-                scale,
-                load_pct,
-                seed,
-            } => format!(
-                "v=1;kind=contention;policy={policy};scale={scale};load={load_pct};seed={seed}"
-            ),
-            RunSpec::Experiment { id, scale } => {
-                format!("v=1;kind=experiment;id={id};scale={scale}")
-            }
-            RunSpec::Sweep { id, scale } => format!("v=1;kind=sweep;id={id};scale={scale}"),
-            RunSpec::Stream {
-                depth_kib,
-                consumer_pct,
-                scale,
-                seed,
-            } => format!(
-                "v=1;kind=stream;depth={depth_kib};consumer={consumer_pct};scale={scale};seed={seed}"
-            ),
-        }
-    }
-
-    /// A short human label for progress lines and reports.
-    pub fn label(&self) -> String {
-        match self {
-            RunSpec::Workload {
-                id,
-                backend,
-                fault_events,
-                seed,
-                ..
-            } => format!("workload {id} backend={backend} faults={fault_events} seed={seed}"),
-            RunSpec::Contention {
-                policy,
-                load_pct,
-                seed,
-                ..
-            } => format!("contention {policy} load={load_pct}% seed={seed}"),
-            RunSpec::Experiment { id, .. } => format!("experiment {id}"),
-            RunSpec::Sweep { id, .. } => format!("sweep {id}"),
-            RunSpec::Stream {
-                depth_kib,
-                consumer_pct,
-                seed,
-                ..
-            } => format!("stream depth={depth_kib}K consumer={consumer_pct}% seed={seed}"),
-        }
-    }
-}
-
 /// A parsed, validated campaign: the matrices, not yet the runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
     /// Campaign name (lowercase alphanumerics, `-`, `_`).
     pub name: String,
-    /// Scale id applied to every run.
-    pub scale: String,
-    /// Workload matrix ids (validated against [`WorkloadId`]).
-    pub workload_ids: Vec<String>,
-    /// Storage tiers crossed with every workload (validated against
-    /// [`BackendKind`]; defaults to just `pfs`).
-    pub backends: Vec<String>,
+    /// Scale applied to every run.
+    pub scale: Scale,
+    /// Workload matrix.
+    pub workload_ids: Vec<WorkloadId>,
+    /// Storage tiers crossed with every workload (defaults to just
+    /// `pfs`).
+    pub backends: Vec<BackendKind>,
     /// Fault-event counts crossed with every workload.
     pub fault_events: Vec<u32>,
     /// Seeds crossed with every workload.
     pub workload_seeds: Vec<u64>,
-    /// Contention policy ids (validated against [`PolicyId`]).
-    pub policies: Vec<String>,
+    /// Contention policies.
+    pub policies: Vec<PolicyId>,
     /// Load factors in percent crossed with every policy.
     pub load_pcts: Vec<u32>,
     /// Seeds crossed with every policy × load.
     pub contention_seeds: Vec<u64>,
-    /// Registry experiment ids (resolved by the executor).
-    pub experiments: Vec<String>,
-    /// Registry sweep ids (resolved by the executor).
-    pub sweeps: Vec<String>,
+    /// Registry experiments.
+    pub experiments: Vec<Experiment>,
+    /// Registry sweeps.
+    pub sweeps: Vec<SweepId>,
     /// Staging queue depths in KiB crossed with every consumer speed
     /// (`0` = unbounded).
     pub stream_depths_kib: Vec<u32>,
@@ -234,11 +109,11 @@ impl CampaignSpec {
                 "campaign.name `{name}` must be non-empty lowercase alphanumerics, `-` or `_`"
             )));
         }
-        let scale = require_str(campaign, "campaign", "scale")?;
-        validate_id(
+        let scale = resolve(
             "campaign.scale",
-            &scale,
-            &[Scale::Smoke, Scale::Full].map(canon::scale_id),
+            &require_str(campaign, "campaign", "scale")?,
+            &[Scale::Smoke, Scale::Full],
+            canon::scale_id,
         )?;
 
         let mut spec = CampaignSpec {
@@ -264,20 +139,16 @@ impl CampaignSpec {
                 "workloads",
                 &["ids", "backends", "fault_events", "seeds"],
             )?;
-            spec.workload_ids = str_array(w, "workloads", "ids")?
+            spec.workload_ids = id_array(w, "workloads", "ids", WorkloadId::all(), WorkloadId::id)?
                 .ok_or_else(|| err("workloads table present but `ids` missing"))?;
-            for id in &spec.workload_ids {
-                validate_id("workloads.ids", id, &ids(WorkloadId::all(), WorkloadId::id))?;
-            }
-            spec.backends =
-                str_array(w, "workloads", "backends")?.unwrap_or_else(|| vec!["pfs".to_string()]);
-            for id in &spec.backends {
-                validate_id(
-                    "workloads.backends",
-                    id,
-                    &ids(BackendKind::all(), BackendKind::id),
-                )?;
-            }
+            spec.backends = id_array(
+                w,
+                "workloads",
+                "backends",
+                BackendKind::all(),
+                BackendKind::id,
+            )?
+            .unwrap_or_else(|| vec![BackendKind::Pfs]);
             spec.fault_events =
                 u32_array(w, "workloads", "fault_events", 64)?.unwrap_or_else(|| vec![0]);
             spec.workload_seeds = u64_array(w, "workloads", "seeds")?.unwrap_or_else(|| vec![0]);
@@ -285,15 +156,9 @@ impl CampaignSpec {
 
         if let Some(c) = doc.table("contention") {
             reject_unknown(c, "contention", &["policies", "load_pcts", "seeds"])?;
-            spec.policies = str_array(c, "contention", "policies")?
-                .ok_or_else(|| err("contention table present but `policies` missing"))?;
-            for id in &spec.policies {
-                validate_id(
-                    "contention.policies",
-                    id,
-                    &ids(PolicyId::all(), PolicyId::id),
-                )?;
-            }
+            spec.policies =
+                id_array(c, "contention", "policies", PolicyId::all(), PolicyId::id)?
+                    .ok_or_else(|| err("contention table present but `policies` missing"))?;
             spec.load_pcts =
                 u32_array(c, "contention", "load_pcts", 400)?.unwrap_or_else(|| vec![100]);
             for pct in &spec.load_pcts {
@@ -306,8 +171,16 @@ impl CampaignSpec {
 
         if let Some(r) = doc.table("registry") {
             reject_unknown(r, "registry", &["experiments", "sweeps"])?;
-            spec.experiments = str_array(r, "registry", "experiments")?.unwrap_or_default();
-            spec.sweeps = str_array(r, "registry", "sweeps")?.unwrap_or_default();
+            spec.experiments = id_array(
+                r,
+                "registry",
+                "experiments",
+                Experiment::all(),
+                Experiment::id,
+            )?
+            .unwrap_or_default();
+            spec.sweeps =
+                id_array(r, "registry", "sweeps", SweepId::all(), SweepId::id)?.unwrap_or_default();
         }
 
         if let Some(s) = doc.table("streams") {
@@ -349,16 +222,17 @@ impl CampaignSpec {
                 runs.push(run);
             }
         };
-        for id in &self.workload_ids {
-            for backend in &self.backends {
+        let scale = self.scale;
+        for &id in &self.workload_ids {
+            for &backend in &self.backends {
                 for &fault_events in &self.fault_events {
                     for &seed in &self.workload_seeds {
                         push(
                             &mut runs,
                             RunSpec::Workload {
-                                id: id.clone(),
-                                backend: backend.clone(),
-                                scale: self.scale.clone(),
+                                id,
+                                backend,
+                                scale,
                                 fault_events,
                                 seed,
                             },
@@ -367,14 +241,14 @@ impl CampaignSpec {
                 }
             }
         }
-        for policy in &self.policies {
+        for &policy in &self.policies {
             for &load_pct in &self.load_pcts {
                 for &seed in &self.contention_seeds {
                     push(
                         &mut runs,
                         RunSpec::Contention {
-                            policy: policy.clone(),
-                            scale: self.scale.clone(),
+                            policy,
+                            scale,
                             load_pct,
                             seed,
                         },
@@ -382,23 +256,11 @@ impl CampaignSpec {
                 }
             }
         }
-        for id in &self.experiments {
-            push(
-                &mut runs,
-                RunSpec::Experiment {
-                    id: id.clone(),
-                    scale: self.scale.clone(),
-                },
-            );
+        for &id in &self.experiments {
+            push(&mut runs, RunSpec::Experiment { id, scale });
         }
-        for id in &self.sweeps {
-            push(
-                &mut runs,
-                RunSpec::Sweep {
-                    id: id.clone(),
-                    scale: self.scale.clone(),
-                },
-            );
+        for &id in &self.sweeps {
+            push(&mut runs, RunSpec::Sweep { id, scale });
         }
         for &depth_kib in &self.stream_depths_kib {
             for &consumer_pct in &self.stream_consumer_pcts {
@@ -408,7 +270,7 @@ impl CampaignSpec {
                         RunSpec::Stream {
                             depth_kib,
                             consumer_pct,
-                            scale: self.scale.clone(),
+                            scale,
                             seed,
                         },
                     );
@@ -419,20 +281,43 @@ impl CampaignSpec {
     }
 }
 
-/// The stable ids of a registry, in registry order.
-fn ids<T>(all: Vec<T>, id: fn(T) -> &'static str) -> Vec<&'static str> {
-    all.into_iter().map(id).collect()
+/// The member of registry `all` whose stable id is `id`, or an error
+/// naming `field`, the id and every valid id in registry order.
+fn resolve<T: Copy>(
+    field: &str,
+    id: &str,
+    all: &[T],
+    id_of: fn(T) -> &'static str,
+) -> Result<T, SpecError> {
+    all.iter()
+        .copied()
+        .find(|&t| id_of(t) == id)
+        .ok_or_else(|| {
+            let valid: Vec<&str> = all.iter().copied().map(id_of).collect();
+            err(format!(
+                "{field}: unknown id `{id}` (expected one of: {})",
+                valid.join(", ")
+            ))
+        })
 }
 
-fn validate_id(field: &str, id: &str, allowed: &[&str]) -> Result<(), SpecError> {
-    if allowed.contains(&id) {
-        Ok(())
-    } else {
-        Err(err(format!(
-            "{field}: unknown id `{id}` (expected one of: {})",
-            allowed.join(", ")
-        )))
-    }
+/// `tname.key` as a string array, each entry resolved in registry
+/// `all`; `None` when the key is absent.
+fn id_array<T: Copy>(
+    table: &TomlTable,
+    tname: &str,
+    key: &str,
+    all: Vec<T>,
+    id_of: fn(T) -> &'static str,
+) -> Result<Option<Vec<T>>, SpecError> {
+    let Some(ids) = str_array(table, tname, key)? else {
+        return Ok(None);
+    };
+    let field = format!("{tname}.{key}");
+    ids.iter()
+        .map(|id| resolve(&field, id, &all, id_of))
+        .collect::<Result<_, _>>()
+        .map(Some)
 }
 
 fn reject_unknown(table: &TomlTable, name: &str, allowed: &[&str]) -> Result<(), SpecError> {
@@ -547,8 +432,8 @@ mod tests {
         "policies = [\"fcfs\", \"easy-backfill\"]\n",
         "load_pcts = [100, 150]\n",
         "[registry]\n",
-        "experiments = [\"fig3-escat-b\"]\n",
-        "sweeps = [\"stripe-width\"]\n",
+        "experiments = [\"escat-fig3\"]\n",
+        "sweeps = [\"stripe_unit\"]\n",
     );
 
     #[test]
@@ -567,11 +452,11 @@ mod tests {
         );
         assert_eq!(
             runs[12].canon(),
-            "v=1;kind=experiment;id=fig3-escat-b;scale=smoke"
+            "v=1;kind=experiment;id=escat-fig3;scale=smoke"
         );
         assert_eq!(
             runs[13].canon(),
-            "v=1;kind=sweep;id=stripe-width;scale=smoke"
+            "v=1;kind=sweep;id=stripe_unit;scale=smoke"
         );
         // Every canon line is unique by construction.
         let canons: BTreeSet<String> = runs.iter().map(|r| r.canon()).collect();
@@ -582,8 +467,8 @@ mod tests {
     fn expansion_is_toml_key_order_independent() {
         let reordered = concat!(
             "[registry]\n",
-            "sweeps = [\"stripe-width\"]\n",
-            "experiments = [\"fig3-escat-b\"]\n",
+            "sweeps = [\"stripe_unit\"]\n",
+            "experiments = [\"escat-fig3\"]\n",
             "[contention]\n",
             "load_pcts = [100, 150]\n",
             "policies = [\"fcfs\", \"easy-backfill\"]\n",
@@ -627,7 +512,7 @@ mod tests {
             "policies = [\"fcfs\"]\n",
         ))
         .unwrap();
-        assert_eq!(spec.backends, vec!["pfs"]);
+        assert_eq!(spec.backends, vec![BackendKind::Pfs]);
         assert_eq!(spec.fault_events, vec![0]);
         assert_eq!(spec.workload_seeds, vec![0]);
         assert_eq!(spec.load_pcts, vec![100]);
@@ -707,10 +592,6 @@ mod tests {
         let canons: BTreeSet<String> = runs.iter().map(|r| r.canon()).collect();
         assert_eq!(canons.len(), runs.len());
         assert!(runs[1].label().contains("depth=16K"));
-        // Sorted order keeps streams behind every other kind.
-        let mut sorted = runs.clone();
-        sorted.sort();
-        assert!(matches!(sorted[0], RunSpec::Experiment { .. }));
 
         // Stream-only campaigns declare runs.
         let only = CampaignSpec::from_toml_str(concat!(
@@ -811,6 +692,62 @@ mod tests {
             spec("huge", "[workloads]\nids = [\"escat-b\"]\n"),
             "campaign.scale: unknown id `huge` (expected one of: smoke, full)"
         );
+        assert_eq!(
+            spec("smoke", "[registry]\nexperiments = [\"escat-fig99\"]\n"),
+            "registry.experiments: unknown id `escat-fig99` (expected one of: escat-table1, \
+             escat-fig1, escat-table2, escat-fig2, escat-fig3, escat-fig4, escat-fig5, \
+             escat-table3, prism-table4, prism-fig6, prism-table5, prism-fig7, prism-fig8, \
+             prism-fig9, ablation-aggregation, ablation-prefetch, ablation-writebehind, \
+             ablation-caching, ablation-adaptive, ablation-no-restructuring, \
+             section6-comparison, resilience-escat, resilience-prism, recovery-escat, \
+             recovery-prism, contention-mix, backfill-vs-fcfs, backend-escat, backend-prism, \
+             faulty-object, faulty-burst, stream-prism, stream-vs-file)"
+        );
+        assert_eq!(
+            spec("smoke", "[registry]\nsweeps = [\"stripe-width\"]\n"),
+            "registry.sweeps: unknown id `stripe-width` (expected one of: io_nodes, \
+             stripe_unit, disk_bandwidth, degraded_arrays, fault_intensity, mtbf, \
+             checkpoint_interval, checkpoint_interval_burst, checkpoint_interval_burst_crash, \
+             load_factor, staging_depth)"
+        );
+    }
+
+    #[test]
+    fn every_registry_id_parses_and_expands() {
+        fn quoted<T>(all: Vec<T>, id: fn(T) -> &'static str) -> String {
+            let ids: Vec<String> = all.into_iter().map(|t| format!("\"{}\"", id(t))).collect();
+            ids.join(", ")
+        }
+        let spec = CampaignSpec::from_toml_str(&format!(
+            "[campaign]\nname = \"all\"\nscale = \"smoke\"\n\
+             [workloads]\nids = [{}]\nbackends = [{}]\n\
+             [contention]\npolicies = [{}]\n\
+             [registry]\nexperiments = [{}]\nsweeps = [{}]\n",
+            quoted(WorkloadId::all(), WorkloadId::id),
+            quoted(BackendKind::all(), BackendKind::id),
+            quoted(PolicyId::all(), PolicyId::id),
+            quoted(Experiment::all(), Experiment::id),
+            quoted(SweepId::all(), SweepId::id),
+        ))
+        .unwrap();
+        assert_eq!(spec.workload_ids, WorkloadId::all());
+        assert_eq!(spec.backends, BackendKind::all());
+        assert_eq!(spec.policies, PolicyId::all());
+        let runs = spec.expand();
+        for id in Experiment::all() {
+            let n = runs
+                .iter()
+                .filter(|r| matches!(r, RunSpec::Experiment { id: e, .. } if *e == id))
+                .count();
+            assert_eq!(n, 1, "{id}");
+        }
+        for id in SweepId::all() {
+            let n = runs
+                .iter()
+                .filter(|r| matches!(r, RunSpec::Sweep { id: s, .. } if *s == id))
+                .count();
+            assert_eq!(n, 1, "{}", id.id());
+        }
     }
 
     #[test]
@@ -842,8 +779,8 @@ mod tests {
     #[test]
     fn canon_lines_have_fixed_field_order() {
         let run = RunSpec::Contention {
-            policy: "fcfs".into(),
-            scale: "smoke".into(),
+            policy: PolicyId::Fcfs,
+            scale: Scale::Smoke,
             load_pct: 125,
             seed: 3,
         };

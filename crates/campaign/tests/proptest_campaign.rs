@@ -36,12 +36,14 @@ fn backend_ids() -> Vec<&'static str> {
 fn policy_ids() -> Vec<&'static str> {
     PolicyId::all().into_iter().map(PolicyId::id).collect()
 }
+/// Every scale, in the order its ids are listed.
+const SCALES: [Scale; 2] = [Scale::Smoke, Scale::Full];
 fn scale_ids() -> [&'static str; 2] {
-    [Scale::Smoke, Scale::Full].map(canon::scale_id)
+    SCALES.map(canon::scale_id)
 }
 
 /// One of `ids`, uniformly.
-fn select(rng: &mut DetRng, ids: &[&'static str]) -> &'static str {
+fn select<T: Copy>(rng: &mut DetRng, ids: &[T]) -> T {
     ids[rng.range_inclusive(0, ids.len() as u64 - 1) as usize]
 }
 
@@ -160,17 +162,17 @@ fn distinct_configs_never_collide() {
         let workload_runs = rng.range_inclusive(0, 63);
         let mut runs: Vec<RunSpec> = (0..workload_runs)
             .map(|_| RunSpec::Workload {
-                id: select(rng, &workload_ids()).to_string(),
-                backend: select(rng, &backend_ids()).to_string(),
-                scale: select(rng, &scale_ids()).to_string(),
+                id: select(rng, &WorkloadId::all()),
+                backend: select(rng, &BackendKind::all()),
+                scale: select(rng, &SCALES),
                 fault_events: rng.range_inclusive(0, 64) as u32,
                 seed: rng.range_inclusive(0, u64::MAX),
             })
             .collect();
         let contention_runs = rng.range_inclusive(0, 63);
         runs.extend((0..contention_runs).map(|_| RunSpec::Contention {
-            policy: select(rng, &policy_ids()).to_string(),
-            scale: select(rng, &scale_ids()).to_string(),
+            policy: select(rng, &PolicyId::all()),
+            scale: select(rng, &SCALES),
             load_pct: rng.range_inclusive(1, 400) as u32,
             seed: rng.range_inclusive(0, u64::MAX),
         }));

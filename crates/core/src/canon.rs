@@ -1,14 +1,15 @@
 //! The canonical run surface: stable string ids for workloads,
-//! scheduler policies and scales, and the run entry points that turn
-//! one resolved id tuple into *integer* metrics.
+//! scheduler policies and scales, one typed [`RunSpec`] naming a run by
+//! those ids, and [`execute`], the one entry point that turns a
+//! `RunSpec` into *integer* metrics.
 //!
 //! This is the boundary the campaign engine's content-addressed cache
 //! is built on. Everything here is deliberately narrow:
 //!
 //! * ids are stable strings — they appear in `campaign.toml`, in
-//!   canonical config lines, and therefore inside content addresses,
-//!   so renaming one orphans cached results and must be treated as a
-//!   breaking change;
+//!   canonical config lines ([`RunSpec::canon`]), and therefore inside
+//!   content addresses, so renaming one orphans cached results and
+//!   must be treated as a breaking change;
 //! * metrics are integers only (nanoseconds, counts, fixed-point
 //!   milli/micro units). Floats would make "bit-identical report"
 //!   hostage to formatting; integers make it trivially true.
@@ -20,15 +21,16 @@ use crate::experiments::contention::{
     contended_machine, mix_stream, run_stream, CLASS_TAU, COMPUTE_BOUND, IO_BOUND,
 };
 use crate::experiments::memo::RunMemo;
-use crate::experiments::Scale;
+use crate::experiments::{run_experiment, Experiment, Scale};
 use crate::simulator::{run_backend, RunResult, SimOptions};
+use crate::sweeps::{run_sweep, SweepId};
 use sioscope_faults::{FaultGen, FaultSchedule};
 pub use sioscope_pfs::BackendKind;
 use sioscope_pfs::{BackendConfig, BurstBufferConfig, ObjectStoreConfig, PfsConfig};
 use sioscope_sched::QueuePolicy;
 use sioscope_sim::Time;
 use sioscope_stream::StagingConfig;
-use sioscope_workloads::{EscatConfig, EscatVersion, PrismConfig, PrismVersion, Workload};
+use sioscope_workloads::{EscatVersion, PrismVersion, Workload};
 
 /// The workloads addressable by id: every ESCAT and PRISM code
 /// version the paper tracked.
@@ -81,14 +83,8 @@ impl WorkloadId {
     /// [`Scale::Smoke`].
     pub fn build(self, scale: Scale) -> Workload {
         use WorkloadId::*;
-        let escat = |v: EscatVersion| match scale {
-            Scale::Smoke => EscatConfig::tiny(v).build(),
-            Scale::Full => EscatConfig::ethylene(v).build(),
-        };
-        let prism = |v: PrismVersion| match scale {
-            Scale::Smoke => PrismConfig::tiny(v).build(),
-            Scale::Full => PrismConfig::test_problem(v).build(),
-        };
+        let escat = |v: EscatVersion| scale.escat(v).build();
+        let prism = |v: PrismVersion| scale.prism(v).build();
         match self {
             EscatA => escat(EscatVersion::A),
             EscatA2 => escat(EscatVersion::A2),
@@ -156,6 +152,221 @@ pub fn scale_from_id(id: &str) -> Option<Scale> {
     }
 }
 
+/// A scale equals its stable id.
+impl PartialEq<&str> for Scale {
+    fn eq(&self, id: &&str) -> bool {
+        scale_id(*self) == *id
+    }
+}
+
+/// One run, named by registry ids: its metrics are a pure function of
+/// these fields and nothing else, so a run cannot name an unknown id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunSpec {
+    /// Simulate one workload end-to-end under a fault schedule, on
+    /// one storage tier.
+    Workload {
+        /// The workload.
+        id: WorkloadId,
+        /// The storage tier.
+        backend: BackendKind,
+        /// The problem size.
+        scale: Scale,
+        /// Number of injected fault events.
+        fault_events: u32,
+        /// RNG seed for the fault schedule.
+        seed: u64,
+    },
+    /// Schedule a contended job stream under one policy.
+    Contention {
+        /// The scheduler policy.
+        policy: PolicyId,
+        /// The problem size.
+        scale: Scale,
+        /// Load factor in percent (100 = the baseline stream).
+        load_pct: u32,
+        /// RNG seed for the job stream.
+        seed: u64,
+    },
+    /// Run one registered experiment and its checks.
+    Experiment {
+        /// The experiment.
+        id: Experiment,
+        /// The problem size.
+        scale: Scale,
+    },
+    /// Run one registered parameter sweep.
+    Sweep {
+        /// The sweep.
+        id: SweepId,
+        /// The problem size.
+        scale: Scale,
+    },
+    /// Run the coupled streaming pipeline over a bounded staging queue.
+    Stream {
+        /// Staging queue depth in KiB (`0` = unbounded).
+        depth_kib: u32,
+        /// Consumer analysis speed in percent (100 = reference).
+        consumer_pct: u32,
+        /// The problem size.
+        scale: Scale,
+        /// RNG seed folded into the producer's cadence.
+        seed: u64,
+    },
+}
+
+impl RunSpec {
+    /// The canonical serialization the content address is computed
+    /// over: one line, fixed field order, per-kind schema tag. Nothing
+    /// about source formatting, spec file layout, or execution
+    /// environment reaches it. Workload lines are `v=2` (the backend
+    /// axis was added to the schema); the other kinds remain `v=1`.
+    pub fn canon(&self) -> String {
+        match *self {
+            RunSpec::Workload {
+                id,
+                backend,
+                scale,
+                fault_events,
+                seed,
+            } => format!(
+                "v=2;kind=workload;id={};backend={backend};scale={};faults={fault_events};seed={seed}",
+                id.id(),
+                scale_id(scale)
+            ),
+            RunSpec::Contention {
+                policy,
+                scale,
+                load_pct,
+                seed,
+            } => format!(
+                "v=1;kind=contention;policy={};scale={};load={load_pct};seed={seed}",
+                policy.id(),
+                scale_id(scale)
+            ),
+            RunSpec::Experiment { id, scale } => {
+                format!("v=1;kind=experiment;id={id};scale={}", scale_id(scale))
+            }
+            RunSpec::Sweep { id, scale } => {
+                format!("v=1;kind=sweep;id={};scale={}", id.id(), scale_id(scale))
+            }
+            RunSpec::Stream {
+                depth_kib,
+                consumer_pct,
+                scale,
+                seed,
+            } => format!(
+                "v=1;kind=stream;depth={depth_kib};consumer={consumer_pct};scale={};seed={seed}",
+                scale_id(scale)
+            ),
+        }
+    }
+
+    /// A short human label for progress lines and reports.
+    pub fn label(&self) -> String {
+        match *self {
+            RunSpec::Workload {
+                id,
+                backend,
+                fault_events,
+                seed,
+                ..
+            } => format!(
+                "workload {} backend={backend} faults={fault_events} seed={seed}",
+                id.id()
+            ),
+            RunSpec::Contention {
+                policy,
+                load_pct,
+                seed,
+                ..
+            } => format!("contention {} load={load_pct}% seed={seed}", policy.id()),
+            RunSpec::Experiment { id, .. } => format!("experiment {id}"),
+            RunSpec::Sweep { id, .. } => format!("sweep {}", id.id()),
+            RunSpec::Stream {
+                depth_kib,
+                consumer_pct,
+                seed,
+                ..
+            } => format!("stream depth={depth_kib}K consumer={consumer_pct}% seed={seed}"),
+        }
+    }
+}
+
+/// Execute one run and reduce it to (status, integer metrics). `Err`
+/// is an execution failure; `Ok` with a status other than `"ok"` is an
+/// experiment that ran but whose shape checks disagree with the paper.
+/// Experiments and sweeps report their rendered artifact as a length
+/// and a 64-bit fingerprint, so a report can assert "the rendering did
+/// not change" without embedding kilobytes of ASCII tables.
+pub fn execute(run: &RunSpec) -> Result<(String, BTreeMap<String, u64>), String> {
+    let metrics = match *run {
+        RunSpec::Workload {
+            id,
+            backend,
+            scale,
+            fault_events,
+            seed,
+        } => workload_run(id, scale, backend, fault_events, seed)?,
+        RunSpec::Contention {
+            policy,
+            scale,
+            load_pct,
+            seed,
+        } => contention_run(policy, scale, load_pct, seed)?,
+        RunSpec::Stream {
+            depth_kib,
+            consumer_pct,
+            scale,
+            seed,
+        } => stream_run(depth_kib, consumer_pct, seed, scale)?,
+        RunSpec::Experiment { id, scale } => {
+            let out = run_experiment(id, scale);
+            let failed = out.failures().len();
+            let metrics = BTreeMap::from([
+                ("checks_total".to_string(), out.checks.len() as u64),
+                ("checks_failed".to_string(), failed as u64),
+                ("rendered_bytes".to_string(), out.rendered.len() as u64),
+                ("rendered_fx".to_string(), render_fingerprint(&out.rendered)),
+            ]);
+            if failed > 0 {
+                let status = format!("failed: {failed} shape check(s) disagree with the paper");
+                return Ok((status, metrics));
+            }
+            metrics
+        }
+        RunSpec::Sweep { id, scale } => {
+            let sweep = run_sweep(id, scale);
+            let total_events: u64 = sweep.points.iter().map(|p| p.events).sum();
+            let total_io_ns: u64 = sweep.points.iter().map(|p| p.io_time.as_nanos()).sum();
+            let total_exec_ns: u64 = sweep.points.iter().map(|p| p.exec_time.as_nanos()).sum();
+            BTreeMap::from([
+                ("points".to_string(), sweep.points.len() as u64),
+                ("total_events".to_string(), total_events),
+                ("total_io_time_ns".to_string(), total_io_ns),
+                ("total_exec_time_ns".to_string(), total_exec_ns),
+                (
+                    "best_io_speedup_milli".to_string(),
+                    milli(sweep.best_io_speedup()),
+                ),
+                (
+                    "rendered_fx".to_string(),
+                    render_fingerprint(&sweep.render()),
+                ),
+            ])
+        }
+    };
+    Ok(("ok".to_string(), metrics))
+}
+
+/// A deterministic 64-bit fingerprint of a rendered artifact.
+fn render_fingerprint(rendered: &str) -> u64 {
+    use std::hash::Hasher as _;
+    let mut hasher = sioscope_sim::hash::FxHasher::default();
+    hasher.write(rendered.as_bytes());
+    hasher.finish()
+}
+
 /// Round a nonnegative float into fixed-point thousandths.
 fn milli(x: f64) -> u64 {
     (x.max(0.0) * 1_000.0).round() as u64
@@ -208,7 +419,8 @@ pub(crate) fn clear_cache() {
 
 /// Simulate one workload end-to-end on a named storage tier (see
 /// [`tier_config`]), with `fault_events` injected faults of that tier
-/// drawn from `seed`, and reduce the run to integer metrics.
+/// drawn from `seed`, and reduce the run to integer metrics: what
+/// [`execute`] runs for a [`RunSpec::Workload`].
 ///
 /// The workload is built from `id` and `scale` alone; `seed` only draws
 /// the faults. The fault horizon is the workload's own fault-free
@@ -226,7 +438,7 @@ pub(crate) fn clear_cache() {
 /// burst-node crashes, and adds its drain accounting. Under faults,
 /// those two tiers also report their resilience actions, and the burst
 /// tier its lost bytes.
-pub fn workload_run(
+pub(crate) fn workload_run(
     id: WorkloadId,
     scale: Scale,
     backend: BackendKind,
@@ -322,16 +534,13 @@ fn run_metrics(result: &RunResult, backend: BackendKind, faulted: bool) -> BTree
 /// (100 = the reference in-situ analyzer, 50 = half speed). `seed`
 /// perturbs the producer's checkpoint cadence: it is XOR-folded into
 /// the PRISM config's own seed, so `0` is the canonical cadence.
-pub fn stream_run(
+fn stream_run(
     depth_kib: u32,
     consumer_pct: u32,
     seed: u64,
     scale: Scale,
 ) -> Result<BTreeMap<String, u64>, String> {
-    let mut cfg = match scale {
-        Scale::Smoke => PrismConfig::tiny(PrismVersion::C),
-        Scale::Full => PrismConfig::test_problem(PrismVersion::C),
-    };
+    let mut cfg = scale.prism(PrismVersion::C);
     cfg.seed ^= seed;
     let cadence = cfg.stream_cadence();
     let route = Route::Stream(StagingConfig::paragon(u64::from(depth_kib) * 1024));
@@ -359,7 +568,7 @@ pub fn stream_run(
 /// rate (200% = jobs arrive twice as fast), and reduce the outcome to
 /// integer metrics. `seed` perturbs the job stream; `0` is the
 /// canonical stream the contention experiments use.
-pub fn contention_run(
+fn contention_run(
     policy: PolicyId,
     scale: Scale,
     load_pct: u32,

@@ -15,9 +15,7 @@ use crate::experiments::{
 use crate::simulator::{run, RunResult, SimOptions};
 use sioscope_pfs::{OpKind, PfsConfig, PolicyConfig};
 use sioscope_sim::Time;
-use sioscope_workloads::{
-    EscatConfig, EscatDataset, EscatVersion, PrismConfig, PrismVersion, Workload,
-};
+use sioscope_workloads::{EscatDataset, EscatVersion, PrismVersion, Workload};
 use std::fmt::Write as _;
 
 /// What the ablation tables and checks read of one run. A fresh run is
@@ -94,27 +92,13 @@ fn ratio(a: Time, b: Time) -> f64 {
     }
 }
 
-fn escat_workload(version: EscatVersion, scale: Scale) -> Workload {
-    match scale {
-        Scale::Full => EscatConfig::ethylene(version).build(),
-        Scale::Smoke => EscatConfig::tiny(version).build(),
-    }
-}
-
-fn prism_workload(version: PrismVersion, scale: Scale) -> Workload {
-    match scale {
-        Scale::Full => PrismConfig::test_problem(version).build(),
-        Scale::Smoke => PrismConfig::tiny(version).build(),
-    }
-}
-
 /// Write aggregation: ESCAT version C's small M_ASYNC staging writes,
 /// coalesced client-side into stripe-sized requests. The paper (§4.4):
 /// "Request aggregation and prefetching by the file system would
 /// simplify code structure and eliminate the need for code
 /// restructuring."
 pub(crate) fn aggregation(scale: Scale) -> ExperimentOutput {
-    let w = escat_workload(EscatVersion::C, scale);
+    let w = scale.escat(EscatVersion::C).build();
     let base = measured_escat(EscatVersion::C, scale);
     let agg = run_with_policy(&w, PolicyConfig::aggregation_only());
     let rendered = render_pair(
@@ -218,7 +202,7 @@ pub(crate) fn prefetch(scale: Scale) -> ExperimentOutput {
 /// Write-behind: asynchronous draining on top of aggregation for
 /// ESCAT C.
 pub(crate) fn write_behind(scale: Scale) -> ExperimentOutput {
-    let w = escat_workload(EscatVersion::C, scale);
+    let w = scale.escat(EscatVersion::C).build();
     let [agg, wb] = run_with_policies([
         (&w, PolicyConfig::aggregation_only()),
         (&w, PolicyConfig::write_behind_only()),
@@ -250,8 +234,8 @@ pub(crate) fn write_behind(scale: Scale) -> ExperimentOutput {
 /// I/O-time win the §7 file-system policies would have delivered to
 /// the *unmodified* version A.
 pub(crate) fn no_restructuring(scale: Scale) -> ExperimentOutput {
-    let wa = escat_workload(EscatVersion::A, scale);
-    let wb = escat_workload(EscatVersion::B, scale);
+    let wa = scale.escat(EscatVersion::A).build();
+    let wb = scale.escat(EscatVersion::B).build();
     let a_measured = measured_escat(EscatVersion::A, scale);
     let b_measured = measured_escat(EscatVersion::B, scale);
     let c_measured = measured_escat(EscatVersion::C, scale);
@@ -343,7 +327,7 @@ pub(crate) fn no_restructuring(scale: Scale) -> ExperimentOutput {
 /// should recover most of the statically tuned win with no
 /// application-side knowledge.
 pub(crate) fn adaptive(scale: Scale) -> ExperimentOutput {
-    let w = escat_workload(EscatVersion::C, scale);
+    let w = scale.escat(EscatVersion::C).build();
     let measured = measured_escat(EscatVersion::C, scale);
     let [tuned, adaptive] = run_with_policies([
         (&w, PolicyConfig::recommended()),
@@ -403,7 +387,7 @@ pub(crate) fn caching(scale: Scale) -> ExperimentOutput {
     let with_disable = Totals::from(&*prism::run_version(PrismVersion::C, scale));
     // The counterfactual: same code without the SetBuffering(false)
     // call.
-    let mut wc_buffered = prism_workload(PrismVersion::C, scale);
+    let mut wc_buffered = scale.prism(PrismVersion::C).build();
     for prog in &mut wc_buffered.programs {
         prog.retain(|s| {
             !matches!(

@@ -18,7 +18,7 @@ use crate::simulator::{run_backend, RunResult, SimOptions};
 use sioscope_faults::{FaultKind, FaultSchedule};
 use sioscope_pfs::{BackendConfig, BackendKind, BackendStats, OpKind, ResilienceStats};
 use sioscope_sim::{par, Time};
-use sioscope_workloads::{EscatConfig, EscatVersion, PrismConfig, PrismVersion, Workload};
+use sioscope_workloads::{EscatVersion, PrismVersion, Workload};
 use std::fmt::Write as _;
 
 /// What the tables and checks read of one tier run. Each worker cuts
@@ -174,10 +174,7 @@ fn cross_tier(experiment: Experiment, title: &str, workloads: Vec<Workload>) -> 
 pub(crate) fn escat(scale: Scale) -> ExperimentOutput {
     let workloads = [EscatVersion::B, EscatVersion::C]
         .into_iter()
-        .map(|v| match scale {
-            Scale::Smoke => EscatConfig::tiny(v).build(),
-            Scale::Full => EscatConfig::ethylene(v).build(),
-        })
+        .map(|v| scale.escat(v).build())
         .collect();
     cross_tier(
         Experiment::BackendEscat,
@@ -191,10 +188,7 @@ pub(crate) fn escat(scale: Scale) -> ExperimentOutput {
 pub(crate) fn prism(scale: Scale) -> ExperimentOutput {
     let workloads = [PrismVersion::A, PrismVersion::C]
         .into_iter()
-        .map(|v| match scale {
-            Scale::Smoke => PrismConfig::tiny(v).build(),
-            Scale::Full => PrismConfig::test_problem(v).build(),
-        })
+        .map(|v| scale.prism(v).build())
         .collect();
     cross_tier(
         Experiment::BackendPrism,
@@ -318,10 +312,7 @@ fn faulted_tier(
 /// must fire and the run must slow down, but the request stream is
 /// served in full.
 pub(crate) fn faulty_object(scale: Scale) -> ExperimentOutput {
-    let workload = match scale {
-        Scale::Smoke => EscatConfig::tiny(EscatVersion::B).build(),
-        Scale::Full => EscatConfig::ethylene(EscatVersion::B).build(),
-    };
+    let workload = scale.escat(EscatVersion::B).build();
     // Shard 0 dark for the entire run (and past its end, so the
     // ladder can never wait the outage out) — every shard-0 metadata
     // op must fail over. The degraded window slows every transfer in
@@ -381,10 +372,7 @@ pub(crate) fn faulty_object(scale: Scale) -> ExperimentOutput {
 /// and lost — at the crash instant. The byte ledger must stay
 /// conserved with the loss on the books.
 pub(crate) fn faulty_burst(scale: Scale) -> ExperimentOutput {
-    let workload = match scale {
-        Scale::Smoke => PrismConfig::tiny(PrismVersion::C).build(),
-        Scale::Full => PrismConfig::test_problem(PrismVersion::C).build(),
-    };
+    let workload = scale.prism(PrismVersion::C).build();
     // Crash exactly when the largest write retires from the log: its
     // drain to the inner PFS cannot have finished (the drain channel
     // is slower than the log), so its bytes are resident and lost.

@@ -21,10 +21,9 @@
 
 use crate::experiments::{Experiment, ExperimentOutput, Scale, ShapeCheck};
 use crate::schedule::{run_schedule, ScheduleOutcome};
-use crate::simulator::SimOptions;
 use sioscope_faults::FaultSchedule;
 use sioscope_pfs::{IoOp, PfsConfig};
-use sioscope_sched::{AllocPolicy, JobStream, JobTemplate, QueuePolicy, StreamKind};
+use sioscope_sched::{JobStream, JobTemplate, QueuePolicy, StreamKind};
 use sioscope_sim::Time;
 use sioscope_trace::TraceIndex;
 use sioscope_workloads::{FileSpec, OsRelease, Stmt, Workload};
@@ -117,12 +116,10 @@ pub(crate) fn mix_stream(scale: Scale, mean_interarrival: Time) -> JobStream {
             JobTemplate {
                 label: "io-bound".into(),
                 workload: io_bound,
-                weight: 1,
             },
             JobTemplate {
                 label: "compute-bound".into(),
                 workload: compute_bound,
-                weight: 1,
             },
         ],
         count,
@@ -147,15 +144,8 @@ pub(crate) fn run_stream(
     cfg: PfsConfig,
     what: &str,
 ) -> ScheduleOutcome {
-    run_schedule(
-        stream,
-        policy,
-        AllocPolicy::FirstFit,
-        &FaultSchedule::empty(),
-        cfg,
-        SimOptions::default(),
-    )
-    .unwrap_or_else(|e| panic!("{what}: {e}"))
+    run_schedule(stream, policy, &FaultSchedule::empty(), cfg)
+        .unwrap_or_else(|e| panic!("{what}: {e}"))
 }
 
 /// Poisson mix of I/O-bound and compute-bound jobs on shared I/O nodes.
@@ -258,17 +248,14 @@ pub(crate) fn backfill_vs_fcfs(scale: Scale) -> ExperimentOutput {
             JobTemplate {
                 label: "long".into(),
                 workload: long,
-                weight: 1,
             },
             JobTemplate {
                 label: "wide".into(),
                 workload: wide,
-                weight: 1,
             },
             JobTemplate {
                 label: "short".into(),
                 workload: short,
-                weight: 1,
             },
         ],
         count: 3,

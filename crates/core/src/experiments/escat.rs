@@ -16,9 +16,8 @@ use super::Experiment;
 
 fn config(version: EscatVersion, dataset: EscatDataset, scale: Scale) -> EscatConfig {
     match (scale, dataset) {
-        (Scale::Full, EscatDataset::Ethylene) => EscatConfig::ethylene(version),
         (Scale::Full, EscatDataset::CarbonMonoxide) => EscatConfig::carbon_monoxide(version),
-        (Scale::Smoke, _) => EscatConfig::tiny(version),
+        _ => scale.escat(version),
     }
 }
 

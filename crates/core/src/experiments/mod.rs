@@ -51,6 +51,7 @@ pub mod stream;
 pub use memo::IndexedRun;
 pub use shape::ShapeCheck;
 use sioscope_sim::par;
+use sioscope_workloads::{EscatConfig, EscatVersion, PrismConfig, PrismVersion};
 use std::fmt;
 
 /// Every reproducible artifact of the paper.
@@ -242,6 +243,35 @@ pub enum Scale {
     Smoke,
 }
 
+impl Scale {
+    /// The scale the `SIOSCOPE_SCALE` environment variable asks for:
+    /// `smoke` (or `SMOKE`) for quick runs, [`Scale::Full`] otherwise.
+    pub fn from_env() -> Scale {
+        match std::env::var("SIOSCOPE_SCALE").as_deref() {
+            Ok("smoke") | Ok("SMOKE") => Scale::Smoke,
+            _ => Scale::Full,
+        }
+    }
+
+    /// ESCAT `version` at this scale: the paper's ethylene dataset at
+    /// [`Scale::Full`], the shrunk `tiny` one at [`Scale::Smoke`].
+    pub fn escat(self, version: EscatVersion) -> EscatConfig {
+        match self {
+            Scale::Full => EscatConfig::ethylene(version),
+            Scale::Smoke => EscatConfig::tiny(version),
+        }
+    }
+
+    /// PRISM `version` at this scale: the paper's test problem at
+    /// [`Scale::Full`], the shrunk `tiny` one at [`Scale::Smoke`].
+    pub fn prism(self, version: PrismVersion) -> PrismConfig {
+        match self {
+            Scale::Full => PrismConfig::test_problem(version),
+            Scale::Smoke => PrismConfig::tiny(version),
+        }
+    }
+}
+
 /// A completed experiment: the rendered artifact plus the shape checks
 /// comparing it against the paper.
 #[derive(Debug, Clone)]
@@ -265,13 +295,14 @@ impl ExperimentOutput {
 ///
 /// Experiments share simulated runs through per-application memoization
 /// caches so that, say, the four ESCAT figures do not re-simulate the
-/// same six progressions, and [`canon::workload_run`] simulates each
-/// fault-free run of a (workload, scale, tier) once per process however
-/// many seeds and fault intensities ask for it. Benchmarks that want to
-/// time a *cold* pass of the registry or of a campaign call this
-/// between iterations; ordinary callers never need it.
+/// same six progressions, and a workload run of [`canon::execute`]
+/// simulates each fault-free run of a (workload, scale, tier) once per
+/// process however many seeds and fault intensities ask for it.
+/// Benchmarks that want to time a *cold* pass of the registry or of a
+/// campaign call this between iterations; ordinary callers never need
+/// it.
 ///
-/// [`canon::workload_run`]: crate::canon::workload_run
+/// [`canon::execute`]: crate::canon::execute
 pub fn clear_run_caches() {
     escat::clear_cache();
     prism::clear_cache();

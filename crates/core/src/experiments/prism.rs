@@ -13,13 +13,6 @@ use sioscope_workloads::{PrismConfig, PrismVersion, Workload};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-fn config(version: PrismVersion, scale: Scale) -> PrismConfig {
-    match scale {
-        Scale::Full => PrismConfig::test_problem(version),
-        Scale::Smoke => PrismConfig::tiny(version),
-    }
-}
-
 static RUNS: RunMemo<(PrismVersion, Scale), IndexedRun> = RunMemo::new();
 
 /// Drop every memoized PRISM run (benchmarks use this to time cold runs).
@@ -33,7 +26,7 @@ pub(crate) fn clear_cache() {
 /// whose raw trace is freed (see [`super::escat::run_version`]).
 pub fn run_version(version: PrismVersion, scale: Scale) -> Arc<IndexedRun> {
     RUNS.get_or_run((version, scale), || {
-        let workload = config(version, scale).build();
+        let workload = scale.prism(version).build();
         let pfs = PfsConfig::caltech(workload.nodes, workload.os);
         run(&workload, pfs, SimOptions::default())
             .unwrap_or_else(|e| panic!("PRISM {version:?} failed: {e}"))
@@ -347,7 +340,7 @@ pub(crate) fn fig9(scale: Scale) -> ExperimentOutput {
     );
     // Checkpoint visibility: the statistics bursts (stats_write-sized
     // events) must cluster into exactly `checkpoints` bursts.
-    let cfg = config(PrismVersion::C, scale);
+    let cfg = scale.prism(PrismVersion::C);
     let expected = cfg.checkpoints() as usize;
     let stats_points: Vec<(Time, u64)> = tl
         .points()

@@ -28,10 +28,7 @@ use crate::simulator::{run, RunResult, SimOptions};
 use sioscope_faults::{FaultKind, FaultSchedule};
 use sioscope_pfs::{OpKind, PfsConfig};
 use sioscope_sim::{par, FileId, Time};
-use sioscope_workloads::{
-    CheckpointPolicy, EscatConfig, EscatDataset, EscatVersion, PrismConfig, PrismVersion,
-    Recoverable,
-};
+use sioscope_workloads::{CheckpointPolicy, EscatDataset, EscatVersion, PrismVersion, Recoverable};
 use std::fmt::Write as _;
 
 fn must_run(workload: &sioscope_workloads::Workload, pfs: PfsConfig) -> RunResult {
@@ -263,10 +260,7 @@ fn recovery_experiment(
 /// ESCAT (version C) recovering from a mid-computation crash: markers
 /// after every compute cycle, channel files as the checkpoint.
 pub(crate) fn escat(scale: Scale) -> ExperimentOutput {
-    let cfg = match scale {
-        Scale::Full => EscatConfig::ethylene(EscatVersion::C),
-        Scale::Smoke => EscatConfig::tiny(EscatVersion::C),
-    };
+    let cfg = scale.escat(EscatVersion::C);
     recovery_experiment(
         Experiment::RecoveryEscat,
         "Recovery: ESCAT C time-to-solution under a compute-node crash",
@@ -280,10 +274,7 @@ pub(crate) fn escat(scale: Scale) -> ExperimentOutput {
 /// restart file the paper describes is the checkpoint, re-read in
 /// 155,584-byte records by the replay's phase one.
 pub(crate) fn prism(scale: Scale) -> ExperimentOutput {
-    let cfg = match scale {
-        Scale::Full => PrismConfig::test_problem(PrismVersion::B),
-        Scale::Smoke => PrismConfig::tiny(PrismVersion::B),
-    };
+    let cfg = scale.prism(PrismVersion::B);
     let native = cfg.checkpoint_every;
     recovery_experiment(
         Experiment::RecoveryPrism,

@@ -18,9 +18,7 @@ use crate::simulator::{run, SimOptions};
 use sioscope_faults::{FaultKind, FaultSchedule};
 use sioscope_pfs::{PfsConfig, ResilienceStats};
 use sioscope_sim::{par, Time};
-use sioscope_workloads::{
-    EscatConfig, EscatDataset, EscatVersion, PrismConfig, PrismVersion, Workload,
-};
+use sioscope_workloads::{EscatDataset, EscatVersion, PrismVersion, Workload};
 use std::fmt::Write as _;
 
 /// What the table and checks read of one faulted run: each worker
@@ -212,10 +210,7 @@ fn resilience_experiment(
 /// ESCAT (version C — the production progression) under each fault
 /// class.
 pub(crate) fn escat(scale: Scale) -> ExperimentOutput {
-    let w = match scale {
-        Scale::Full => EscatConfig::ethylene(EscatVersion::C).build(),
-        Scale::Smoke => EscatConfig::tiny(EscatVersion::C).build(),
-    };
+    let w = scale.escat(EscatVersion::C).build();
     resilience_experiment(
         Experiment::ResilienceEscat,
         "Resilience: ESCAT C under each fault class",
@@ -226,10 +221,7 @@ pub(crate) fn escat(scale: Scale) -> ExperimentOutput {
 
 /// PRISM (version B) under each fault class.
 pub(crate) fn prism(scale: Scale) -> ExperimentOutput {
-    let w = match scale {
-        Scale::Full => PrismConfig::test_problem(PrismVersion::B).build(),
-        Scale::Smoke => PrismConfig::tiny(PrismVersion::B).build(),
-    };
+    let w = scale.prism(PrismVersion::B).build();
     resilience_experiment(
         Experiment::ResiliencePrism,
         "Resilience: PRISM B under each fault class",

@@ -14,15 +14,8 @@ use crate::experiments::{Experiment, ExperimentOutput, Scale, ShapeCheck};
 use sioscope_faults::{FaultKind, FaultSchedule};
 use sioscope_sim::Time;
 use sioscope_stream::StagingConfig;
-use sioscope_workloads::{PrismConfig, PrismVersion, StreamCadence};
+use sioscope_workloads::{PrismVersion, StreamCadence};
 use std::fmt::Write as _;
-
-fn cadence(scale: Scale) -> StreamCadence {
-    match scale {
-        Scale::Smoke => PrismConfig::tiny(PrismVersion::C).stream_cadence(),
-        Scale::Full => PrismConfig::test_problem(PrismVersion::C).stream_cadence(),
-    }
-}
 
 fn stream_at(depth: u64) -> Route {
     Route::Stream(StagingConfig::paragon(depth))
@@ -59,7 +52,7 @@ fn header(rendered: &mut String, title: &str) {
 /// from undersized to unbounded, plus a seeded consumer crash, with
 /// the occupancy timeline of the well-provisioned run.
 pub(crate) fn stream_prism(scale: Scale) -> ExperimentOutput {
-    let c = cadence(scale);
+    let c = scale.prism(PrismVersion::C).stream_cadence();
     let burst_bytes = c.bursts[0].bytes();
     let tight_depth = c.max_chunk().max(burst_bytes / 8);
     let roomy_depth = 2 * burst_bytes;
@@ -151,7 +144,7 @@ pub(crate) fn stream_prism(scale: Scale) -> ExperimentOutput {
 /// end-to-end pipeline latency at adequate depth, and the file route
 /// must shrug off a consumer outage that stalls the stream's producer.
 pub(crate) fn stream_vs_file(scale: Scale) -> ExperimentOutput {
-    let c = cadence(scale);
+    let c = scale.prism(PrismVersion::C).stream_cadence();
     let depth = 2 * c.bursts[0].bytes();
     let file_route = Route::File(FileRoute::caltech_class());
 

@@ -40,7 +40,7 @@ use sioscope_faults::{FaultKind, FaultSchedule};
 use sioscope_machine::MeshModel;
 use sioscope_pfs::{BackendStats, Pfs, PfsConfig, PfsError, ResilienceStats, StorageBackend};
 use sioscope_sched::{
-    AllocPolicy, JobOutcome, JobStream, Partition, PartitionAllocator, QueuePolicy, ScheduleStats,
+    JobOutcome, JobStream, Partition, PartitionAllocator, QueuePolicy, ScheduleStats,
 };
 use sioscope_sim::{FileId, JobId, NodeId, Pid, Time};
 use sioscope_trace::{IoEvent, JobMap, TraceRecorder};
@@ -200,7 +200,8 @@ fn resilience_delta(now: &ResilienceStats, base: &ResilienceStats) -> Resilience
     }
 }
 
-/// Run every job of `stream` through one shared machine and PFS.
+/// Run every job of `stream` through one shared machine and PFS,
+/// placing each job's partition first fit.
 ///
 /// `crashes` carries [`FaultKind::ComputeNodeCrash`] events on the
 /// global clock (other kinds are ignored here — I/O faults belong in
@@ -209,14 +210,13 @@ fn resilience_delta(now: &ResilienceStats, base: &ResilienceStats) -> Resilience
 pub fn run_schedule(
     stream: &JobStream,
     policy: QueuePolicy,
-    alloc_policy: AllocPolicy,
     crashes: &FaultSchedule,
     mut pfs_cfg: PfsConfig,
-    options: SimOptions,
 ) -> Result<ScheduleOutcome, SchedError> {
     stream.validate().map_err(SchedError::InvalidStream)?;
+    let max_events = SimOptions::default().max_events;
     let machine = pfs_cfg.machine.clone();
-    let mut allocator = PartitionAllocator::for_machine(&machine, alloc_policy);
+    let mut allocator = PartitionAllocator::for_machine(&machine);
     for (t, template) in stream.templates.iter().enumerate() {
         let n = template.workload.nodes;
         let (_, h) = allocator.shape_for(n);
@@ -248,17 +248,18 @@ pub fn run_schedule(
     for (t, template) in stream.templates.iter().enumerate() {
         let mut dedicated_cfg = pfs_cfg.clone();
         dedicated_cfg.faults = FaultSchedule::empty();
-        let r = run(&template.workload, dedicated_cfg, options.clone()).map_err(|source| {
-            SchedError::Estimate {
-                template: t,
-                source,
-            }
-        })?;
+        let r =
+            run(&template.workload, dedicated_cfg, SimOptions::default()).map_err(|source| {
+                SchedError::Estimate {
+                    template: t,
+                    source,
+                }
+            })?;
         estimates.push(r.exec_time);
     }
 
     let cols = machine.mesh.cols;
-    let mut engine = Engine::new(Pfs::new(pfs_cfg), MeshModel::new(machine.mesh), &options);
+    let mut engine = Engine::new(Pfs::new(pfs_cfg), MeshModel::new(machine.mesh));
     let mut fault_transitions = 0u64;
     for t in engine.backend.fault_transition_times() {
         engine.queue.schedule(t, SEv::FaultTransition);
@@ -269,8 +270,7 @@ pub fn run_schedule(
         }
     }
 
-    let mut arrivals = stream.initial_arrivals();
-    let mut spawned = arrivals.len() as u32;
+    let arrivals = stream.initial_arrivals();
     for (i, a) in arrivals.iter().enumerate() {
         engine.queue.schedule(a.at, SEv::Arrive(i as u32));
     }
@@ -339,7 +339,7 @@ pub fn run_schedule(
     }
 
     while let Some(ev) = engine.queue.pop() {
-        if options.max_events > 0 && engine.queue.popped() > options.max_events {
+        if engine.queue.popped() > max_events {
             return Err(SchedError::EventBudgetExceeded(engine.queue.popped()));
         }
         let now = ev.time;
@@ -522,11 +522,6 @@ pub fn run_schedule(
             backend_stats: BackendStats::default(),
         });
         engine.queue.schedule(now, SEv::TryDispatch);
-        if let Some(a) = stream.next_arrival_after(spawned, now) {
-            arrivals.push(a);
-            engine.queue.schedule(a.at, SEv::Arrive(spawned));
-            spawned += 1;
-        }
     }
 
     // Wind-down: every job must have arrived, dispatched, and finished.
@@ -665,7 +660,6 @@ mod tests {
         JobTemplate {
             label: label.into(),
             workload,
-            weight: 1,
         }
     }
 
@@ -675,15 +669,7 @@ mod tests {
         let cfg = machine(1);
         let dedicated = run(&w, cfg.clone(), SimOptions::default()).unwrap();
         let stream = scripted(vec![template("solo", w.clone())], vec![(Time::ZERO, 0)]);
-        let out = run_schedule(
-            &stream,
-            QueuePolicy::Fcfs,
-            AllocPolicy::FirstFit,
-            &FaultSchedule::empty(),
-            cfg,
-            SimOptions::default(),
-        )
-        .unwrap();
+        let out = run_schedule(&stream, QueuePolicy::Fcfs, &FaultSchedule::empty(), cfg).unwrap();
         let job = &out.per_job[0];
         assert_eq!(job.exec_time, dedicated.exec_time, "wall clock differs");
         assert_eq!(job.node_finish, dedicated.node_finish);
@@ -709,15 +695,7 @@ mod tests {
             vec![template("mix", w)],
             vec![(Time::ZERO, 0), (Time::ZERO, 0)],
         );
-        let out = run_schedule(
-            &stream,
-            QueuePolicy::Fcfs,
-            AllocPolicy::FirstFit,
-            &FaultSchedule::empty(),
-            cfg,
-            SimOptions::default(),
-        )
-        .unwrap();
+        let out = run_schedule(&stream, QueuePolicy::Fcfs, &FaultSchedule::empty(), cfg).unwrap();
         assert_eq!(out.stats.jobs.len(), 2);
         // Both started immediately (disjoint partitions available)...
         for j in &out.stats.jobs {
@@ -755,15 +733,7 @@ mod tests {
             vec![template("full", w)],
             vec![(Time::ZERO, 0), (Time::ZERO, 0)],
         );
-        let out = run_schedule(
-            &stream,
-            QueuePolicy::Fcfs,
-            AllocPolicy::FirstFit,
-            &FaultSchedule::empty(),
-            cfg,
-            SimOptions::default(),
-        )
-        .unwrap();
+        let out = run_schedule(&stream, QueuePolicy::Fcfs, &FaultSchedule::empty(), cfg).unwrap();
         let (a, b) = (&out.stats.jobs[0], &out.stats.jobs[1]);
         assert_eq!(a.wait(), Time::ZERO);
         assert_eq!(b.first_start, a.finish, "space-sharing: b waits for a");
@@ -793,15 +763,7 @@ mod tests {
             },
         );
         let stream = scripted(vec![template("crashy", w)], vec![(Time::ZERO, 0)]);
-        let out = run_schedule(
-            &stream,
-            QueuePolicy::Fcfs,
-            AllocPolicy::FirstFit,
-            &crashes,
-            cfg,
-            SimOptions::default(),
-        )
-        .unwrap();
+        let out = run_schedule(&stream, QueuePolicy::Fcfs, &crashes, cfg).unwrap();
         let job = &out.per_job[0];
         let o = &out.stats.jobs[0];
         assert_eq!(o.attempts, 2, "one crash, one requeue");
@@ -856,15 +818,7 @@ mod tests {
                 },
             );
         }
-        let out = run_schedule(
-            &stream,
-            QueuePolicy::Fcfs,
-            AllocPolicy::FirstFit,
-            &crashes,
-            machine(2),
-            SimOptions::default(),
-        )
-        .unwrap();
+        let out = run_schedule(&stream, QueuePolicy::Fcfs, &crashes, machine(2)).unwrap();
         let attempts: Vec<u32> = out.stats.jobs.iter().map(|j| j.attempts).collect();
         let finish: Vec<Time> = out.stats.jobs.iter().map(|j| j.finish).collect();
         assert_eq!(attempts, [257, 1]);
@@ -894,10 +848,8 @@ mod tests {
             run_schedule(
                 &scripted(templates.clone(), arrivals.clone()),
                 policy,
-                AllocPolicy::FirstFit,
                 &FaultSchedule::empty(),
                 cfg.clone(),
-                SimOptions::default(),
             )
             .unwrap()
         };
@@ -919,7 +871,7 @@ mod tests {
     }
 
     #[test]
-    fn schedules_are_deterministic_and_closed_loops_drain() {
+    fn seeded_schedules_are_deterministic() {
         let a = io_workload("io-heavy", 4, 1 << 20, Time::from_millis(1));
         let b = io_workload("cpu-heavy", 4, 4 << 10, Time::from_millis(40));
         let cfg = machine(2);
@@ -935,10 +887,8 @@ mod tests {
             run_schedule(
                 &stream,
                 QueuePolicy::EasyBackfill,
-                AllocPolicy::BestFit,
                 &FaultSchedule::empty(),
                 cfg.clone(),
-                SimOptions::default(),
             )
             .unwrap()
         };
@@ -947,31 +897,6 @@ mod tests {
         assert_eq!(r1.stats, r2.stats, "same seed, bit-identical stats");
         assert_eq!(r1.trace.events(), r2.trace.events());
         assert_eq!(r1.stats.jobs.len(), 8);
-
-        // Closed loop: completions spawn successors until `count`.
-        let closed = JobStream {
-            kind: StreamKind::ClosedLoop {
-                population: 2,
-                think_time: Time::from_millis(5),
-            },
-            seed: 3,
-            templates: vec![template(
-                "loop",
-                io_workload("loop", 4, 64 << 10, Time::from_millis(5)),
-            )],
-            count: 5,
-        };
-        let out = run_schedule(
-            &closed,
-            QueuePolicy::Fcfs,
-            AllocPolicy::FirstFit,
-            &FaultSchedule::empty(),
-            cfg.clone(),
-            SimOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(out.stats.jobs.len(), 5, "the loop drains to count");
-        assert!(out.stats.jobs.iter().all(|j| j.finish > Time::ZERO));
     }
 
     #[test]
@@ -987,10 +912,8 @@ mod tests {
         match run_schedule(
             &too_big,
             QueuePolicy::Fcfs,
-            AllocPolicy::FirstFit,
             &FaultSchedule::empty(),
             cfg.clone(),
-            SimOptions::default(),
         ) {
             Err(SchedError::JobTooLarge {
                 nodes, capacity, ..
@@ -1010,10 +933,8 @@ mod tests {
             run_schedule(
                 &empty,
                 QueuePolicy::Fcfs,
-                AllocPolicy::FirstFit,
                 &FaultSchedule::empty(),
                 cfg.clone(),
-                SimOptions::default(),
             ),
             Err(SchedError::InvalidStream(_))
         ));
@@ -1034,14 +955,7 @@ mod tests {
             vec![(Time::ZERO, 0)],
         );
         assert!(matches!(
-            run_schedule(
-                &ok_stream,
-                QueuePolicy::Fcfs,
-                AllocPolicy::FirstFit,
-                &bad,
-                cfg,
-                SimOptions::default(),
-            ),
+            run_schedule(&ok_stream, QueuePolicy::Fcfs, &bad, cfg,),
             Err(SchedError::InvalidFaults(_))
         ));
     }

@@ -21,12 +21,13 @@ use sioscope_workloads::{Stmt, Workload};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+/// Fixed software overhead of one barrier/broadcast/gather call beyond
+/// the message timing (collective library entry/exit).
+const COLLECTIVE_OVERHEAD: Time = Time::from_micros(50);
+
 /// Simulation options.
 #[derive(Debug, Clone)]
 pub struct SimOptions {
-    /// Fixed software overhead of one barrier/broadcast/gather call
-    /// beyond the message timing (collective library entry/exit).
-    pub collective_overhead: Time,
     /// Abort if the event count exceeds this bound (guards against
     /// runaway workloads). `0` disables the check.
     pub max_events: u64,
@@ -35,7 +36,6 @@ pub struct SimOptions {
 impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
-            collective_overhead: Time::from_micros(50),
             max_events: 200_000_000,
         }
     }
@@ -201,7 +201,6 @@ pub(crate) struct Engine<B, E> {
     pub(crate) backend: B,
     mesh: MeshModel,
     collectives: RendezvousTable,
-    collective_overhead: Time,
     /// One completion buffer reused across every submission — the event
     /// loop issues millions of ops per run, and `submit`'s per-call
     /// vector was the hottest allocation in a profile.
@@ -209,13 +208,12 @@ pub(crate) struct Engine<B, E> {
 }
 
 impl<B, E: Copy> Engine<B, E> {
-    pub(crate) fn new(backend: B, mesh: MeshModel, options: &SimOptions) -> Self {
+    pub(crate) fn new(backend: B, mesh: MeshModel) -> Self {
         Engine {
             queue: EventQueue::new(),
             backend,
             mesh,
             collectives: RendezvousTable::new(),
-            collective_overhead: options.collective_overhead,
             completions: Vec::new(),
         }
     }
@@ -368,7 +366,7 @@ impl<'w> Gang<'w> {
                 match engine.collectives.arrive(key, pid, now, n as usize) {
                     RendezvousOutcome::Waiting => {}
                     RendezvousOutcome::Complete { arrivals, release } => {
-                        let base = release + engine.collective_overhead;
+                        let base = release + COLLECTIVE_OVERHEAD;
                         let mesh = &engine.mesh;
                         let queue = &mut engine.queue;
                         match collective {
@@ -553,7 +551,7 @@ fn run_loop<B: StorageBackend>(
     options: &SimOptions,
     stop: Time,
 ) -> Result<Attempt, SimError> {
-    let mut engine = Engine::new(backend, mesh, options);
+    let mut engine = Engine::new(backend, mesh);
     // Create the file table; workload file index i == FileId(i).
     for (i, spec) in workload.files.iter().enumerate() {
         let id = engine
@@ -954,10 +952,7 @@ mod tests {
     #[test]
     fn event_budget_enforced() {
         let w = EscatConfig::tiny(EscatVersion::A).build();
-        let opts = SimOptions {
-            max_events: 10,
-            ..SimOptions::default()
-        };
+        let opts = SimOptions { max_events: 10 };
         let e = run(&w, tiny_pfs(w.nodes), opts).unwrap_err();
         assert!(matches!(e, SimError::EventBudgetExceeded(_)));
     }

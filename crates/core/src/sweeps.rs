@@ -9,9 +9,10 @@
 //! A sweep names its workload by [`WorkloadId`] and [`Scale`] and builds
 //! it once. Every fault-free run it needs on the canonical Caltech PFS
 //! (a point whose config is that PFS, the fault-intensity horizon, the
-//! checkpoint sweeps' crash baseline) is read from the memo behind
-//! [`canon::workload_run`], so a process simulates each such run once
-//! across campaign runs and sweeps.
+//! checkpoint sweeps' and the `mtbf` sweep's crash baselines) is read
+//! from the fault-free memo behind [`canon::execute`]'s workload runs,
+//! so a process simulates each such run once across campaign runs and
+//! sweeps.
 
 use crate::canon::{self, BackendKind, WorkloadId};
 use crate::coupled::{run_coupled, Route};
@@ -27,8 +28,7 @@ use sioscope_sched::QueuePolicy;
 use sioscope_sim::{par, Time};
 use sioscope_stream::StagingConfig;
 use sioscope_workloads::{
-    CheckpointPolicy, EscatConfig, EscatVersion, PrismConfig, PrismVersion, Recoverable,
-    StreamCadence, Workload,
+    CheckpointPolicy, EscatVersion, PrismConfig, PrismVersion, StreamCadence, Workload,
 };
 use std::fmt::Write as _;
 
@@ -346,23 +346,27 @@ fn crash_environment(b: Time) -> (Time, Time) {
 }
 
 /// Vary the compute-partition MTBF, as a percentage of the fault-free
-/// execution time. For one seed the exponential inter-crash gaps scale
-/// linearly with the MTBF, so shrinking it packs strictly more crashes
-/// into the same horizon — time-to-solution inflation along the axis
-/// comes from crash density, not from re-rolled scenarios.
-pub(crate) fn mtbf_sweep(rec: &Recoverable, mtbf_percents: &[u32], seed: u64) -> Sweep {
+/// execution time, for ESCAT C at `scale` with a checkpoint marker
+/// after every cycle. For one seed the exponential inter-crash gaps
+/// scale linearly with the MTBF, so shrinking it packs strictly more
+/// crashes into the same horizon — time-to-solution inflation along
+/// the axis comes from crash density, not from re-rolled scenarios.
+/// The fault-free execution time is [`canonical_run`]'s: markers cost
+/// no time, so the marked run ends exactly when the plain one does.
+pub(crate) fn mtbf_sweep(scale: Scale, mtbf_percents: &[u32], seed: u64) -> Sweep {
+    let rec = scale
+        .escat(EscatVersion::C)
+        .recoverable(CheckpointPolicy::Fixed { interval: 1 });
     let w = rec.workload();
     let base_cfg = PfsConfig::caltech(w.nodes, w.os);
-    let baseline = run(w, base_cfg.clone(), SimOptions::default())
-        .unwrap_or_else(|e| panic!("mtbf sweep baseline: {e}"))
-        .exec_time;
+    let baseline = canonical_run(WorkloadId::EscatC, scale).exec_time;
     let (horizon, rework) = crash_environment(baseline);
     let fgen = FaultGen::new(seed, horizon, base_cfg.machine.io_nodes);
     let mut points: Vec<SweepPoint> = each(mtbf_percents, |&pct| {
         let mtbf = baseline.scale(f64::from(pct) / 100.0);
         let crashes = fgen.compute_crash_schedule(mtbf, rework, w.nodes);
         let n = crashes.events.len();
-        let r = run_with_recovery(rec, &crashes, base_cfg.clone(), SimOptions::default())
+        let r = run_with_recovery(&rec, &crashes, base_cfg.clone(), SimOptions::default())
             .unwrap_or_else(|e| panic!("mtbf={pct}%: {e}"));
         SweepPoint {
             label: format!("mtbf={pct}% ({n} crashes)"),
@@ -403,14 +407,6 @@ impl CheckpointTier {
     }
 }
 
-/// PRISM B at `scale`: the checkpoint-interval sweeps' workload.
-fn prism_b(scale: Scale) -> PrismConfig {
-    match scale {
-        Scale::Smoke => PrismConfig::tiny(PrismVersion::B),
-        Scale::Full => PrismConfig::test_problem(PrismVersion::B),
-    }
-}
-
 /// The seeded environment the checkpoint-interval sweeps share, derived
 /// from [`canonical_run`] of PRISM B at `scale`, the policy-free
 /// workload. It holds compute crashes, exponential with MTBF `0.8 ×`
@@ -419,7 +415,7 @@ fn prism_b(scale: Scale) -> PrismConfig {
 /// mid-attempt. Every tier faces the same crashes, so the sweeps'
 /// curves compare directly.
 fn checkpoint_environment(scale: Scale, seed: u64) -> (FaultSchedule, FaultSchedule) {
-    let cfg = prism_b(scale);
+    let cfg = scale.prism(PrismVersion::B);
     let io_nodes = PfsConfig::caltech(cfg.nodes, cfg.os()).machine.io_nodes;
     let baseline = canonical_run(WorkloadId::PrismB, scale).exec_time;
     let (horizon, rework) = crash_environment(baseline);
@@ -627,14 +623,7 @@ pub fn run_sweep(id: SweepId, scale: Scale) -> Sweep {
         SweepId::DiskBandwidth => disk_bandwidth_sweep(PrismA, scale, &[2, 8, 32]),
         SweepId::DegradedArrays => degraded_array_sweep(PrismA, scale, &[0, 4, 8]),
         SweepId::FaultIntensity => fault_intensity_sweep(PrismA, scale, &[0, 2, 4, 8], 0xF417),
-        SweepId::Mtbf => {
-            let cfg = match scale {
-                Scale::Smoke => EscatConfig::tiny(EscatVersion::C),
-                Scale::Full => EscatConfig::ethylene(EscatVersion::C),
-            };
-            let rec = cfg.recoverable(CheckpointPolicy::Fixed { interval: 1 });
-            mtbf_sweep(&rec, &[25, 50, 100, 200, 400], 0x4EC0)
-        }
+        SweepId::Mtbf => mtbf_sweep(scale, &[25, 50, 100, 200, 400], 0x4EC0),
         SweepId::CheckpointInterval
         | SweepId::CheckpointIntervalBurst
         | SweepId::CheckpointIntervalBurstCrash => {
@@ -645,14 +634,11 @@ pub fn run_sweep(id: SweepId, scale: Scale) -> Sweep {
                 _ => CheckpointTier::Burst(burst_faults),
             };
             let intervals = [1, 2, 5, 10, 25, 125, 250, 625];
-            checkpoint_interval_sweep(&prism_b(scale), &intervals, &tier, &crashes)
+            checkpoint_interval_sweep(&scale.prism(PrismVersion::B), &intervals, &tier, &crashes)
         }
         SweepId::LoadFactor => load_factor_sweep(&[25, 50, 100, 200, 400], scale),
         SweepId::StagingDepth => {
-            let cadence = match scale {
-                Scale::Smoke => PrismConfig::tiny(PrismVersion::C).stream_cadence(),
-                Scale::Full => PrismConfig::test_problem(PrismVersion::C).stream_cadence(),
-            };
+            let cadence = scale.prism(PrismVersion::C).stream_cadence();
             staging_depth_sweep(&cadence, &[16, 64, 512, 0], &[50, 100, 200])
         }
     }
@@ -661,6 +647,7 @@ pub fn run_sweep(id: SweepId, scale: Scale) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sioscope_workloads::EscatConfig;
 
     #[test]
     fn sweep_points_are_identical_on_one_thread_and_four() {
@@ -868,7 +855,7 @@ mod tests {
         let cfg = EscatConfig::tiny(EscatVersion::C);
         let rec = cfg.recoverable(CheckpointPolicy::Fixed { interval: 1 });
         let percents = [25, 75, 400];
-        let sweep = mtbf_sweep(&rec, &percents, 0x4EC0);
+        let sweep = mtbf_sweep(Scale::Smoke, &percents, 0x4EC0);
         assert_eq!(sweep.parameter, "mtbf");
         assert_eq!(sweep.points.len(), 3);
         assert!(sweep.points.windows(2).all(|w| w[0].value < w[1].value));
@@ -909,7 +896,7 @@ mod tests {
         }
 
         // Same seed, same sweep — the whole chain is deterministic.
-        let again = mtbf_sweep(&rec, &percents, 0x4EC0);
+        let again = mtbf_sweep(Scale::Smoke, &percents, 0x4EC0);
         for (a, b) in sweep.points.iter().zip(&again.points) {
             assert_eq!(a.exec_time, b.exec_time);
             assert_eq!(a.label, b.label);

@@ -3,12 +3,8 @@
 //! The Paragon space-shares its mesh: each admitted job receives a
 //! rectangular sub-mesh of compute nodes and keeps it until
 //! completion. The allocator here tracks per-cell occupancy of the
-//! compute grid and carves out partitions under two policies:
-//!
-//! * **first fit** — the row-major-first anchor that fits;
-//! * **best fit** — the feasible anchor whose partition touches the
-//!   fewest free cells (snuggest packing against mesh edges and
-//!   already-busy neighbours), ties broken row-major.
+//! compute grid and carves out partitions first fit: each goes to the
+//! row-major-first anchor that fits.
 //!
 //! Freed partitions clear their cells outright, so adjacent free
 //! regions coalesce automatically — there is no free-list to merge,
@@ -26,15 +22,6 @@
 //! a single-job schedule bit-identical to a dedicated run.
 
 use sioscope_machine::MachineConfig;
-
-/// Placement policy for new partitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AllocPolicy {
-    /// First feasible anchor in row-major order.
-    FirstFit,
-    /// Feasible anchor with the fewest free neighbouring cells.
-    BestFit,
-}
 
 /// An allocated sub-mesh: anchor, shape, and the node count actually
 /// occupied (the last row may be ragged when `nodes % w != 0`).
@@ -87,7 +74,6 @@ pub struct PartitionAllocator {
     rows: u32,
     cols: u32,
     compute_nodes: u32,
-    policy: AllocPolicy,
     /// One occupancy bitmask per row (bit `x` = cell `(x, row)` busy).
     occ: Vec<u64>,
 }
@@ -99,7 +85,7 @@ impl PartitionAllocator {
     /// # Panics
     /// Panics if `cols` exceeds 64 (one `u64` mask per row) or
     /// `compute_nodes` exceeds the grid.
-    pub fn new(rows: u32, cols: u32, compute_nodes: u32, policy: AllocPolicy) -> Self {
+    pub fn new(rows: u32, cols: u32, compute_nodes: u32) -> Self {
         assert!((1..=64).contains(&cols), "mesh width {cols} not in 1..=64");
         assert!(rows >= 1, "mesh must have rows");
         assert!(
@@ -110,19 +96,13 @@ impl PartitionAllocator {
             rows,
             cols,
             compute_nodes,
-            policy,
             occ: vec![0u64; rows as usize],
         }
     }
 
     /// An allocator over `machine`'s compute grid.
-    pub fn for_machine(machine: &MachineConfig, policy: AllocPolicy) -> Self {
-        PartitionAllocator::new(
-            machine.mesh.rows,
-            machine.mesh.cols,
-            machine.compute_nodes,
-            policy,
-        )
+    pub fn for_machine(machine: &MachineConfig) -> Self {
+        PartitionAllocator::new(machine.mesh.rows, machine.mesh.cols, machine.compute_nodes)
     }
 
     /// The canonical shape for an `n`-node request: full-mesh-width
@@ -179,51 +159,9 @@ impl PartitionAllocator {
         true
     }
 
-    fn is_free_compute_cell(&self, x: i64, y: i64) -> bool {
-        if x < 0 || y < 0 || x >= i64::from(self.cols) || y >= i64::from(self.rows) {
-            return false;
-        }
-        if y as u32 * self.cols + x as u32 >= self.compute_nodes {
-            return false;
-        }
-        self.occ[y as usize] & (1u64 << x) == 0
-    }
-
-    /// Best-fit score: free allocatable cells bordering the candidate
-    /// partition (4-neighbourhood). Lower means the partition nestles
-    /// against mesh edges and busy neighbours, preserving large free
-    /// rectangles for later requests.
-    fn adjacency_score(&self, x: u32, y: u32, n: u32, w: u32, h: u32) -> u32 {
-        let p = Partition {
-            x,
-            y,
-            w,
-            h,
-            nodes: n,
-        };
-        let inside = |nx: i64, ny: i64| -> bool {
-            nx >= i64::from(p.x)
-                && ny >= i64::from(p.y)
-                && nx < i64::from(p.x + p.w)
-                && ny < i64::from(p.y + p.h)
-                && (ny - i64::from(p.y)) * i64::from(p.w) + (nx - i64::from(p.x))
-                    < i64::from(p.nodes)
-        };
-        let mut score = 0u32;
-        for (cx, cy) in p.cells() {
-            for (dx, dy) in [(-1i64, 0i64), (1, 0), (0, -1), (0, 1)] {
-                let (nx, ny) = (i64::from(cx) + dx, i64::from(cy) + dy);
-                // Cells inside the partition itself don't count.
-                if !inside(nx, ny) && self.is_free_compute_cell(nx, ny) {
-                    score += 1;
-                }
-            }
-        }
-        score
-    }
-
-    /// Allocate an `n`-node partition, or `None` if no feasible anchor
-    /// exists (insufficient capacity *or* fragmentation).
+    /// Allocate an `n`-node partition at the first feasible anchor in
+    /// row-major order, or `None` if none exists (insufficient capacity
+    /// *or* fragmentation).
     pub fn allocate(&mut self, n: u32) -> Option<Partition> {
         if n == 0 || n > self.free_nodes() {
             return None;
@@ -232,26 +170,14 @@ impl PartitionAllocator {
         if h > self.rows {
             return None;
         }
-        let mut best: Option<(u32, u32, u32)> = None; // (score, y, x)
         for y in 0..=(self.rows - h) {
             for x in 0..=(self.cols - w) {
-                if !self.fits_at(x, y, n, w, h) {
-                    continue;
-                }
-                match self.policy {
-                    AllocPolicy::FirstFit => {
-                        return Some(self.mark(x, y, n, w, h));
-                    }
-                    AllocPolicy::BestFit => {
-                        let score = self.adjacency_score(x, y, n, w, h);
-                        if best.is_none_or(|b| (score, y, x) < b) {
-                            best = Some((score, y, x));
-                        }
-                    }
+                if self.fits_at(x, y, n, w, h) {
+                    return Some(self.mark(x, y, n, w, h));
                 }
             }
         }
-        best.map(|(_, y, x)| self.mark(x, y, n, w, h))
+        None
     }
 
     fn mark(&mut self, x: u32, y: u32, n: u32, w: u32, h: u32) -> Partition {
@@ -295,7 +221,7 @@ mod tests {
 
     fn alloc_8x2() -> PartitionAllocator {
         // 2 rows × 8 cols, all 16 cells allocatable.
-        PartitionAllocator::new(2, 8, 16, AllocPolicy::FirstFit)
+        PartitionAllocator::new(2, 8, 16)
     }
 
     #[test]
@@ -350,20 +276,9 @@ mod tests {
     }
 
     #[test]
-    fn best_fit_prefers_snug_corners() {
-        let mut a = PartitionAllocator::new(4, 8, 32, AllocPolicy::BestFit);
-        let p1 = a.allocate(8).unwrap();
-        assert_eq!((p1.x, p1.y), (0, 0));
-        // A 2-node request: first-fit would take (0,1); best-fit also
-        // takes a corner hugging the busy row and the mesh edge.
-        let p2 = a.allocate(2).unwrap();
-        assert_eq!(p2.y, 1, "hug the busy row, not an empty middle row");
-    }
-
-    #[test]
     fn respects_partial_compute_complement() {
         // 16×32 mesh but only 8 compute nodes (ids 0..8, row 0).
-        let mut a = PartitionAllocator::new(16, 32, 8, AllocPolicy::FirstFit);
+        let mut a = PartitionAllocator::new(16, 32, 8);
         assert!(a.allocate(9).is_none());
         let p = a.allocate(8).unwrap();
         assert_eq!((p.x, p.y, p.w, p.h), (0, 0, 8, 1));
@@ -373,7 +288,7 @@ mod tests {
     #[test]
     fn for_machine_matches_config() {
         let m = MachineConfig::tiny(); // 2×4 mesh, 4 compute nodes
-        let mut a = PartitionAllocator::for_machine(&m, AllocPolicy::FirstFit);
+        let mut a = PartitionAllocator::for_machine(&m);
         assert_eq!(a.capacity(), 4);
         assert!(a.allocate(5).is_none());
         assert!(a.allocate(4).is_some());
@@ -382,7 +297,7 @@ mod tests {
     #[test]
     fn full_width_mask_is_safe() {
         // cols == 64 exercises the 1<<64 guard.
-        let mut a = PartitionAllocator::new(1, 64, 64, AllocPolicy::FirstFit);
+        let mut a = PartitionAllocator::new(1, 64, 64);
         let p = a.allocate(64).unwrap();
         assert_eq!(a.free_nodes(), 0);
         a.free(&p);

@@ -6,14 +6,13 @@
 //! workloads whose jobs contend for the same sixteen I/O nodes; this
 //! crate supplies the scheduling layer that multi-tenant story needs:
 //!
-//! * [`JobStream`] — seeded job-arrival generators (open Poisson,
-//!   closed-loop, and scripted streams) over any
-//!   [`sioscope_workloads::Workload`], in the same declarative style
-//!   as `FaultSchedule`;
-//! * [`PartitionAllocator`] — a 2-D sub-mesh allocator over the
-//!   machine's compute grid (first-fit and best-fit, with freed
-//!   partitions coalescing automatically), so co-resident jobs get
-//!   disjoint compute nodes while sharing I/O nodes and mesh links;
+//! * [`JobStream`] — seeded job-arrival generators (open Poisson and
+//!   scripted streams) over any [`sioscope_workloads::Workload`], in
+//!   the same declarative style as `FaultSchedule`;
+//! * [`PartitionAllocator`] — a first-fit 2-D sub-mesh allocator over
+//!   the machine's compute grid (freed partitions coalesce
+//!   automatically), so co-resident jobs get disjoint compute nodes
+//!   while sharing I/O nodes and mesh links;
 //! * [`QueuePolicy`] — FCFS and EASY backfill;
 //! * [`ScheduleStats`] / [`JobOutcome`] — makespan and per-job
 //!   wait/stretch/bounded-slowdown accounting.
@@ -28,7 +27,7 @@ pub mod policy;
 pub mod stats;
 pub mod stream;
 
-pub use alloc::{AllocPolicy, Partition, PartitionAllocator};
+pub use alloc::{Partition, PartitionAllocator};
 pub use policy::QueuePolicy;
 pub use stats::{JobOutcome, ScheduleStats};
 pub use stream::{JobStream, JobTemplate, StreamKind};

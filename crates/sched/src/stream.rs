@@ -5,7 +5,7 @@
 //! produces the same arrival instants and the same template picks.
 //!
 //! Determinism is structured so offered load can be swept without
-//! perturbing the job mix: template picks draw from
+//! perturbing the job mix: uniform template picks draw from
 //! `DetRng::new(seed).fork(TEMPLATE_SALT).fork(index)` (one pure fork
 //! per arrival index), while Poisson interarrival gaps draw
 //! sequentially from `fork(ARRIVAL_SALT)`. Scaling the mean
@@ -20,15 +20,13 @@ const ARRIVAL_SALT: u64 = 0x5ced_0000_0000_0001;
 /// Fork tag for per-index template picks.
 const TEMPLATE_SALT: u64 = 0x5ced_0000_0000_0002;
 
-/// One workload the stream can instantiate, with a sampling weight.
+/// One workload the stream can instantiate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobTemplate {
     /// Label carried into per-job outcomes.
     pub label: String,
     /// The dedicated-mode workload this job runs.
     pub workload: Workload,
-    /// Relative sampling weight (must be positive).
-    pub weight: u32,
 }
 
 /// How arrival instants are generated.
@@ -36,9 +34,6 @@ pub struct JobTemplate {
 pub enum StreamKind {
     /// Open stream: exponential interarrival gaps with the given mean.
     Poisson { mean_interarrival: Time },
-    /// Closed loop: `population` jobs cycle; each completion spawns its
-    /// successor after `think_time`.
-    ClosedLoop { population: u32, think_time: Time },
     /// Explicit `(arrival, template index)` list, in submission order.
     Scripted { arrivals: Vec<(Time, usize)> },
 }
@@ -50,7 +45,7 @@ pub struct JobStream {
     pub kind: StreamKind,
     /// Master seed; forked, never used directly.
     pub seed: u64,
-    /// Candidate workloads (weighted for Poisson / closed-loop picks).
+    /// Candidate workloads (picked uniformly for Poisson arrivals).
     pub templates: Vec<JobTemplate>,
     /// Total jobs the stream emits (for Scripted this must equal the
     /// arrival list length).
@@ -69,18 +64,15 @@ pub struct JobArrival {
 impl JobStream {
     /// Validate the stream's internal consistency.
     ///
-    /// Checks: at least one template, all weights positive, every
-    /// template workload valid, all templates on the same OS release
-    /// (one shared PFS serves every job), scripted indices in range and
-    /// arrivals sorted, and `count` consistent with the kind.
+    /// Checks: at least one template, every template workload valid,
+    /// all templates on the same OS release (one shared PFS serves
+    /// every job), scripted indices in range and arrivals sorted, and
+    /// `count` consistent with the kind.
     pub fn validate(&self) -> Result<(), String> {
         if self.templates.is_empty() {
             return Err("job stream needs at least one template".into());
         }
         for (i, t) in self.templates.iter().enumerate() {
-            if t.weight == 0 {
-                return Err(format!("template {i} ({}) has zero weight", t.label));
-            }
             let problems = t.workload.validate();
             if !problems.is_empty() {
                 return Err(format!(
@@ -101,11 +93,6 @@ impl JobStream {
             StreamKind::Poisson { mean_interarrival } => {
                 if *mean_interarrival == Time::ZERO {
                     return Err("poisson stream needs a positive mean interarrival".into());
-                }
-            }
-            StreamKind::ClosedLoop { population, .. } => {
-                if *population == 0 {
-                    return Err("closed loop needs a positive population".into());
                 }
             }
             StreamKind::Scripted { arrivals } => {
@@ -134,31 +121,17 @@ impl JobStream {
         Ok(())
     }
 
-    /// Weighted template pick for arrival `index`; pure in `index`.
-    pub(crate) fn pick_template(&self, index: u32) -> usize {
-        let total: u64 = self.templates.iter().map(|t| u64::from(t.weight)).sum();
+    /// Uniform template pick for arrival `index`; pure in `index`.
+    fn pick_template(&self, index: u32) -> usize {
+        let n = self.templates.len();
         let mut rng = DetRng::new(self.seed)
             .fork(TEMPLATE_SALT)
             .fork(u64::from(index));
-        let mut roll = (rng.unit() * total as f64) as u64;
-        if roll >= total {
-            roll = total - 1;
-        }
-        for (i, t) in self.templates.iter().enumerate() {
-            let w = u64::from(t.weight);
-            if roll < w {
-                return i;
-            }
-            roll -= w;
-        }
-        self.templates.len() - 1
+        ((rng.unit() * n as f64) as usize).min(n - 1)
     }
 
-    /// The arrivals known before the simulation starts.
-    ///
-    /// Poisson and Scripted streams are fully materialized here; a
-    /// closed loop releases its initial `population` at time zero and
-    /// feeds the rest through [`Self::next_arrival_after`].
+    /// The arrivals, all known before the simulation starts, in
+    /// submission order.
     pub fn initial_arrivals(&self) -> Vec<JobArrival> {
         match &self.kind {
             StreamKind::Poisson { mean_interarrival } => {
@@ -178,33 +151,11 @@ impl JobStream {
                     })
                     .collect()
             }
-            StreamKind::ClosedLoop { population, .. } => (0..(*population).min(self.count))
-                .map(|i| JobArrival {
-                    at: Time::ZERO,
-                    template: self.pick_template(i),
-                })
-                .collect(),
             StreamKind::Scripted { arrivals } => arrivals
                 .iter()
                 .map(|&(at, template)| JobArrival { at, template })
                 .collect(),
         }
-    }
-
-    /// Closed-loop feedback: the arrival spawned by a completion at
-    /// `now`, given `spawned` jobs have been created so far. Returns
-    /// `None` for open streams or once `count` is reached.
-    pub fn next_arrival_after(&self, spawned: u32, now: Time) -> Option<JobArrival> {
-        let StreamKind::ClosedLoop { think_time, .. } = &self.kind else {
-            return None;
-        };
-        if spawned >= self.count {
-            return None;
-        }
-        Some(JobArrival {
-            at: now + *think_time,
-            template: self.pick_template(spawned),
-        })
     }
 }
 
@@ -237,12 +188,10 @@ mod tests {
                 JobTemplate {
                     label: "a".into(),
                     workload: tiny_workload("a"),
-                    weight: 3,
                 },
                 JobTemplate {
                     label: "b".into(),
                     workload: tiny_workload("b"),
-                    weight: 1,
                 },
             ],
             count,
@@ -292,37 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn template_picks_respect_weights_roughly() {
-        let s = stream(
-            StreamKind::Poisson {
-                mean_interarrival: Time::from_secs(1),
-            },
-            400,
-        );
-        let heavy = (0..400).filter(|&i| s.pick_template(i) == 0).count();
-        // Weight 3:1 — expect ~300 picks of template 0; allow wide slack.
-        assert!((220..=380).contains(&heavy), "heavy = {heavy}");
-    }
-
-    #[test]
-    fn closed_loop_releases_population_then_feeds_back() {
-        let s = stream(
-            StreamKind::ClosedLoop {
-                population: 3,
-                think_time: Time::from_secs(2),
-            },
-            5,
-        );
-        s.validate().unwrap();
-        let init = s.initial_arrivals();
-        assert_eq!(init.len(), 3);
-        assert!(init.iter().all(|j| j.at == Time::ZERO));
-        let next = s.next_arrival_after(3, Time::from_secs(10)).unwrap();
-        assert_eq!(next.at, Time::from_secs(12));
-        assert!(s.next_arrival_after(5, Time::from_secs(10)).is_none());
-    }
-
-    #[test]
     fn scripted_validates_and_materializes() {
         let s = stream(
             StreamKind::Scripted {
@@ -367,8 +285,6 @@ mod tests {
         s.kind = StreamKind::Poisson {
             mean_interarrival: Time::from_secs(1),
         };
-        s.templates[1].weight = 0;
-        assert!(s.validate().is_err());
         s.templates.clear();
         assert!(s.validate().is_err());
     }

@@ -3,8 +3,8 @@
 //! The allocator underpins every multi-job schedule: if two live
 //! partitions ever share a cell, two jobs' compute phases would
 //! interleave on one node and the contention results would be
-//! garbage. These properties drive random alloc/free churn against
-//! both policies and check, after every step:
+//! garbage. These properties drive random first-fit alloc/free churn
+//! and check, after every step:
 //!
 //! * live partitions never overlap and never leave the compute
 //!   complement;
@@ -14,17 +14,9 @@
 //! * identical op sequences place identically (determinism).
 
 use sioscope_prop::cases;
-use sioscope_sched::{AllocPolicy, Partition, PartitionAllocator};
+use sioscope_sched::{Partition, PartitionAllocator};
 use sioscope_sim::DetRng;
 use std::collections::HashSet;
-
-fn policy(rng: &mut DetRng) -> AllocPolicy {
-    if rng.chance(0.5) {
-        AllocPolicy::FirstFit
-    } else {
-        AllocPolicy::BestFit
-    }
-}
 
 /// A mesh small enough to exhaust quickly but large enough to
 /// fragment: `rows × cols` with a possibly-partial compute complement.
@@ -94,10 +86,9 @@ fn churn(
     rows: u32,
     cols: u32,
     compute: u32,
-    policy: AllocPolicy,
     ops: &[(bool, u64, u32)],
 ) -> (Vec<Partition>, Vec<Partition>, PartitionAllocator) {
-    let mut alloc = PartitionAllocator::new(rows, cols, compute, policy);
+    let mut alloc = PartitionAllocator::new(rows, cols, compute);
     let mut live: Vec<Partition> = Vec::new();
     let mut granted: Vec<Partition> = Vec::new();
     for &(free_first, pick, n) in ops {
@@ -124,9 +115,8 @@ fn live_partitions_disjoint_in_bounds_and_complete() {
         256,
         |rng| {
             let (rows, cols, compute) = mesh(rng);
-            let policy = policy(rng);
             let ops = churn_ops(rng);
-            let mut alloc = PartitionAllocator::new(rows, cols, compute, policy);
+            let mut alloc = PartitionAllocator::new(rows, cols, compute);
             let mut live: Vec<Partition> = Vec::new();
             for &(free_first, pick, n) in &ops {
                 if free_first && !live.is_empty() {
@@ -177,10 +167,9 @@ fn live_partitions_disjoint_in_bounds_and_complete() {
 fn alloc_free_round_trips_to_empty() {
     cases("alloc_free_round_trips_to_empty", 256, |rng| {
         let (rows, cols, compute) = mesh(rng);
-        let policy = policy(rng);
         let sizes = requests(rng, 1, 39);
         let picks: Vec<u64> = (0..40).map(|_| rng.range_inclusive(0, u64::MAX)).collect();
-        let mut alloc = PartitionAllocator::new(rows, cols, compute, policy);
+        let mut alloc = PartitionAllocator::new(rows, cols, compute);
         let mut live: Vec<Partition> = Vec::new();
         for &n in &sizes {
             if let Some(p) = alloc.allocate(n) {
@@ -212,9 +201,8 @@ fn alloc_free_round_trips_to_empty() {
 fn machine_node_membership_matches_cells() {
     cases("machine_node_membership_matches_cells", 256, |rng| {
         let (rows, cols, compute) = mesh(rng);
-        let policy = policy(rng);
         let sizes = requests(rng, 1, 19);
-        let mut alloc = PartitionAllocator::new(rows, cols, compute, policy);
+        let mut alloc = PartitionAllocator::new(rows, cols, compute);
         for &n in &sizes {
             if let Some(p) = alloc.allocate(n) {
                 let from_cells: HashSet<u32> = p.cells().map(|(x, y)| y * cols + x).collect();
@@ -228,16 +216,14 @@ fn machine_node_membership_matches_cells() {
 }
 
 /// The allocator is a pure function of its op sequence: replaying
-/// the same churn yields bit-identical placements under either
-/// policy (best-fit ties are broken row-major, not arbitrarily).
+/// the same churn yields bit-identical placements.
 #[test]
 fn identical_op_sequences_place_identically() {
     cases("identical_op_sequences_place_identically", 256, |rng| {
         let (rows, cols, compute) = mesh(rng);
-        let policy = policy(rng);
         let ops = churn_ops(rng);
-        let (granted_a, live_a, _) = churn(rows, cols, compute, policy, &ops);
-        let (granted_b, live_b, _) = churn(rows, cols, compute, policy, &ops);
+        let (granted_a, live_a, _) = churn(rows, cols, compute, &ops);
+        let (granted_b, live_b, _) = churn(rows, cols, compute, &ops);
         assert_eq!(
             granted_a, granted_b,
             "placement depends on more than the op sequence"

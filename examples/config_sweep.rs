@@ -12,8 +12,7 @@ use sioscope::experiments::Scale;
 use sioscope::sweeps::{disk_bandwidth_sweep, io_node_sweep, stripe_sweep};
 
 fn main() {
-    let smoke = matches!(std::env::var("SIOSCOPE_SCALE").as_deref(), Ok("smoke"));
-    let scale = if smoke { Scale::Smoke } else { Scale::Full };
+    let scale = Scale::from_env();
 
     println!("== I/O-node scaling (ESCAT B: the all-node staging workload) ==\n");
     let sweep = io_node_sweep(WorkloadId::EscatB, scale, &[2, 4, 8, 16, 32]);

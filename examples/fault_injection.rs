@@ -18,8 +18,7 @@ use sioscope::experiments::{run_experiment, Experiment, Scale};
 use sioscope::sweeps::fault_intensity_sweep;
 
 fn main() {
-    let smoke = matches!(std::env::var("SIOSCOPE_SCALE").as_deref(), Ok("smoke"));
-    let scale = if smoke { Scale::Smoke } else { Scale::Full };
+    let scale = Scale::from_env();
 
     println!("== One run per fault class ==\n");
     for e in [Experiment::ResilienceEscat, Experiment::ResiliencePrism] {

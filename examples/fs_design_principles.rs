@@ -10,10 +10,7 @@ use sioscope::experiments::{run_experiment, Experiment, Scale};
 use sioscope::report::render_output;
 
 fn main() {
-    let scale = match std::env::var("SIOSCOPE_SCALE").as_deref() {
-        Ok("smoke") => Scale::Smoke,
-        _ => Scale::Full,
-    };
+    let scale = Scale::from_env();
     println!(
         "\"Request aggregation, prefetching, and write behind are possible\n\
          approaches\" — §7, Smirni et al., HPDC 1996.\n"

@@ -13,10 +13,11 @@
 //! cargo run --release --example porting_study
 //! ```
 
+use sioscope::experiments::Scale;
 use sioscope::simulator::{run, SimOptions};
 use sioscope_machine::MachineConfig;
 use sioscope_pfs::{PfsConfig, PfsCosts};
-use sioscope_workloads::{EscatConfig, EscatVersion, Workload};
+use sioscope_workloads::{EscatVersion, Workload};
 
 fn run_on(workload: &Workload, machine: MachineConfig) -> sioscope::simulator::RunResult {
     let cfg = PfsConfig {
@@ -32,16 +33,9 @@ fn run_on(workload: &Workload, machine: MachineConfig) -> sioscope::simulator::R
 }
 
 fn main() {
-    let smoke = matches!(std::env::var("SIOSCOPE_SCALE").as_deref(), Ok("smoke"));
-    let build = |v: EscatVersion| {
-        if smoke {
-            EscatConfig::tiny(v).build()
-        } else {
-            EscatConfig::ethylene(v).build()
-        }
-    };
-    let wa = build(EscatVersion::A);
-    let wc = build(EscatVersion::C);
+    let scale = Scale::from_env();
+    let wa = scale.escat(EscatVersion::A).build();
+    let wc = scale.escat(EscatVersion::C).build();
     type MachineMaker = fn(u32) -> MachineConfig;
     let machines: [(&str, MachineMaker); 3] = [
         ("iPSC/860", MachineConfig::ipsc860),

@@ -12,13 +12,14 @@
 //! cargo run --release --example regularity_contrast
 //! ```
 
+use sioscope::experiments::Scale;
 use sioscope::simulator::{run, RunResult, SimOptions};
 use sioscope_analysis::interarrival::per_process;
 use sioscope_analysis::{BandwidthSeries, Cdf};
 use sioscope_pfs::{OpKind, PfsConfig};
 use sioscope_sim::Time;
 use sioscope_workloads::synthetic::{cray_cyclical, KernelConfig};
-use sioscope_workloads::{EscatConfig, EscatVersion, PrismConfig, PrismVersion, Workload};
+use sioscope_workloads::{EscatVersion, PrismVersion, Workload};
 
 fn execute(w: &Workload) -> RunResult {
     let cfg = PfsConfig::caltech(w.nodes, w.os);
@@ -52,7 +53,7 @@ fn row(name: &str, r: &RunResult) {
 }
 
 fn main() {
-    let smoke = matches!(std::env::var("SIOSCOPE_SCALE").as_deref(), Ok("smoke"));
+    let scale = Scale::from_env();
     println!(
         "{:<18}{:>10}{:>12}{:>11}{:>18}{:>18}",
         "workload", "iat CV", "burstiness", "duty", "read sizes (B)", "write sizes (B)"
@@ -67,17 +68,9 @@ fn main() {
     row("Cray-cyclical", &execute(&cray));
 
     // The Paragon applications.
-    let escat = if smoke {
-        EscatConfig::tiny(EscatVersion::A).build()
-    } else {
-        EscatConfig::ethylene(EscatVersion::A).build()
-    };
+    let escat = scale.escat(EscatVersion::A).build();
     row("ESCAT-A", &execute(&escat));
-    let prism = if smoke {
-        PrismConfig::tiny(PrismVersion::A).build()
-    } else {
-        PrismConfig::test_problem(PrismVersion::A).build()
-    };
+    let prism = scale.prism(PrismVersion::A).build();
     row("PRISM-A", &execute(&prism));
 
     println!(

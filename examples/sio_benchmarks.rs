@@ -7,13 +7,14 @@
 //! cargo run --release --example sio_benchmarks
 //! ```
 
+use sioscope::experiments::Scale;
 use sioscope::simulator::{run, SimOptions};
 use sioscope_pfs::mode::OsRelease;
 use sioscope_pfs::{PfsConfig, PolicyConfig};
 use sioscope_workloads::synthetic::{suite, KernelConfig};
 
 fn main() {
-    let cfg = if matches!(std::env::var("SIOSCOPE_SCALE").as_deref(), Ok("smoke")) {
+    let cfg = if Scale::from_env() == Scale::Smoke {
         KernelConfig::small()
     } else {
         KernelConfig::paper_scale()

@@ -8,6 +8,7 @@
 //! cargo run --release --example three_dimensions
 //! ```
 
+use sioscope::experiments::Scale;
 use sioscope::simulator::{run, RunResult, SimOptions};
 use sioscope_analysis::classify::class_totals;
 use sioscope_analysis::{
@@ -15,7 +16,7 @@ use sioscope_analysis::{
 };
 use sioscope_pfs::{OpKind, PfsConfig};
 use sioscope_sim::{Pid, Time};
-use sioscope_workloads::{EscatConfig, EscatVersion, PrismConfig, PrismVersion};
+use sioscope_workloads::{EscatVersion, PrismVersion};
 
 fn characterize(r: &RunResult) {
     println!("=== {} ===", r.name);
@@ -75,23 +76,15 @@ fn characterize(r: &RunResult) {
 }
 
 fn main() {
-    let smoke = matches!(std::env::var("SIOSCOPE_SCALE").as_deref(), Ok("smoke"));
+    let scale = Scale::from_env();
     for v in [EscatVersion::A, EscatVersion::B, EscatVersion::C] {
-        let w = if smoke {
-            EscatConfig::tiny(v).build()
-        } else {
-            EscatConfig::ethylene(v).build()
-        };
+        let w = scale.escat(v).build();
         let cfg = PfsConfig::caltech(w.nodes, w.os);
         let r = run(&w, cfg, SimOptions::default()).expect("runs");
         characterize(&r);
     }
     for v in PrismVersion::all() {
-        let w = if smoke {
-            PrismConfig::tiny(v).build()
-        } else {
-            PrismConfig::test_problem(v).build()
-        };
+        let w = scale.prism(v).build();
         let cfg = PfsConfig::caltech(w.nodes, w.os);
         let r = run(&w, cfg, SimOptions::default()).expect("runs");
         characterize(&r);

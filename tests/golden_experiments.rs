@@ -342,9 +342,9 @@ fn schedule_summary(out: &sioscope::ScheduleOutcome) -> Json {
 #[test]
 fn schedules_match_goldens_bit_exact() {
     use sioscope::experiments::contention::{bench_machine, bench_stream};
-    use sioscope::{run_schedule, SimOptions};
+    use sioscope::run_schedule;
     use sioscope_faults::{FaultGen, FaultSchedule};
-    use sioscope_sched::{AllocPolicy, QueuePolicy};
+    use sioscope_sched::QueuePolicy;
 
     // Every job of the benchmark stream is four nodes wide, so EASY
     // could never backfill one past a blocked head. Widen the
@@ -356,15 +356,7 @@ fn schedules_match_goldens_bit_exact() {
     wide.nodes *= 2;
     wide.programs = vec![wide.programs[0].clone(); wide.nodes as usize];
     let schedule = |policy, crashes: &FaultSchedule, cfg| {
-        run_schedule(
-            &stream,
-            policy,
-            AllocPolicy::FirstFit,
-            crashes,
-            cfg,
-            SimOptions::default(),
-        )
-        .expect("the benchmark stream schedules")
+        run_schedule(&stream, policy, crashes, cfg).expect("the benchmark stream schedules")
     };
     // The faulted cases draw crashes over every cell of the machine and
     // I/O faults over its I/O nodes, both within the fault-free
