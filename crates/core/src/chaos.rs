@@ -25,17 +25,15 @@
 //! identity, crash monotonicity (a consumer outage never *shrinks*
 //! latency or stall), and the unbounded-queue equivalence.
 //!
-//! A backend case runs its six simulations as a two-level DAG on
-//! [`par::map`]. First the fault-free and engaged-empty runs go side by
-//! side. The fault-free horizon then places the schedules, and three
-//! legs follow: the recovery pair (crash-free, then crashed: the long
-//! pole, so it is claimed first), the faulted run and its replay. Each
-//! worker shrinks its result to what the checks read, so no trace
-//! outlives its worker. A stream case runs its five coupled runs in
-//! series: together they take about as long as spawning the threads
-//! would. [`chaos_soak`] fans out over whole cases instead, so the
-//! per-case maps inside it stay inline. The thread count never reaches
-//! a verdict.
+//! A case runs its simulations in series on the calling thread, so its
+//! heap peak does not depend on thread timing. A backend case shrinks
+//! each result to what its checks read, so no trace outlives its run.
+//! Its fault-free and engaged-empty runs read neither the seed nor a
+//! fuzzed schedule, so each (workload, tier) simulates them once per
+//! process and every later case reads them from a memo; a case then
+//! simulates only its faulted run, the replay and the recovery pair.
+//! [`chaos_soak`] fans out over whole cases. The thread count never
+//! reaches a verdict.
 //!
 //! The `sioscope-bench` `chaos` subcommand drives this over a fixed
 //! seed budget (the CI `chaos-smoke` job); the functions are public
@@ -43,7 +41,8 @@
 
 use crate::canon::{tier_config, WorkloadId};
 use crate::coupled::{run_coupled, Route};
-use crate::experiments::{side_by_side, Scale};
+use crate::experiments::memo::RunMemo;
+use crate::experiments::Scale;
 use crate::recovery::run_with_recovery_backend;
 use crate::simulator::{run_backend, RunResult, SimOptions};
 use sioscope_faults::{FaultGen, FaultKind, FaultSchedule};
@@ -183,9 +182,8 @@ fn tier_schedule(
     }
 }
 
-/// What a backend case's checks read from one run. Workers shrink
-/// each result to this before returning, so no trace outlives the
-/// worker that recorded it.
+/// What a backend case's checks read from one run. Each run is shrunk
+/// to this as soon as it ends, so no trace outlives its run.
 struct RunSummary {
     fingerprint: String,
     exec_time: Time,
@@ -204,21 +202,15 @@ impl RunSummary {
     }
 }
 
-/// The second level of a backend case's runs.
-enum Leg {
-    /// The recovery pair: the long pole, so it is listed first and a
-    /// worker claims it first.
-    Recovery,
-    /// One run under the fuzzed schedule: the faulted run or its replay.
-    Faulted,
-}
+/// The fault-free and the engaged-empty run of each (workload, tier)
+/// at smoke scale. Neither reads the seed, so every backend case of a
+/// process shares one simulation of each. Only the summaries stay: at
+/// most 9 ids x 3 tiers pairs.
+static FAULT_FREE: RunMemo<(WorkloadId, BackendKind), [RunSummary; 2]> = RunMemo::new();
 
-/// What a second-level leg hands back.
-enum LegOut {
-    /// Times-to-solution of the crash-free and the crashed recovery run.
-    Recovery(Time, Time),
-    /// A run under the fuzzed schedule.
-    Run(RunSummary),
+/// Forget every memoized fault-free pair.
+pub(crate) fn clear_cache() {
+    FAULT_FREE.clear();
 }
 
 /// Recovery sanity's two runs: compute crashes only ever *add* time —
@@ -230,7 +222,7 @@ enum LegOut {
 /// span `clean_horizon`, the case's fault-free exec time. Returns the
 /// crash-free and the crashed time-to-solution; the crash-free run is
 /// dropped before the crashed one starts.
-fn recovery_pair(tier: BackendKind, seed: u64, clean_horizon: Time, events: usize) -> LegOut {
+fn recovery_pair(tier: BackendKind, seed: u64, clean_horizon: Time, events: usize) -> (Time, Time) {
     let rec =
         EscatConfig::tiny(EscatVersion::B).recoverable(CheckpointPolicy::Fixed { interval: 5 });
     let rec_faults = tier_schedule(tier, seed, clean_horizon, rec.workload(), events);
@@ -253,7 +245,7 @@ fn recovery_pair(tier: BackendKind, seed: u64, clean_horizon: Time, events: usiz
         rec.workload().nodes,
     );
     let crashed = run(&crashes, "crashed recovery run");
-    LegOut::Recovery(base, crashed.recovery.time_to_solution)
+    (base, crashed.recovery.time_to_solution)
 }
 
 /// Run one chaos case. `golden` optionally maps canonical workload
@@ -280,28 +272,21 @@ pub fn chaos_case(
         )
     };
 
-    // The fault-free run places every later run's schedule; the
-    // engaged-but-empty run needs none, so it runs beside it.
-    let [clean, engaged] = side_by_side(
-        &[FaultSchedule::empty(), FaultSchedule::engaged_empty()],
-        run_with,
-    );
+    // The fault-free run places every later run's schedule.
+    let fault_free = FAULT_FREE.get_or_run((id, tier), || {
+        [FaultSchedule::empty(), FaultSchedule::engaged_empty()].map(|f| run_with(&f))
+    });
+    let [clean, engaged] = &*fault_free;
 
     // The fuzzed schedule: event count is itself seed-derived so the
     // soak covers sparse and dense schedules alike.
     let events = 1 + (seed % 4) as usize;
     let faults = tier_schedule(tier, seed, clean.exec_time, &workload, events);
-    let legs = side_by_side(
-        &[Leg::Recovery, Leg::Faulted, Leg::Faulted],
-        |leg| match leg {
-            Leg::Recovery => recovery_pair(tier, seed, clean.exec_time, events),
-            Leg::Faulted => LegOut::Run(run_with(&faults)),
-        },
-    );
-    let [LegOut::Recovery(rec_base, rec_crashed), LegOut::Run(faulted), LegOut::Run(replay)] = legs
-    else {
-        unreachable!("legs come back in input order")
-    };
+    let faulted = run_with(&faults);
+    let replay = run_with(&faults);
+    // The recovery pair builds its own workload.
+    drop(workload);
+    let (rec_base, rec_crashed) = recovery_pair(tier, seed, clean.exec_time, events);
 
     let mut violations = Vec::new();
     // Fault-free baseline, checked against the committed golden
@@ -486,8 +471,7 @@ const SOAK_BATCH: usize = 1024;
 /// Soak `seeds` schedules across every tier in `tiers`, returning one
 /// verdict per (tier, seed) in deterministic order: tier by tier, seeds
 /// ascending. The seed window stops at `u64::MAX`. Cases run side by
-/// side on every available thread; each case then runs its own
-/// simulations inline on the thread that claimed it.
+/// side on every available thread.
 pub fn chaos_soak(
     tiers: &[ChaosTier],
     start_seed: u64,
@@ -646,19 +630,22 @@ mod tests {
             let inline = par::map(&[tier], 1, soak);
             assert_eq!(fanned_out, inline[0], "{tier}");
         }
+    }
 
-        // A case called on its own fans out its runs instead; the
-        // failing case pins its violations' text and order too.
-        let golden = divergent_golden();
-        for (tier, seed) in [
-            (BackendKind::Pfs, 11),
-            (BackendKind::Object, 5),
-            (BackendKind::Burst, 6),
-        ] {
-            let case = |&seed: &u64| chaos_case(tier, seed, Some(&golden)).render();
-            let fanned_out = case(&seed);
-            let inline = par::map(&[seed], 1, case);
-            assert_eq!(fanned_out, inline[0]);
+    #[test]
+    fn the_fault_free_memo_never_reaches_a_chaos_verdict() {
+        // Seed 8 draws the one workload no other test runs, so the first
+        // case simulates its fault-free pair and the second reads it
+        // back. Its golden entry is wrong, so the PFS verdict pins its
+        // violation's text too.
+        let seed = 8;
+        let id = WorkloadId::all()[seed as usize % WorkloadId::all().len()];
+        let golden = BTreeMap::from([(id.id().to_string(), "0 0 0 0 dead beef".to_string())]);
+        for tier in BackendKind::all() {
+            let cold = chaos_case(tier, seed, Some(&golden));
+            let warm = chaos_case(tier, seed, Some(&golden));
+            assert_eq!(cold.render(), warm.render());
+            assert_eq!(cold.pass(), tier != BackendKind::Pfs, "{}", cold.render());
         }
     }
 

@@ -297,8 +297,9 @@ impl ExperimentOutput {
 /// caches so that, say, the four ESCAT figures do not re-simulate the
 /// same six progressions, and a workload run of [`canon::execute`]
 /// simulates each fault-free run of a (workload, scale, tier) once per
-/// process however many seeds and fault intensities ask for it.
-/// Benchmarks that want to time a *cold* pass of the registry or of a
+/// process however many seeds and fault intensities ask for it; chaos
+/// cases share their fault-free pair of each (workload, tier) the same
+/// way. Benchmarks that want to time a *cold* pass of the registry or of a
 /// campaign call this between iterations; ordinary callers never need
 /// it.
 ///
@@ -307,6 +308,7 @@ pub fn clear_run_caches() {
     escat::clear_cache();
     prism::clear_cache();
     crate::canon::clear_cache();
+    crate::chaos::clear_cache();
 }
 
 /// [`par::map`] over a fixed number of independent runs on every
