@@ -15,6 +15,7 @@
 //!   hostage to formatting; integers make it trivially true.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::coupled::{run_coupled, Route};
 use crate::experiments::contention::{
@@ -22,7 +23,7 @@ use crate::experiments::contention::{
 };
 use crate::experiments::memo::RunMemo;
 use crate::experiments::{run_experiment, Experiment, Scale};
-use crate::simulator::{run_backend, RunResult, SimOptions};
+use crate::simulator::{simulate, RunResult};
 use crate::sweeps::{run_sweep, SweepId};
 use sioscope_faults::{FaultGen, FaultSchedule};
 pub use sioscope_pfs::BackendKind;
@@ -30,6 +31,7 @@ use sioscope_pfs::{BackendConfig, BurstBufferConfig, ObjectStoreConfig, PfsConfi
 use sioscope_sched::QueuePolicy;
 use sioscope_sim::Time;
 use sioscope_stream::StagingConfig;
+use sioscope_trace::{IoTotals, Sink};
 use sioscope_workloads::{EscatVersion, PrismVersion, Workload};
 
 /// The workloads addressable by id: every ESCAT and PRISM code
@@ -71,11 +73,6 @@ impl WorkloadId {
             PrismB => "prism-b",
             PrismC => "prism-c",
         }
-    }
-
-    /// Parse a stable id.
-    pub fn from_id(id: &str) -> Option<WorkloadId> {
-        WorkloadId::all().into_iter().find(|w| w.id() == id)
     }
 
     /// Build the workload at a scale: the paper's problem sizes at
@@ -121,11 +118,6 @@ impl PolicyId {
         }
     }
 
-    /// Parse a stable id.
-    pub fn from_id(id: &str) -> Option<PolicyId> {
-        PolicyId::all().into_iter().find(|p| p.id() == id)
-    }
-
     /// The scheduler policy this id names.
     pub(crate) fn queue_policy(self) -> QueuePolicy {
         match self {
@@ -140,15 +132,6 @@ pub fn scale_id(scale: Scale) -> &'static str {
     match scale {
         Scale::Smoke => "smoke",
         Scale::Full => "full",
-    }
-}
-
-/// Parse a scale id.
-pub fn scale_from_id(id: &str) -> Option<Scale> {
-    match id {
-        "smoke" => Some(Scale::Smoke),
-        "full" => Some(Scale::Full),
-        _ => None,
     }
 }
 
@@ -408,13 +391,29 @@ type FaultFree = Result<BTreeMap<String, u64>, String>;
 /// The fault-free run of each (workload, scale, tier). Its seed is
 /// never read, so every seed and fault intensity of a campaign, and
 /// every sweep, shares one simulation per process. Only the metrics
-/// stay, never the run and its trace: at most 9 ids x 2 scales x 3
-/// tiers small maps.
+/// stay, never the run: at most 9 ids x 2 scales x 3 tiers small maps.
 static FAULT_FREE: RunMemo<(WorkloadId, Scale, BackendKind), FaultFree> = RunMemo::new();
 
 /// Forget every memoized fault-free tier run.
 pub(crate) fn clear_cache() {
     FAULT_FREE.clear();
+}
+
+/// The metrics of `id`'s fault-free run at `scale` on `backend`,
+/// simulated once per process and read from the memo after that. A
+/// caller that already holds the workload passes it as `workload`, and
+/// it must be `id.build(scale)`: a miss then simulates it instead of
+/// building a second copy. A hit builds nothing either way.
+pub(crate) fn fault_free(
+    id: WorkloadId,
+    scale: Scale,
+    backend: BackendKind,
+    workload: Option<&Workload>,
+) -> Arc<FaultFree> {
+    FAULT_FREE.get_or_run((id, scale, backend), || match workload {
+        Some(workload) => simulate_fault_free(workload, backend),
+        None => simulate_fault_free(&id.build(scale), backend),
+    })
 }
 
 /// Simulate one workload end-to-end on a named storage tier (see
@@ -426,12 +425,13 @@ pub(crate) fn clear_cache() {
 /// the faults. The fault horizon is the workload's own fault-free
 /// execution time on the tier (mirroring the `fault_intensity` sweep).
 /// That fault-free run is simulated once per process for each
-/// (workload, scale, tier) and its metrics memoized, so a run with
-/// `fault_events == 0` reads them and a faulted run simulates only
-/// itself. The machine-configuration sweeps read the PFS tier's too:
-/// for their points on the canonical config, the fault-intensity
-/// horizon and the checkpoint sweeps' crash baseline
-/// ([`crate::sweeps`]). The PFS tier draws I/O-node
+/// (workload, scale, tier) and its metrics memoized ([`fault_free`]),
+/// so a run with `fault_events == 0` reads them and a faulted run
+/// simulates only itself. The machine-configuration sweeps read the PFS
+/// tier's too: for their points on the canonical config, the
+/// fault-intensity horizon and the checkpoint sweeps' crash baseline
+/// ([`crate::sweeps`]). Both simulations record into [`IoTotals`]: the
+/// metrics read a run's totals, never its events. The PFS tier draws I/O-node
 /// faults and reports the five common metrics. The object tier draws
 /// metadata-shard outages and degraded-service windows, and adds its
 /// `puts`/`gets` counters. The burst tier draws drain stalls and
@@ -445,34 +445,32 @@ pub(crate) fn workload_run(
     fault_events: u32,
     seed: u64,
 ) -> Result<BTreeMap<String, u64>, String> {
-    let key = (id, scale, backend);
     if fault_events == 0 {
-        let metrics = FAULT_FREE.get_or_run(key, || simulate_fault_free(&id.build(scale), backend));
+        let metrics = fault_free(id, scale, backend, None);
         return (*metrics).clone().map_err(|e| format!("{}: {e}", id.id()));
     }
     let workload = id.build(scale);
-    let horizon = match &*FAULT_FREE.get_or_run(key, || simulate_fault_free(&workload, backend)) {
+    let horizon = match &*fault_free(id, scale, backend, Some(&workload)) {
         Ok(metrics) => Time::from_nanos(metrics["exec_time_ns"]),
         Err(e) => return Err(format!("{} fault-free baseline: {e}", id.id())),
     };
     let faults = tier_faults(backend, &workload, horizon, fault_events, seed);
     let cfg = tier_config(backend, &workload, faults);
-    let result = run_backend(&workload, &cfg, SimOptions::default())
-        .map_err(|e| format!("{}: {e}", id.id()))?;
+    let result = simulate::<IoTotals>(&workload, cfg).map_err(|e| format!("{}: {e}", id.id()))?;
     Ok(run_metrics(&result, backend, true))
 }
 
 /// Simulate `workload` on `backend` with no faults.
 fn simulate_fault_free(workload: &Workload, backend: BackendKind) -> FaultFree {
     let cfg = tier_config(backend, workload, FaultSchedule::empty());
-    run_backend(workload, &cfg, SimOptions::default())
+    simulate::<IoTotals>(workload, cfg)
         .map(|result| run_metrics(&result, backend, false))
         .map_err(|e| e.to_string())
 }
 
 /// `fault_events` faults of `backend`'s own kind drawn from `seed` over
 /// `horizon`.
-fn tier_faults(
+pub(crate) fn tier_faults(
     backend: BackendKind,
     workload: &Workload,
     horizon: Time,
@@ -489,7 +487,11 @@ fn tier_faults(
 
 /// Reduce one tier run to integer metrics. Only a `faulted` run reports
 /// the burst tier's lost bytes and the modern tiers' resilience actions.
-fn run_metrics(result: &RunResult, backend: BackendKind, faulted: bool) -> BTreeMap<String, u64> {
+fn run_metrics<S: Sink>(
+    result: &RunResult<S>,
+    backend: BackendKind,
+    faulted: bool,
+) -> BTreeMap<String, u64> {
     let mut metrics = BTreeMap::from([
         ("exec_time_ns".to_string(), result.exec_time.as_nanos()),
         ("io_time_ns".to_string(), result.total_io_time().as_nanos()),
@@ -607,21 +609,22 @@ fn contention_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulator::{run_backend, SimOptions};
 
+    /// Each registry's stable ids are distinct, so each names one
+    /// entry: the campaign spec resolves an id to the first entry of
+    /// `all()` whose `id()` it equals.
     #[test]
     fn ids_round_trip() {
-        for w in WorkloadId::all() {
-            assert_eq!(WorkloadId::from_id(w.id()), Some(w));
+        fn distinct(ids: Vec<&'static str>) {
+            let mut sorted = ids.clone();
+            sorted.sort_unstable();
+            sorted.dedup();
+            assert_eq!(sorted.len(), ids.len(), "{ids:?}");
         }
-        for p in PolicyId::all() {
-            assert_eq!(PolicyId::from_id(p.id()), Some(p));
-        }
-        assert_eq!(WorkloadId::from_id("escat-z"), None);
-        assert_eq!(PolicyId::from_id("sjf"), None);
-        for s in [Scale::Smoke, Scale::Full] {
-            assert_eq!(scale_from_id(scale_id(s)), Some(s));
-        }
-        assert_eq!(scale_from_id("huge"), None);
+        distinct(WorkloadId::all().into_iter().map(WorkloadId::id).collect());
+        distinct(PolicyId::all().into_iter().map(PolicyId::id).collect());
+        distinct(vec![scale_id(Scale::Smoke), scale_id(Scale::Full)]);
     }
 
     #[test]

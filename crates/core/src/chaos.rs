@@ -216,10 +216,13 @@ pub(crate) fn clear_cache() {
 /// Recovery sanity's two runs: compute crashes only ever *add* time —
 /// rework, restart latency, replayed work — so with the tier's faults
 /// held fixed, crashing the run can never beat the crash-free
-/// time-to-solution. Runs a fixed recoverable workload so every tier
-/// exercises the rollback/durability path (the burst tier's lost-bytes
-/// commits route through `durable_commits` here). The tier's faults
-/// span `clean_horizon`, the case's fault-free exec time. Returns the
+/// time-to-solution. Runs one fixed recoverable workload on every tier:
+/// tiny ESCAT B at `Fixed { interval: 5 }`. Tiny ESCAT B has two
+/// cycles, so that policy places no checkpoint marker: every crash
+/// replays from the start, and no case reaches a rollback to a marker
+/// or a burst-tier commit judged through `durable_commits`. Running the
+/// pair with markers is ROADMAP item 13. The tier's faults span
+/// `clean_horizon`, the case's fault-free exec time. Returns the
 /// crash-free and the crashed time-to-solution; the crash-free run is
 /// dropped before the crashed one starts.
 fn recovery_pair(tier: BackendKind, seed: u64, clean_horizon: Time, events: usize) -> (Time, Time) {

@@ -14,32 +14,21 @@
 use crate::experiments::{
     escat, prism, Experiment, ExperimentOutput, IndexedRun, Scale, ShapeCheck,
 };
-use crate::simulator::{run, SimOptions};
+use crate::simulator::{simulate, RunResult};
 use sioscope_faults::{FaultKind, FaultSchedule};
-use sioscope_pfs::{PfsConfig, ResilienceStats};
+use sioscope_pfs::{BackendConfig, PfsConfig};
 use sioscope_sim::{par, Time};
+use sioscope_trace::IoTotals;
 use sioscope_workloads::{EscatDataset, EscatVersion, PrismVersion, Workload};
 use std::fmt::Write as _;
 
-/// What the table and checks read of one faulted run: each worker
-/// cuts its run down to this, so no trace outlives the worker.
-struct FaultedRun {
-    exec_time: Time,
-    /// Total client-observed I/O time.
-    io_time: Time,
-    resilience: ResilienceStats,
-}
-
-fn run_with_faults(workload: &Workload, faults: &FaultSchedule) -> FaultedRun {
+/// One faulted run. The table and checks read its scalars and total
+/// I/O time, never its events, so it records no trace.
+fn run_with_faults(workload: &Workload, faults: &FaultSchedule) -> RunResult<IoTotals> {
     let mut cfg = PfsConfig::caltech(workload.nodes, workload.os);
     cfg.faults = faults.clone();
-    let r = run(workload, cfg, SimOptions::default())
-        .unwrap_or_else(|e| panic!("{} under faults failed: {e}", workload.name));
-    FaultedRun {
-        exec_time: r.exec_time,
-        io_time: r.total_io_time(),
-        resilience: r.resilience,
-    }
+    simulate(workload, BackendConfig::Pfs(cfg))
+        .unwrap_or_else(|e| panic!("{} under faults failed: {e}", workload.name))
 }
 
 /// One scenario per fault class, scaled to the healthy run: faults
@@ -118,7 +107,7 @@ fn resilience_experiment(
     baseline: &IndexedRun,
 ) -> ExperimentOutput {
     let scenarios = class_scenarios(baseline.exec_time);
-    let runs: Vec<(&'static str, FaultedRun)> =
+    let runs: Vec<(&'static str, RunResult<IoTotals>)> =
         par::map(&scenarios, par::available_threads(), |(class, faults)| {
             (*class, run_with_faults(workload, faults))
         });
@@ -157,7 +146,10 @@ fn resilience_experiment(
         );
     }
 
-    fn find<'a>(runs: &'a [(&'static str, FaultedRun)], class: &str) -> &'a FaultedRun {
+    fn find<'a>(
+        runs: &'a [(&'static str, RunResult<IoTotals>)],
+        class: &str,
+    ) -> &'a RunResult<IoTotals> {
         &runs.iter().find(|(c, _)| *c == class).expect("class ran").1
     }
     let crash = find(&runs, "ion-crash");
@@ -186,13 +178,21 @@ fn resilience_experiment(
         // bit-identical while every affected operation still pays.
         ShapeCheck::new(
             "I/O-node slowdown inflates total I/O time",
-            slowdown.io_time > baseline.total_io_time(),
-            format!("{} vs {}", slowdown.io_time, baseline.total_io_time()),
+            slowdown.total_io_time() > baseline.total_io_time(),
+            format!(
+                "{} vs {}",
+                slowdown.total_io_time(),
+                baseline.total_io_time()
+            ),
         ),
         ShapeCheck::new(
             "link congestion inflates total I/O time",
-            congestion.io_time > baseline.total_io_time(),
-            format!("{} vs {}", congestion.io_time, baseline.total_io_time()),
+            congestion.total_io_time() > baseline.total_io_time(),
+            format!(
+                "{} vs {}",
+                congestion.total_io_time(),
+                baseline.total_io_time()
+            ),
         ),
         ShapeCheck::new(
             "no fault class is fatal",

@@ -143,7 +143,10 @@ pub fn run_with_recovery_backend(
                 &sliced
             }
         };
-        let crashed = match run_backend_until(workload, cfg.clone(), &options, local)? {
+        // The checkpoint accounting reads the attempt's writes, so it
+        // records the trace.
+        let attempt = run_backend_until::<TraceRecorder>(workload, cfg.clone(), &options, local)?;
+        let crashed = match attempt {
             Attempt::Finished(mut result) => {
                 // The attempt outlives the crash schedule: done. A
                 // crash at the exact completion instant strikes a

@@ -35,15 +35,17 @@
 //! dedicated runs and are shared by every co-resident job.
 
 use crate::recovery::RecoveryStats;
-use crate::simulator::{run, Engine, Gang, RunResult, SimError, SimOptions};
+use crate::simulator::{simulate, Engine, Gang, RunResult, SimError, SimOptions};
 use sioscope_faults::{FaultKind, FaultSchedule};
 use sioscope_machine::MeshModel;
-use sioscope_pfs::{BackendStats, Pfs, PfsConfig, PfsError, ResilienceStats, StorageBackend};
+use sioscope_pfs::{
+    BackendConfig, BackendStats, Pfs, PfsConfig, PfsError, ResilienceStats, StorageBackend,
+};
 use sioscope_sched::{
     JobOutcome, JobStream, Partition, PartitionAllocator, QueuePolicy, ScheduleStats,
 };
 use sioscope_sim::{FileId, JobId, NodeId, Pid, Time};
-use sioscope_trace::{IoEvent, JobMap, TraceRecorder};
+use sioscope_trace::{IoEvent, IoTotals, JobMap, TraceRecorder};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -178,7 +180,7 @@ struct Job<'s> {
     pid_base: u32,
     file_base: u32,
     /// The current attempt's processes, while it runs.
-    gang: Option<Gang<'s>>,
+    gang: Option<Gang<'s, TraceRecorder>>,
     done: bool,
     finish: Time,
     /// Resume events consumed by the current attempt.
@@ -243,17 +245,16 @@ pub fn run_schedule(
     pfs_cfg.os = stream.templates[0].workload.os;
 
     // Dedicated-mode estimates: one clean run per template, against the
-    // same machine/PFS parameters but with the machine to itself.
+    // same machine/PFS parameters but with the machine to itself. Only
+    // the execution time is read, so the runs keep no trace.
     let mut estimates = Vec::with_capacity(stream.templates.len());
     for (t, template) in stream.templates.iter().enumerate() {
         let mut dedicated_cfg = pfs_cfg.clone();
         dedicated_cfg.faults = FaultSchedule::empty();
-        let r =
-            run(&template.workload, dedicated_cfg, SimOptions::default()).map_err(|source| {
-                SchedError::Estimate {
-                    template: t,
-                    source,
-                }
+        let r = simulate::<IoTotals>(&template.workload, BackendConfig::Pfs(dedicated_cfg))
+            .map_err(|source| SchedError::Estimate {
+                template: t,
+                source,
             })?;
         estimates.push(r.exec_time);
     }
@@ -597,6 +598,7 @@ pub fn run_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulator::run;
     use sioscope_pfs::{IoOp, PfsConfig};
     use sioscope_sched::{JobTemplate, StreamKind};
     use sioscope_sim::Time;

@@ -2,13 +2,17 @@
 //!
 //! Executes one [`Workload`] — a statement program per compute node —
 //! against a storage tier over the machine model, recording every
-//! I/O operation in a [`TraceRecorder`] exactly as Pablo's
-//! instrumentation library did: issue time, client-observed duration,
-//! size, offset, node and operation kind.
+//! I/O operation exactly as Pablo's instrumentation library did: issue
+//! time, client-observed duration, size, offset, node and operation
+//! kind.
 //!
 //! `Gang` is the one statement interpreter: the dedicated event loop
 //! here and the multi-job scheduler ([`crate::schedule`]) both step
-//! every process through it.
+//! every process through it. It records each operation into a
+//! [`Sink`], monomorphized like the tier: a [`TraceRecorder`] keeps
+//! the trace, and [`IoTotals`](sioscope_trace::IoTotals) keeps only the
+//! operation count and the duration sum, for runs whose events nothing
+//! reads. The public entry points record the trace.
 
 use sioscope_machine::MeshModel;
 use sioscope_pfs::{
@@ -16,7 +20,7 @@ use sioscope_pfs::{
     PfsError, ResilienceStats, StorageBackend,
 };
 use sioscope_sim::{EventQueue, FileId, Pid, RendezvousOutcome, RendezvousTable, Time};
-use sioscope_trace::{IoEvent, TraceRecorder};
+use sioscope_trace::{IoEvent, Sink, TraceRecorder};
 use sioscope_workloads::{Stmt, Workload};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -98,9 +102,9 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// The outcome of a run.
+/// The outcome of a run, with what its sink `S` recorded of its I/O.
 #[derive(Debug)]
-pub struct RunResult {
+pub struct RunResult<S = TraceRecorder> {
     /// Workload name.
     pub name: String,
     /// Version label.
@@ -109,8 +113,9 @@ pub struct RunResult {
     pub exec_time: Time,
     /// Per-node completion times.
     pub node_finish: Vec<Time>,
-    /// The captured I/O trace (sorted by start time).
-    pub trace: TraceRecorder,
+    /// What the run recorded of its I/O: the captured trace, sorted
+    /// by start time, or only its totals.
+    pub trace: S,
     /// Total simulation events processed (including fault-calendar
     /// transitions when a fault schedule engages).
     pub events: u64,
@@ -140,7 +145,7 @@ pub struct RunResult {
     pub backend_stats: BackendStats,
 }
 
-impl RunResult {
+impl<S: Sink> RunResult<S> {
     /// Total client-observed I/O time across all nodes.
     pub fn total_io_time(&self) -> Time {
         self.trace.total_io_time()
@@ -148,17 +153,17 @@ impl RunResult {
 }
 
 /// How a run driven up to a stop instant ended.
-pub(crate) enum Attempt {
+pub(crate) enum Attempt<S> {
     /// Every program completed by the stop instant.
-    Finished(Box<RunResult>),
+    Finished(Box<RunResult<S>>),
     /// Some node was still running past the stop instant.
-    Crashed(Box<Crashed>),
+    Crashed(Box<Crashed<S>>),
 }
 
-impl Attempt {
+impl<S> Attempt<S> {
     /// The result of a run whose stop instant is [`Time::MAX`]: no
     /// event is due after it, so the run always finishes.
-    fn unstopped(self) -> RunResult {
+    fn unstopped(self) -> RunResult<S> {
         match self {
             Attempt::Finished(result) => *result,
             Attempt::Crashed(_) => unreachable!("no event is due after Time::MAX"),
@@ -168,7 +173,7 @@ impl Attempt {
 
 /// What an attempt stopped at a crash instant leaves for the crash's
 /// accounting.
-pub(crate) struct Crashed {
+pub(crate) struct Crashed<S> {
     /// `(marker, commit instant, durable instant)` for each marker
     /// that every node carrying it passed by the stop, in marker
     /// order. The instants mean what they mean in
@@ -176,7 +181,7 @@ pub(crate) struct Crashed {
     /// [`RunResult::durable_commits`].
     pub(crate) commits: Vec<(u32, Time, Time)>,
     /// The operations completed by the stop, unsorted.
-    pub(crate) trace: TraceRecorder,
+    pub(crate) trace: S,
     /// Writes still parked in a forming collective group at the stop,
     /// as `(file, issue instant, bytes)`. The trace holds a group's
     /// writes only once the group closes.
@@ -236,10 +241,10 @@ struct NodeState {
 /// pid `pid_base + p` and its file `f` as `file_base + f`; its `s`-th
 /// collective joins rendezvous group `key_base + s`. The trace and the
 /// crash accounting use local pids and files.
-pub(crate) struct Gang<'w> {
+pub(crate) struct Gang<'w, S> {
     workload: &'w Workload,
     nodes: Vec<NodeState>,
-    trace: TraceRecorder,
+    trace: S,
     /// The latest instant any node passed each checkpoint marker.
     commits: BTreeMap<u32, Time>,
     pid_base: u32,
@@ -249,7 +254,7 @@ pub(crate) struct Gang<'w> {
     unfinished: usize,
 }
 
-impl<'w> Gang<'w> {
+impl<'w, S: Sink> Gang<'w, S> {
     pub(crate) fn new(
         workload: &'w Workload,
         pid_base: u32,
@@ -269,9 +274,9 @@ impl<'w> Gang<'w> {
                     finish_time: Time::ZERO,
                 })
                 .collect(),
-            // Sized up front: growing by doubling would briefly hold up
-            // to three times the finished trace.
-            trace: TraceRecorder::with_capacity(workload.io_stmts()),
+            // Sized up front: growing a trace by doubling would briefly
+            // hold up to three times the finished trace.
+            trace: S::with_capacity(workload.io_stmts()),
             commits: BTreeMap::new(),
             pid_base,
             file_base,
@@ -419,17 +424,17 @@ impl<'w> Gang<'w> {
             .collect()
     }
 
-    /// A finished gang's per-node completion instants, its sorted trace
-    /// and its `(marker, commit instant)` pairs in marker order.
-    pub(crate) fn finish(self) -> (Vec<Time>, TraceRecorder, Vec<(u32, Time)>) {
+    /// A finished gang's per-node completion instants, its finished
+    /// sink and its `(marker, commit instant)` pairs in marker order.
+    pub(crate) fn finish(self) -> (Vec<Time>, S, Vec<(u32, Time)>) {
         let node_finish = self.nodes.iter().map(|s| s.finish_time).collect();
         let mut trace = self.trace;
-        trace.sort();
+        trace.finish();
         (node_finish, trace, self.commits.into_iter().collect())
     }
 
     /// Gather a stopped run's crash accounting.
-    fn crashed<B: StorageBackend>(self, backend: &mut B) -> Crashed {
+    fn crashed<B: StorageBackend>(self, backend: &mut B) -> Crashed<S> {
         let programs = &self.workload.programs;
         // A marker still ahead of some node is not committed: every node
         // that carries a marker must have passed it.
@@ -504,13 +509,22 @@ pub fn run_backend(
     run_backend_until(workload, cfg.clone(), &options, Time::MAX).map(Attempt::unstopped)
 }
 
-/// [`run_backend`] up to the `stop` instant (see [`run_loop`]).
-pub(crate) fn run_backend_until(
+/// [`run_backend`] into the sink `S` that the caller picks.
+pub(crate) fn simulate<S: Sink>(
+    workload: &Workload,
+    cfg: BackendConfig,
+) -> Result<RunResult<S>, SimError> {
+    run_backend_until(workload, cfg, &SimOptions::default(), Time::MAX).map(Attempt::unstopped)
+}
+
+/// [`run_backend`] into the sink `S`, up to the `stop` instant (see
+/// [`run_loop`]).
+pub(crate) fn run_backend_until<S: Sink>(
     workload: &Workload,
     mut cfg: BackendConfig,
     options: &SimOptions,
     stop: Time,
-) -> Result<Attempt, SimError> {
+) -> Result<Attempt<S>, SimError> {
     let problems = workload.validate();
     if !problems.is_empty() {
         return Err(SimError::InvalidWorkload(problems));
@@ -544,13 +558,13 @@ pub(crate) fn run_backend_until(
 /// backend. Events at `stop` itself still run, so a run that completes
 /// at `stop` finishes. Code past `stop` never runs, so it raises no
 /// error. Plain runs pass [`Time::MAX`] and always finish.
-fn run_loop<B: StorageBackend>(
+fn run_loop<B: StorageBackend, S: Sink>(
     workload: &Workload,
     mesh: MeshModel,
     backend: B,
     options: &SimOptions,
     stop: Time,
-) -> Result<Attempt, SimError> {
+) -> Result<Attempt<S>, SimError> {
     let mut engine = Engine::new(backend, mesh);
     // Create the file table; workload file index i == FileId(i).
     for (i, spec) in workload.files.iter().enumerate() {
@@ -559,7 +573,7 @@ fn run_loop<B: StorageBackend>(
             .create_file_with_size(&spec.name, spec.initial_size);
         debug_assert_eq!(id.index(), i);
     }
-    let mut gang = Gang::new(workload, 0, 0, 0);
+    let mut gang = Gang::<S>::new(workload, 0, 0, 0);
 
     // Interleave the fault calendar with the event calendar: one
     // event per fault-window boundary. A schedule that does not
@@ -924,7 +938,7 @@ mod tests {
         };
         let until = |stop| {
             let cfg = BackendConfig::Pfs(tiny_pfs(2));
-            run_backend_until(&w, cfg, &SimOptions::default(), stop).unwrap()
+            run_backend_until::<TraceRecorder>(&w, cfg, &SimOptions::default(), stop).unwrap()
         };
         let commits = |stop| match until(stop) {
             Attempt::Crashed(c) => c.commits,
@@ -947,6 +961,101 @@ mod tests {
             Attempt::Finished(r) => assert_eq!(r.exec_time, Time::from_secs(5)),
             Attempt::Crashed(_) => panic!("the run completes at 5 s"),
         }
+    }
+
+    /// Everything a run reports but its events, spelled out for
+    /// comparing the runs of two sinks.
+    fn scalars<S: Sink>(r: &RunResult<S>) -> String {
+        let RunResult {
+            name,
+            version,
+            exec_time,
+            node_finish,
+            trace,
+            events,
+            resilience,
+            fault_transitions,
+            checkpoint_commits,
+            durable_commits,
+            recovery,
+            backend_stats,
+        } = r;
+        format!(
+            "{name} {version} {exec_time:?} {node_finish:?} {events} {resilience:?} \
+             {fault_transitions} {checkpoint_commits:?} {durable_commits:?} {recovery:?} \
+             {backend_stats:?} ops={} io={:?}",
+            trace.len(),
+            trace.total_io_time()
+        )
+    }
+
+    /// What a run stopped mid-way leaves for the crash accounting, but
+    /// its events.
+    fn stopped<S: Sink>(attempt: Attempt<S>) -> String {
+        match attempt {
+            Attempt::Crashed(c) => format!(
+                "{:?} {:?} ops={} io={:?}",
+                c.commits,
+                c.parked_writes,
+                c.trace.len(),
+                c.trace.total_io_time()
+            ),
+            Attempt::Finished(r) => panic!("{} {} finished", r.name, r.version),
+        }
+    }
+
+    /// A run that records only totals is the run that records the
+    /// trace. Tiny ESCAT A/B/C and PRISM A/B/C, each with a checkpoint
+    /// marker after every cycle or checkpoint so that commits land
+    /// mid-run, run on all three tiers, fault-free and under that
+    /// tier's faults drawn from a seed. Both sinks must report the same
+    /// scalars and totals, one operation per I/O statement, and, when
+    /// stopped half-way, the same crash accounting.
+    #[test]
+    fn totals_and_recorder_sinks_report_the_same_run() {
+        use crate::canon::{tier_config, tier_faults};
+        use sioscope_faults::FaultSchedule;
+        use sioscope_pfs::BackendKind;
+        use sioscope_trace::IoTotals;
+        use sioscope_workloads::CheckpointPolicy;
+        let every = CheckpointPolicy::Fixed { interval: 1 };
+        let mut workloads: Vec<Workload> = [EscatVersion::A, EscatVersion::B, EscatVersion::C]
+            .into_iter()
+            .map(|v| EscatConfig::tiny(v).recoverable(every).workload().clone())
+            .collect();
+        workloads.extend(PrismVersion::all().map(|v| {
+            let rec = PrismConfig::tiny(v).recoverable(every);
+            rec.workload().clone()
+        }));
+        let opts = SimOptions::default();
+        let mut stopped_commits = 0;
+        for w in &workloads {
+            for backend in BackendKind::all() {
+                let at = |faults: &FaultSchedule, stop| {
+                    let cfg = tier_config(backend, w, faults.clone());
+                    let totals = run_backend_until::<IoTotals>(w, cfg.clone(), &opts, stop);
+                    let trace = run_backend_until::<TraceRecorder>(w, cfg, &opts, stop);
+                    (totals.unwrap(), trace.unwrap())
+                };
+                let clean = at(&FaultSchedule::empty(), Time::MAX).1.unstopped();
+                let faulted = tier_faults(backend, w, clean.exec_time, 3, 0x51C);
+                assert!(faulted.engages(), "{} on {backend}", w.name);
+                for faults in [FaultSchedule::empty(), faulted] {
+                    let what = format!("{} {} on {backend}, {faults:?}", w.name, w.version);
+                    let (totals, trace) = at(&faults, Time::MAX);
+                    let (totals, trace) = (totals.unstopped(), trace.unstopped());
+                    assert_eq!(scalars(&totals), scalars(&trace), "{what}");
+                    assert_eq!(totals.trace.len(), w.io_stmts(), "{what}");
+                    assert!(!trace.checkpoint_commits.is_empty(), "{what}");
+                    let (totals, trace) = at(&faults, trace.exec_time / 2);
+                    if let Attempt::Crashed(c) = &trace {
+                        stopped_commits += c.commits.len();
+                    }
+                    assert_eq!(stopped(totals), stopped(trace), "{what}");
+                }
+            }
+        }
+        assert!(stopped_commits > 0, "some commit lands before a stop");
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //! checkpoint sweeps' and the `mtbf` sweep's crash baselines) is read
 //! from the fault-free memo behind [`canon::execute`]'s workload runs,
 //! so a process simulates each such run once across campaign runs and
-//! sweeps.
+//! sweeps. A sweep that holds the workload hands it to the memo, so a
+//! miss simulates it instead of building another copy. A point reads
+//! only its run's totals, so it records no trace; the recovery-driven
+//! sweeps record theirs, since the checkpoint accounting reads the
+//! writes.
 
 use crate::canon::{self, BackendKind, WorkloadId};
 use crate::coupled::{run_coupled, Route};
@@ -21,12 +25,13 @@ use crate::experiments::contention::{
 };
 use crate::experiments::Scale;
 use crate::recovery::{run_with_recovery, run_with_recovery_backend};
-use crate::simulator::{run, RunResult, SimOptions};
+use crate::simulator::{simulate, RunResult, SimOptions};
 use sioscope_faults::{FaultGen, FaultSchedule};
 use sioscope_pfs::{BackendConfig, BurstBufferConfig, PfsConfig};
 use sioscope_sched::QueuePolicy;
 use sioscope_sim::{par, Time};
 use sioscope_stream::StagingConfig;
+use sioscope_trace::IoTotals;
 use sioscope_workloads::{
     CheckpointPolicy, EscatVersion, PrismConfig, PrismVersion, StreamCadence, Workload,
 };
@@ -175,7 +180,7 @@ fn each<T: Sync, P: Send>(axis: &[T], point: impl Fn(&T) -> P + Sync) -> Vec<P> 
 }
 
 fn run_point(workload: &Workload, cfg: PfsConfig, label: String, value: u64) -> SweepPoint {
-    let r: RunResult = run(workload, cfg, SimOptions::default())
+    let r: RunResult<IoTotals> = simulate(workload, BackendConfig::Pfs(cfg))
         .unwrap_or_else(|e| panic!("sweep point {label}: {e}"));
     SweepPoint {
         label,
@@ -189,10 +194,14 @@ fn run_point(workload: &Workload, cfg: PfsConfig, label: String, value: u64) -> 
 /// `id`'s fault-free run at `scale` on the canonical Caltech PFS, as an
 /// unlabelled point. It comes from the memo behind
 /// [`canon::workload_run`], so campaign runs and every sweep of a
-/// process share one simulation of it.
-fn canonical_run(id: WorkloadId, scale: Scale) -> SweepPoint {
-    let metrics = canon::workload_run(id, scale, BackendKind::Pfs, 0, 0)
-        .unwrap_or_else(|e| panic!("canonical run: {e}"));
+/// process share one simulation of it. A caller that holds the workload
+/// passes it (see [`canon::fault_free`]).
+fn canonical_run(id: WorkloadId, scale: Scale, workload: Option<&Workload>) -> SweepPoint {
+    let memo = canon::fault_free(id, scale, BackendKind::Pfs, workload);
+    let metrics = match &*memo {
+        Ok(metrics) => metrics,
+        Err(e) => panic!("canonical run: {}: {e}", id.id()),
+    };
     SweepPoint {
         label: String::new(),
         value: 0,
@@ -232,7 +241,7 @@ impl Subject {
             BackendConfig::Pfs(canonical) if canonical == cfg => SweepPoint {
                 label,
                 value,
-                ..canonical_run(self.id, self.scale)
+                ..canonical_run(self.id, self.scale, Some(&self.workload))
             },
             _ => run_point(&self.workload, cfg, label, value),
         }
@@ -321,7 +330,7 @@ pub fn fault_intensity_sweep(
     seed: u64,
 ) -> Sweep {
     let s = Subject::new(id, scale);
-    let horizon = canonical_run(id, scale).exec_time;
+    let horizon = canonical_run(id, scale, Some(&s.workload)).exec_time;
     let base_cfg = s.caltech();
     let io_nodes = base_cfg.machine.io_nodes;
     let points = each(intensities, |&k| {
@@ -359,7 +368,9 @@ pub(crate) fn mtbf_sweep(scale: Scale, mtbf_percents: &[u32], seed: u64) -> Swee
         .recoverable(CheckpointPolicy::Fixed { interval: 1 });
     let w = rec.workload();
     let base_cfg = PfsConfig::caltech(w.nodes, w.os);
-    let baseline = canonical_run(WorkloadId::EscatC, scale).exec_time;
+    // Not `w`: its markers pop events the plain workload the memo
+    // keys does not.
+    let baseline = canonical_run(WorkloadId::EscatC, scale, None).exec_time;
     let (horizon, rework) = crash_environment(baseline);
     let fgen = FaultGen::new(seed, horizon, base_cfg.machine.io_nodes);
     let mut points: Vec<SweepPoint> = each(mtbf_percents, |&pct| {
@@ -417,7 +428,7 @@ impl CheckpointTier {
 fn checkpoint_environment(scale: Scale, seed: u64) -> (FaultSchedule, FaultSchedule) {
     let cfg = scale.prism(PrismVersion::B);
     let io_nodes = PfsConfig::caltech(cfg.nodes, cfg.os()).machine.io_nodes;
-    let baseline = canonical_run(WorkloadId::PrismB, scale).exec_time;
+    let baseline = canonical_run(WorkloadId::PrismB, scale, None).exec_time;
     let (horizon, rework) = crash_environment(baseline);
     let crashes = FaultGen::new(seed, horizon, io_nodes).compute_crash_schedule(
         baseline.scale(0.8),
@@ -647,6 +658,7 @@ pub fn run_sweep(id: SweepId, scale: Scale) -> Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulator::run;
     use sioscope_workloads::EscatConfig;
 
     #[test]
@@ -844,7 +856,7 @@ mod tests {
                     "{memo} memo: {label}"
                 );
             }
-            let baseline = canonical_run(PrismB, smoke);
+            let baseline = canonical_run(PrismB, smoke, None);
             assert_eq!(baseline.exec_time, prism_b.exec_time, "{memo} memo");
             assert_eq!(baseline.events, prism_b.events, "{memo} memo");
         }

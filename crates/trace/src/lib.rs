@@ -23,16 +23,22 @@
 //! [`TraceIndex`] built once per trace, answering every summary form
 //! (and the `sioscope-analysis` passes) without re-scanning the event
 //! vector.
+//!
+//! A simulation records into a [`Sink`]: the full [`TraceRecorder`]
+//! where its events are read, or [`IoTotals`], an operation count and
+//! a duration sum, where only those are.
 
 pub mod binary;
 pub mod event;
 pub mod index;
 pub mod jobmap;
 pub mod recorder;
+pub mod sink;
 pub mod summary;
 
 pub use event::IoEvent;
 pub use index::TraceIndex;
 pub use jobmap::JobMap;
 pub use recorder::TraceRecorder;
+pub use sink::{IoTotals, Sink};
 pub use summary::{FileRegionSummary, LifetimeSummary, TimeWindowSummary};
