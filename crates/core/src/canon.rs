@@ -31,7 +31,7 @@ use sioscope_pfs::{BackendConfig, BurstBufferConfig, ObjectStoreConfig, PfsConfi
 use sioscope_sched::QueuePolicy;
 use sioscope_sim::Time;
 use sioscope_stream::StagingConfig;
-use sioscope_trace::{IoTotals, Sink};
+use sioscope_trace::Sink;
 use sioscope_workloads::{EscatVersion, PrismVersion, Workload};
 
 /// The workloads addressable by id: every ESCAT and PRISM code
@@ -430,9 +430,10 @@ pub(crate) fn fault_free(
 /// simulates only itself. The machine-configuration sweeps read the PFS
 /// tier's too: for their points on the canonical config, the
 /// fault-intensity horizon and the checkpoint sweeps' crash baseline
-/// ([`crate::sweeps`]). Both simulations record into [`IoTotals`]: the
-/// metrics read a run's totals, never its events. The PFS tier draws I/O-node
-/// faults and reports the five common metrics. The object tier draws
+/// ([`crate::sweeps`]). Both simulations record into
+/// [`IoTotals`](sioscope_trace::IoTotals): the metrics read a run's
+/// totals, never its events. The PFS tier draws I/O-node faults and
+/// reports the five common metrics. The object tier draws
 /// metadata-shard outages and degraded-service windows, and adds its
 /// `puts`/`gets` counters. The burst tier draws drain stalls and
 /// burst-node crashes, and adds its drain accounting. Under faults,
@@ -456,14 +457,14 @@ pub(crate) fn workload_run(
     };
     let faults = tier_faults(backend, &workload, horizon, fault_events, seed);
     let cfg = tier_config(backend, &workload, faults);
-    let result = simulate::<IoTotals>(&workload, cfg).map_err(|e| format!("{}: {e}", id.id()))?;
+    let result = simulate(&workload, cfg).map_err(|e| format!("{}: {e}", id.id()))?;
     Ok(run_metrics(&result, backend, true))
 }
 
 /// Simulate `workload` on `backend` with no faults.
 fn simulate_fault_free(workload: &Workload, backend: BackendKind) -> FaultFree {
     let cfg = tier_config(backend, workload, FaultSchedule::empty());
-    simulate::<IoTotals>(workload, cfg)
+    simulate(workload, cfg)
         .map(|result| run_metrics(&result, backend, false))
         .map_err(|e| e.to_string())
 }

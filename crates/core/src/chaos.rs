@@ -43,13 +43,14 @@ use crate::canon::{tier_config, WorkloadId};
 use crate::coupled::{run_coupled, Route};
 use crate::experiments::memo::RunMemo;
 use crate::experiments::Scale;
-use crate::recovery::run_with_recovery_backend;
+use crate::recovery::recover;
 use crate::simulator::{run_backend, RunResult, SimOptions};
 use sioscope_faults::{FaultGen, FaultKind, FaultSchedule};
 use sioscope_pfs::{BackendKind, BackendStats, PfsConfig, ResilienceStats};
 use sioscope_sim::{par, Time};
 use sioscope_stream::StagingConfig;
 use sioscope_trace::binary::{digest, fnv64};
+use sioscope_trace::IoTotals;
 use sioscope_workloads::{
     CheckpointPolicy, EscatConfig, EscatVersion, PrismConfig, PrismVersion, Workload,
 };
@@ -229,13 +230,11 @@ fn recovery_pair(tier: BackendKind, seed: u64, clean_horizon: Time, events: usiz
     let rec =
         EscatConfig::tiny(EscatVersion::B).recoverable(CheckpointPolicy::Fixed { interval: 5 });
     let rec_faults = tier_schedule(tier, seed, clean_horizon, rec.workload(), events);
+    let storage = tier_config(tier, rec.workload(), rec_faults);
     let run = |crashes: &FaultSchedule, what: &str| {
-        run_with_recovery_backend(
-            &rec,
-            crashes,
-            &tier_config(tier, rec.workload(), rec_faults.clone()),
-            SimOptions::default(),
-        )
+        recover(&rec, crashes, &storage, &SimOptions::default(), |_| {
+            IoTotals::default()
+        })
         .expect(what)
     };
     let (horizon, base) = {

@@ -23,11 +23,12 @@
 //! fault-free run is the memoized one the figures share.
 
 use crate::experiments::{escat, prism, Experiment, ExperimentOutput, Scale, ShapeCheck};
-use crate::recovery::{run_with_recovery, RecoveryStats};
+use crate::recovery::{recover, RecoveryStats};
 use crate::simulator::{run, RunResult, SimOptions};
 use sioscope_faults::{FaultKind, FaultSchedule};
-use sioscope_pfs::{OpKind, PfsConfig};
+use sioscope_pfs::{BackendConfig, OpKind, PfsConfig};
 use sioscope_sim::{par, FileId, Time};
+use sioscope_trace::IoTotals;
 use sioscope_workloads::{CheckpointPolicy, EscatDataset, EscatVersion, PrismVersion, Recoverable};
 use std::fmt::Write as _;
 
@@ -76,7 +77,7 @@ fn recovery_experiment(
     // and its checkpoint writes give Young's formula a measured cost.
     // The run and its workload are dropped before the policies' runs
     // start.
-    let (pfs, first_commit, second_commit, checkpoint_cost) = {
+    let (storage, first_commit, second_commit, checkpoint_cost) = {
         let fixed = make(fixed_policy);
         let w = fixed.workload();
         let pfs = PfsConfig::caltech(w.nodes, w.os);
@@ -87,7 +88,7 @@ fn recovery_experiment(
             experiment.id()
         );
         (
-            pfs,
+            BackendConfig::Pfs(pfs),
             marked.checkpoint_commits[0].1,
             marked.checkpoint_commits[1].1,
             checkpoint_write_time(&marked, &fixed) / u64::from(fixed.checkpoints()),
@@ -126,8 +127,10 @@ fn recovery_experiment(
         par::available_threads(),
         |&(label, policy, faults)| {
             let rec = make(policy);
-            let r = run_with_recovery(&rec, faults, pfs.clone(), SimOptions::default())
-                .unwrap_or_else(|e| panic!("{}: {label} recovery: {e}", experiment.id()));
+            let r = recover(&rec, faults, &storage, &SimOptions::default(), |_| {
+                IoTotals::default()
+            })
+            .unwrap_or_else(|e| panic!("{}: {label} recovery: {e}", experiment.id()));
             RecoveryRun {
                 exec_time: r.exec_time,
                 recovery: r.recovery,

@@ -25,12 +25,16 @@
 //! A crashed attempt never runs past its crash, so it raises no error
 //! from code beyond it. The replay runs that code again, and the
 //! error surfaces from the first attempt that reaches it.
+//!
+//! Each attempt records into a `Ledger` wrapped around the caller's
+//! sink. The checkpoint accounting needs only the bytes written to the
+//! checkpoint files, so a caller that reads no events keeps no trace.
 
-use crate::simulator::{run_backend_until, Attempt, RunResult, SimError, SimOptions};
+use crate::simulator::{run_backend_until, Attempt, Crashed, RunResult, SimError, SimOptions};
 use sioscope_faults::{FaultKind, FaultSchedule};
 use sioscope_pfs::{BackendConfig, OpKind, PfsConfig};
 use sioscope_sim::{FileId, Time};
-use sioscope_trace::TraceRecorder;
+use sioscope_trace::{IoEvent, Sink, TraceRecorder};
 use sioscope_workloads::Recoverable;
 
 /// Accounting for one recovery story (one workload, one crash
@@ -93,6 +97,19 @@ pub fn run_with_recovery_backend(
     cfg: &BackendConfig,
     options: SimOptions,
 ) -> Result<RunResult, SimError> {
+    recover(rec, crashes, cfg, &options, TraceRecorder::with_capacity)
+}
+
+/// [`run_with_recovery_backend`] into the sink `new_sink` builds for
+/// each attempt from its I/O statement count. The result carries the
+/// final attempt's sink.
+pub(crate) fn recover<S: Sink>(
+    rec: &Recoverable,
+    crashes: &FaultSchedule,
+    cfg: &BackendConfig,
+    options: &SimOptions,
+    new_sink: impl Fn(usize) -> S,
+) -> Result<RunResult<S>, SimError> {
     // Fail fast on malformed crash scenarios before any simulation. The
     // object store has no I/O nodes; compute-crash validation still
     // applies against the application shape.
@@ -114,8 +131,6 @@ pub fn run_with_recovery_backend(
         })
         .collect();
     crash_list.sort();
-
-    let ckpt_files: Vec<FileId> = rec.checkpoint_files().iter().map(|f| FileId(*f)).collect();
 
     let mut stats = RecoveryStats::default();
     let mut wall = Time::ZERO;
@@ -143,30 +158,43 @@ pub fn run_with_recovery_backend(
                 &sliced
             }
         };
-        // The checkpoint accounting reads the attempt's writes, so it
-        // records the trace.
-        let attempt = run_backend_until::<TraceRecorder>(workload, cfg.clone(), &options, local)?;
-        let crashed = match attempt {
-            Attempt::Finished(mut result) => {
+        // The checkpoint accounting needs only the attempt's checkpoint
+        // writes: the ledger sums them as they are recorded, split at
+        // the crash instant.
+        let ledger = Ledger {
+            sink: new_sink(workload.io_stmts()),
+            checkpoint_files: rec.checkpoint_files(),
+            stop: local,
+            before: 0,
+            at_stop: 0,
+        };
+        let crashed = match run_backend_until(workload, cfg.clone(), options, local, ledger)? {
+            Attempt::Finished(result) => {
                 // The attempt outlives the crash schedule: done. A
                 // crash at the exact completion instant strikes a
-                // finished application.
+                // finished application, so every write counts.
                 stats.time_to_solution = wall.saturating_add(result.exec_time);
-                stats.checkpoint_write_bytes +=
-                    ckpt_bytes_before(&ckpt_files, traced_writes(&result.trace), Time::MAX);
+                let mut result = result.map_trace(|ledger| {
+                    stats.checkpoint_write_bytes += ledger.before + ledger.at_stop;
+                    ledger.sink
+                });
                 result.recovery = stats;
-                return Ok(*result);
+                return Ok(result);
             }
             Attempt::Crashed(crashed) => crashed,
         };
+        let Crashed {
+            commits,
+            trace: mut ledger,
+            parked_writes,
+        } = *crashed;
         let (at, rework) = crash_list[next];
         next += 1;
         stats.crashes += 1;
         // Latest marker committed by the crash AND durable — a commit
         // whose bytes a burst-node crash destroyed while resident in
         // the log reports `Time::MAX` and can never be rolled back to.
-        let committed = crashed
-            .commits
+        let committed = commits
             .iter()
             .rfind(|&&(_, _, durable)| durable <= local)
             .map(|&(k, t, _)| (k, t));
@@ -175,8 +203,10 @@ pub fn run_with_recovery_backend(
         stats.restart_latency += rework;
         // Writes issued before the crash, whether their completion
         // came before it or they still waited in a forming group.
-        let writes = traced_writes(&crashed.trace).chain(crashed.parked_writes);
-        stats.checkpoint_write_bytes += ckpt_bytes_before(&ckpt_files, writes, local);
+        for (file, start, bytes) in parked_writes {
+            ledger.count(file, start, bytes);
+        }
+        stats.checkpoint_write_bytes += ledger.before;
         // No marker committed this attempt → replay from wherever this
         // attempt itself started.
         let new_from = committed.map(|(k, _)| k).or(from);
@@ -190,32 +220,68 @@ pub fn run_with_recovery_backend(
     }
 }
 
-/// `(file, issue instant, bytes)` of each traced write.
-fn traced_writes(trace: &TraceRecorder) -> impl Iterator<Item = (FileId, Time, u64)> + '_ {
-    trace
-        .events()
-        .iter()
-        .filter(|e| e.kind == OpKind::Write)
-        .map(|e| (e.file, e.start, e.bytes))
+/// The sink of one attempt: it hands every operation on to the
+/// caller's sink and sums the bytes written to the checkpoint files,
+/// split at the attempt's stop instant. No write is issued after the
+/// stop, since the attempt ends there.
+struct Ledger<'r, S> {
+    sink: S,
+    checkpoint_files: &'r [u32],
+    stop: Time,
+    /// Checkpoint bytes issued strictly before `stop`.
+    before: u64,
+    /// Checkpoint bytes issued at `stop` itself.
+    at_stop: u64,
 }
 
-/// Bytes of the `writes` to `ckpt_files` issued before `cutoff`.
-fn ckpt_bytes_before(
-    ckpt_files: &[FileId],
-    writes: impl Iterator<Item = (FileId, Time, u64)>,
-    cutoff: Time,
-) -> u64 {
-    writes
-        .filter(|(file, start, _)| *start < cutoff && ckpt_files.contains(file))
-        .map(|(_, _, bytes)| bytes)
-        .sum()
+impl<S> Ledger<'_, S> {
+    /// Count a write of `bytes` to `file` issued at `start`.
+    fn count(&mut self, file: FileId, start: Time, bytes: u64) {
+        if self.checkpoint_files.contains(&file.0) {
+            if start < self.stop {
+                self.before += bytes;
+            } else {
+                self.at_stop += bytes;
+            }
+        }
+    }
+}
+
+impl<S: Sink> Sink for Ledger<'_, S> {
+    #[inline]
+    fn record(&mut self, event: IoEvent) {
+        if event.kind == OpKind::Write {
+            self.count(event.file, event.start, event.bytes);
+        }
+        self.sink.record(event);
+    }
+
+    fn finish(&mut self) {
+        self.sink.finish();
+    }
+
+    fn len(&self) -> usize {
+        self.sink.len()
+    }
+
+    fn total_io_time(&self) -> Time {
+        self.sink.total_io_time()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator::run;
-    use sioscope_workloads::{CheckpointPolicy, EscatConfig, EscatVersion};
+    use crate::simulator::tests::scalars;
+    use crate::simulator::{run, run_backend};
+    use sioscope_faults::FaultGen;
+    use sioscope_pfs::mode::OsRelease;
+    use sioscope_pfs::{BurstBufferConfig, IoMode, IoOp};
+    use sioscope_trace::IoTotals;
+    use sioscope_workloads::{
+        CheckpointPolicy, EscatConfig, EscatVersion, FileSpec, PrismConfig, PrismVersion, Stmt,
+        Workload,
+    };
 
     fn tiny_pfs(nodes: u32) -> PfsConfig {
         let mut cfg = PfsConfig::tiny();
@@ -405,5 +471,163 @@ mod tests {
             run_with_recovery(&rec, &crashes, tiny_pfs(cfg.nodes), SimOptions::default()).unwrap();
         assert_eq!(r.recovery.crashes, 1, "the second crash is absorbed");
         assert_eq!(r.recovery.attempts, 2);
+    }
+
+    /// `trace`'s writes to `rec`'s checkpoint files.
+    fn ckpt_writes(rec: &Recoverable, trace: &TraceRecorder) -> Vec<IoEvent> {
+        let files = rec.checkpoint_files();
+        (trace.events().iter())
+            .filter(|e| e.kind == OpKind::Write && files.contains(&e.file.0))
+            .copied()
+            .collect()
+    }
+
+    /// Bytes of the `writes` issued before `cutoff`.
+    fn bytes_before(writes: &[IoEvent], cutoff: Time) -> u64 {
+        let before = writes.iter().filter(|e| e.start < cutoff);
+        before.map(|e| e.bytes).sum()
+    }
+
+    /// Tell one recovery story into [`IoTotals`] and into a trace.
+    /// Both must report the same scalars and [`RecoveryStats`]. Returns
+    /// the traced story.
+    fn both_sinks(rec: &Recoverable, crashes: &FaultSchedule, cfg: &BackendConfig) -> RunResult {
+        let opts = SimOptions::default();
+        let totals = recover(rec, crashes, cfg, &opts, |_| IoTotals::default()).unwrap();
+        let traced = run_with_recovery_backend(rec, crashes, cfg, opts).unwrap();
+        assert_eq!(scalars(&totals), scalars(&traced), "{crashes:?}");
+        traced
+    }
+
+    /// Two nodes write a checkpoint file gopen'd in M_SYNC. Node 1
+    /// computes 1 s longer before its second write, so node 0's second
+    /// write still waits in the forming group at 0.5 s.
+    fn parked_write() -> Recoverable {
+        let io = |op| Stmt::Io { file: 0, op };
+        let program = |late: u64| {
+            vec![
+                io(IoOp::Gopen {
+                    group: 2,
+                    mode: IoMode::MSync,
+                    record_size: None,
+                }),
+                io(IoOp::Write { size: 4096 }),
+                Stmt::Compute(Time::from_millis(100 + late)),
+                io(IoOp::Write { size: 4096 }),
+                Stmt::Barrier,
+                Stmt::Compute(Time::from_secs(1)),
+                Stmt::Barrier,
+                io(IoOp::Close),
+            ]
+        };
+        let workload = Workload {
+            name: "parked".into(),
+            version: "T".into(),
+            os: OsRelease::Osf13,
+            nodes: 2,
+            files: vec![FileSpec {
+                name: "ckpt".into(),
+                initial_size: 0,
+            }],
+            programs: vec![program(0), program(1000)],
+            phases: vec![],
+        };
+        Recoverable::annotate(workload, 1, Vec::new(), vec![0])
+    }
+
+    /// The driver tells the same story into either sink, and its ledger
+    /// counts the checkpoint bytes a trace shows. Tiny ESCAT B/C and
+    /// PRISM B, with markers, run on the PFS, on a clean burst buffer
+    /// absorbing the checkpoint files, and on one whose node crashes
+    /// while a checkpoint write is resident in its log, under seeded
+    /// crash schedules. A crash placed at the instant a checkpoint write
+    /// is issued does not count that write; a write parked in a forming
+    /// group by the crash does count.
+    #[test]
+    fn totals_and_recorder_drivers_tell_the_same_recovery_story() {
+        let every = CheckpointPolicy::Fixed { interval: 1 };
+        let prism = PrismConfig::tiny(PrismVersion::B);
+        let recs = [
+            EscatConfig::tiny(EscatVersion::B).recoverable(every),
+            EscatConfig::tiny(EscatVersion::C).recoverable(every),
+            prism.recoverable(CheckpointPolicy::Fixed {
+                interval: prism.checkpoint_every,
+            }),
+        ];
+        let (mut rolled_back, mut past_lost_commit) = (0, 0);
+        for rec in &recs {
+            let w = rec.workload();
+            let pfs = tiny_pfs(w.nodes);
+            let io_nodes = pfs.machine.io_nodes;
+            let absorbing =
+                BurstBufferConfig::absorbing(pfs.clone(), rec.checkpoint_files().to_vec());
+            let clean = run_backend(
+                w,
+                &BackendConfig::Burst(absorbing.clone()),
+                SimOptions::default(),
+            )
+            .unwrap();
+            let mut faulted = absorbing.clone();
+            faulted.faults = FaultGen::new(7, clean.exec_time, io_nodes)
+                .with_events(2)
+                .burst_schedule();
+            let landings = ckpt_writes(rec, &clean.trace);
+            let repair = Time::from_millis(100);
+            let resident = landings[landings.len() / 2].end();
+            faulted
+                .faults
+                .push(resident, FaultKind::BurstNodeCrash { repair });
+            let tiers = [absorbing.clone(), faulted].map(BackendConfig::Burst);
+            for cfg in [BackendConfig::Pfs(pfs)].into_iter().chain(tiers) {
+                let what = format!("{} {} on {}", w.name, w.version, cfg.kind());
+                let plain = run_backend(w, &cfg, SimOptions::default()).unwrap();
+                let base = plain.exec_time;
+                let rework = base.scale(0.05).max(Time::from_secs(1));
+                // The first commit a burst-node crash made non-durable.
+                let lost = (plain.checkpoint_commits.iter().zip(&plain.durable_commits))
+                    .find_map(|(&(_, t), &(_, d))| (d == Time::MAX).then_some(t));
+                let crash_fgen = |seed| FaultGen::new(seed, base.scale(3.2), io_nodes);
+                for seed in [3, 11] {
+                    let crashes =
+                        crash_fgen(seed).compute_crash_schedule(base.scale(0.5), rework, w.nodes);
+                    let r = both_sinks(rec, &crashes, &cfg);
+                    rolled_back += u32::from(r.recovery.checkpoint_read_bytes > 0);
+                    let first = crashes.events.iter().map(|e| e.at).min();
+                    past_lost_commit += u32::from(lost.is_some_and(|t| first > Some(t)));
+                }
+                // A crash at the instant a checkpoint write is issued: the
+                // crash counts the writes issued before it, and the final
+                // attempt all of its own.
+                let writes = ckpt_writes(rec, &plain.trace);
+                let at = writes[writes.len() / 2].start;
+                let r = both_sinks(rec, &crash_at(at, rework), &cfg);
+                assert_eq!(r.recovery.crashes, 1, "{what}");
+                let before = bytes_before(&writes, at);
+                let issued = bytes_before(&writes, at + Time::from_nanos(1));
+                assert!(
+                    issued > before,
+                    "{what}: a checkpoint write is issued at {at}"
+                );
+                let last = bytes_before(&ckpt_writes(rec, &r.trace), Time::MAX);
+                assert_eq!(r.recovery.checkpoint_write_bytes, before + last, "{what}");
+            }
+        }
+        assert!(rolled_back > 0, "some story rolls back to a marker");
+        assert!(
+            past_lost_commit > 0,
+            "some story crashes past a lost commit"
+        );
+
+        // The parked write counts: 12,288 bytes were issued before the
+        // crash, 8,192 of them recorded, and the replay writes 16,384.
+        let rec = parked_write();
+        let cfg = BackendConfig::Pfs(tiny_pfs(2));
+        let r = both_sinks(
+            &rec,
+            &crash_at(Time::from_millis(500), Time::from_secs(1)),
+            &cfg,
+        );
+        assert_eq!(r.recovery.crashes, 1);
+        assert_eq!(r.recovery.checkpoint_write_bytes, 12_288 + 16_384);
     }
 }

@@ -45,7 +45,7 @@ use sioscope_sched::{
     JobOutcome, JobStream, Partition, PartitionAllocator, QueuePolicy, ScheduleStats,
 };
 use sioscope_sim::{FileId, JobId, NodeId, Pid, Time};
-use sioscope_trace::{IoEvent, IoTotals, JobMap, TraceRecorder};
+use sioscope_trace::{IoEvent, JobMap, TraceRecorder};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -251,10 +251,12 @@ pub fn run_schedule(
     for (t, template) in stream.templates.iter().enumerate() {
         let mut dedicated_cfg = pfs_cfg.clone();
         dedicated_cfg.faults = FaultSchedule::empty();
-        let r = simulate::<IoTotals>(&template.workload, BackendConfig::Pfs(dedicated_cfg))
-            .map_err(|source| SchedError::Estimate {
-                template: t,
-                source,
+        let r =
+            simulate(&template.workload, BackendConfig::Pfs(dedicated_cfg)).map_err(|source| {
+                SchedError::Estimate {
+                    template: t,
+                    source,
+                }
             })?;
         estimates.push(r.exec_time);
     }
@@ -321,6 +323,7 @@ pub fn run_schedule(
                 job.pid_base,
                 job.file_base,
                 dispatches << 32,
+                TraceRecorder::with_capacity(workload.io_stmts()),
             ));
             dispatches += 1;
             job.events = 0;

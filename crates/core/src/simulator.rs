@@ -10,9 +10,9 @@
 //! here and the multi-job scheduler ([`crate::schedule`]) both step
 //! every process through it. It records each operation into a
 //! [`Sink`], monomorphized like the tier: a [`TraceRecorder`] keeps
-//! the trace, and [`IoTotals`](sioscope_trace::IoTotals) keeps only the
-//! operation count and the duration sum, for runs whose events nothing
-//! reads. The public entry points record the trace.
+//! the trace, and [`IoTotals`] keeps only the operation count and the
+//! duration sum, for runs whose events nothing reads. The public entry
+//! points record the trace.
 
 use sioscope_machine::MeshModel;
 use sioscope_pfs::{
@@ -20,7 +20,7 @@ use sioscope_pfs::{
     PfsError, ResilienceStats, StorageBackend,
 };
 use sioscope_sim::{EventQueue, FileId, Pid, RendezvousOutcome, RendezvousTable, Time};
-use sioscope_trace::{IoEvent, Sink, TraceRecorder};
+use sioscope_trace::{IoEvent, IoTotals, Sink, TraceRecorder};
 use sioscope_workloads::{Stmt, Workload};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -152,6 +152,26 @@ impl<S: Sink> RunResult<S> {
     }
 }
 
+impl<S> RunResult<S> {
+    /// The same run, with what its sink recorded replaced by `f` of it.
+    pub(crate) fn map_trace<T>(self, f: impl FnOnce(S) -> T) -> RunResult<T> {
+        RunResult {
+            trace: f(self.trace),
+            name: self.name,
+            version: self.version,
+            exec_time: self.exec_time,
+            node_finish: self.node_finish,
+            events: self.events,
+            resilience: self.resilience,
+            fault_transitions: self.fault_transitions,
+            checkpoint_commits: self.checkpoint_commits,
+            durable_commits: self.durable_commits,
+            recovery: self.recovery,
+            backend_stats: self.backend_stats,
+        }
+    }
+}
+
 /// How a run driven up to a stop instant ended.
 pub(crate) enum Attempt<S> {
     /// Every program completed by the stop instant.
@@ -255,11 +275,14 @@ pub(crate) struct Gang<'w, S> {
 }
 
 impl<'w, S: Sink> Gang<'w, S> {
+    /// A gang about to run `workload`, recording into `trace`, which
+    /// its caller built.
     pub(crate) fn new(
         workload: &'w Workload,
         pid_base: u32,
         file_base: u32,
         key_base: u64,
+        trace: S,
     ) -> Self {
         let n = workload.nodes as usize;
         Gang {
@@ -274,9 +297,7 @@ impl<'w, S: Sink> Gang<'w, S> {
                     finish_time: Time::ZERO,
                 })
                 .collect(),
-            // Sized up front: growing a trace by doubling would briefly
-            // hold up to three times the finished trace.
-            trace: S::with_capacity(workload.io_stmts()),
+            trace,
             commits: BTreeMap::new(),
             pid_base,
             file_base,
@@ -490,8 +511,7 @@ pub fn run(
     pfs_cfg: PfsConfig,
     options: SimOptions,
 ) -> Result<RunResult, SimError> {
-    run_backend_until(workload, BackendConfig::Pfs(pfs_cfg), &options, Time::MAX)
-        .map(Attempt::unstopped)
+    run_backend(workload, &BackendConfig::Pfs(pfs_cfg), options)
 }
 
 /// Run `workload` against the storage tier `cfg` selects.
@@ -506,24 +526,31 @@ pub fn run_backend(
     cfg: &BackendConfig,
     options: SimOptions,
 ) -> Result<RunResult, SimError> {
-    run_backend_until(workload, cfg.clone(), &options, Time::MAX).map(Attempt::unstopped)
+    // Sized up front: growing a trace by doubling would briefly hold
+    // up to three times the finished trace.
+    let trace = TraceRecorder::with_capacity(workload.io_stmts());
+    run_backend_until(workload, cfg.clone(), &options, Time::MAX, trace).map(Attempt::unstopped)
 }
 
-/// [`run_backend`] into the sink `S` that the caller picks.
-pub(crate) fn simulate<S: Sink>(
+/// [`run_backend`] recording only [`IoTotals`], for a run whose events
+/// nothing reads.
+pub(crate) fn simulate(
     workload: &Workload,
     cfg: BackendConfig,
-) -> Result<RunResult<S>, SimError> {
-    run_backend_until(workload, cfg, &SimOptions::default(), Time::MAX).map(Attempt::unstopped)
+) -> Result<RunResult<IoTotals>, SimError> {
+    let totals = IoTotals::default();
+    run_backend_until(workload, cfg, &SimOptions::default(), Time::MAX, totals)
+        .map(Attempt::unstopped)
 }
 
-/// [`run_backend`] into the sink `S`, up to the `stop` instant (see
-/// [`run_loop`]).
+/// [`run_backend`] into `sink`, which the caller built, up to the
+/// `stop` instant (see [`run_loop`]).
 pub(crate) fn run_backend_until<S: Sink>(
     workload: &Workload,
     mut cfg: BackendConfig,
     options: &SimOptions,
     stop: Time,
+    sink: S,
 ) -> Result<Attempt<S>, SimError> {
     let problems = workload.validate();
     if !problems.is_empty() {
@@ -537,15 +564,16 @@ pub(crate) fn run_backend_until<S: Sink>(
     let mesh = MeshModel::new(cfg.machine().mesh);
     // One event loop monomorphized per tier: no dynamic dispatch on
     // the measured path.
+    let gang = Gang::new(workload, 0, 0, 0, sink);
     match cfg {
         BackendConfig::Pfs(mut c) => {
             c.os = workload.os;
-            run_loop(workload, mesh, Pfs::new(c), options, stop)
+            run_loop(gang, mesh, Pfs::new(c), options, stop)
         }
-        BackendConfig::Object(c) => run_loop(workload, mesh, ObjectStore::new(c), options, stop),
+        BackendConfig::Object(c) => run_loop(gang, mesh, ObjectStore::new(c), options, stop),
         BackendConfig::Burst(mut c) => {
             c.pfs.os = workload.os;
-            run_loop(workload, mesh, BurstBuffer::new(c), options, stop)
+            run_loop(gang, mesh, BurstBuffer::new(c), options, stop)
         }
     }
 }
@@ -559,12 +587,13 @@ pub(crate) fn run_backend_until<S: Sink>(
 /// at `stop` finishes. Code past `stop` never runs, so it raises no
 /// error. Plain runs pass [`Time::MAX`] and always finish.
 fn run_loop<B: StorageBackend, S: Sink>(
-    workload: &Workload,
+    mut gang: Gang<'_, S>,
     mesh: MeshModel,
     backend: B,
     options: &SimOptions,
     stop: Time,
 ) -> Result<Attempt<S>, SimError> {
+    let workload = gang.workload;
     let mut engine = Engine::new(backend, mesh);
     // Create the file table; workload file index i == FileId(i).
     for (i, spec) in workload.files.iter().enumerate() {
@@ -573,7 +602,6 @@ fn run_loop<B: StorageBackend, S: Sink>(
             .create_file_with_size(&spec.name, spec.initial_size);
         debug_assert_eq!(id.index(), i);
     }
-    let mut gang = Gang::<S>::new(workload, 0, 0, 0);
 
     // Interleave the fault calendar with the event calendar: one
     // event per fault-window boundary. A schedule that does not
@@ -648,7 +676,7 @@ fn run_loop<B: StorageBackend, S: Sink>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sioscope_pfs::mode::OsRelease;
     use sioscope_pfs::IoMode;
@@ -790,7 +818,7 @@ mod tests {
 
     #[test]
     fn trace_length_equals_the_io_statement_count() {
-        // The event loop sizes its trace from this count up front.
+        // `run` sizes its trace from this count up front.
         let mut workloads: Vec<Workload> = EscatVersion::progressions()
             .into_iter()
             .map(|v| EscatConfig::tiny(v).build())
@@ -938,7 +966,8 @@ mod tests {
         };
         let until = |stop| {
             let cfg = BackendConfig::Pfs(tiny_pfs(2));
-            run_backend_until::<TraceRecorder>(&w, cfg, &SimOptions::default(), stop).unwrap()
+            let trace = TraceRecorder::new();
+            run_backend_until(&w, cfg, &SimOptions::default(), stop, trace).unwrap()
         };
         let commits = |stop| match until(stop) {
             Attempt::Crashed(c) => c.commits,
@@ -965,7 +994,7 @@ mod tests {
 
     /// Everything a run reports but its events, spelled out for
     /// comparing the runs of two sinks.
-    fn scalars<S: Sink>(r: &RunResult<S>) -> String {
+    pub(crate) fn scalars<S: Sink>(r: &RunResult<S>) -> String {
         let RunResult {
             name,
             version,
@@ -1016,7 +1045,6 @@ mod tests {
         use crate::canon::{tier_config, tier_faults};
         use sioscope_faults::FaultSchedule;
         use sioscope_pfs::BackendKind;
-        use sioscope_trace::IoTotals;
         use sioscope_workloads::CheckpointPolicy;
         let every = CheckpointPolicy::Fixed { interval: 1 };
         let mut workloads: Vec<Workload> = [EscatVersion::A, EscatVersion::B, EscatVersion::C]
@@ -1033,8 +1061,10 @@ mod tests {
             for backend in BackendKind::all() {
                 let at = |faults: &FaultSchedule, stop| {
                     let cfg = tier_config(backend, w, faults.clone());
-                    let totals = run_backend_until::<IoTotals>(w, cfg.clone(), &opts, stop);
-                    let trace = run_backend_until::<TraceRecorder>(w, cfg, &opts, stop);
+                    let totals = IoTotals::default();
+                    let totals = run_backend_until(w, cfg.clone(), &opts, stop, totals);
+                    let trace = TraceRecorder::with_capacity(w.io_stmts());
+                    let trace = run_backend_until(w, cfg, &opts, stop, trace);
                     (totals.unwrap(), trace.unwrap())
                 };
                 let clean = at(&FaultSchedule::empty(), Time::MAX).1.unstopped();

@@ -14,9 +14,9 @@
 //! so a process simulates each such run once across campaign runs and
 //! sweeps. A sweep that holds the workload hands it to the memo, so a
 //! miss simulates it instead of building another copy. A point reads
-//! only its run's totals, so it records no trace; the recovery-driven
-//! sweeps record theirs, since the checkpoint accounting reads the
-//! writes.
+//! only its run's totals, so it records no trace. Neither do the
+//! recovery-driven sweeps: the recovery driver's ledger sums the
+//! checkpoint writes as they are recorded.
 
 use crate::canon::{self, BackendKind, WorkloadId};
 use crate::coupled::{run_coupled, Route};
@@ -24,7 +24,7 @@ use crate::experiments::contention::{
     contended_machine, mix_stream, run_stream, CLASS_TAU, COMPUTE_BOUND, IO_BOUND,
 };
 use crate::experiments::Scale;
-use crate::recovery::{run_with_recovery, run_with_recovery_backend};
+use crate::recovery::recover;
 use crate::simulator::{simulate, RunResult, SimOptions};
 use sioscope_faults::{FaultGen, FaultSchedule};
 use sioscope_pfs::{BackendConfig, BurstBufferConfig, PfsConfig};
@@ -367,18 +367,20 @@ pub(crate) fn mtbf_sweep(scale: Scale, mtbf_percents: &[u32], seed: u64) -> Swee
         .escat(EscatVersion::C)
         .recoverable(CheckpointPolicy::Fixed { interval: 1 });
     let w = rec.workload();
-    let base_cfg = PfsConfig::caltech(w.nodes, w.os);
+    let storage = BackendConfig::Pfs(PfsConfig::caltech(w.nodes, w.os));
     // Not `w`: its markers pop events the plain workload the memo
     // keys does not.
     let baseline = canonical_run(WorkloadId::EscatC, scale, None).exec_time;
     let (horizon, rework) = crash_environment(baseline);
-    let fgen = FaultGen::new(seed, horizon, base_cfg.machine.io_nodes);
+    let fgen = FaultGen::new(seed, horizon, storage.machine().io_nodes);
     let mut points: Vec<SweepPoint> = each(mtbf_percents, |&pct| {
         let mtbf = baseline.scale(f64::from(pct) / 100.0);
         let crashes = fgen.compute_crash_schedule(mtbf, rework, w.nodes);
         let n = crashes.events.len();
-        let r = run_with_recovery(&rec, &crashes, base_cfg.clone(), SimOptions::default())
-            .unwrap_or_else(|e| panic!("mtbf={pct}%: {e}"));
+        let r = recover(&rec, &crashes, &storage, &SimOptions::default(), |_| {
+            IoTotals::default()
+        })
+        .unwrap_or_else(|e| panic!("mtbf={pct}%: {e}"));
         SweepPoint {
             label: format!("mtbf={pct}% ({n} crashes)"),
             value: u64::from(pct),
@@ -479,8 +481,10 @@ pub(crate) fn checkpoint_interval_sweep(
                 BackendConfig::Burst(burst)
             }
         };
-        let r = run_with_recovery_backend(&rec, crashes, &storage, SimOptions::default())
-            .unwrap_or_else(|e| panic!("{parameter} interval={interval}: {e}"));
+        let r = recover(&rec, crashes, &storage, &SimOptions::default(), |_| {
+            IoTotals::default()
+        })
+        .unwrap_or_else(|e| panic!("{parameter} interval={interval}: {e}"));
         SweepPoint {
             label: format!("every {interval} steps"),
             value: u64::from(interval),

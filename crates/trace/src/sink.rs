@@ -11,13 +11,10 @@ use crate::event::IoEvent;
 use crate::recorder::TraceRecorder;
 use sioscope_sim::Time;
 
-/// What a run records of each completed I/O operation.
+/// What a run records of each completed I/O operation. The run's
+/// caller builds the sink, so a sink may carry what only its caller
+/// knows, or wrap another sink.
 pub trait Sink {
-    /// An empty sink for a run of `events` operations. A sink that
-    /// keeps events reserves room for them up front; one that keeps
-    /// only totals ignores the hint.
-    fn with_capacity(events: usize) -> Self;
-
     /// Record one completed operation.
     fn record(&mut self, event: IoEvent);
 
@@ -39,10 +36,6 @@ pub trait Sink {
 
 /// The full trace, sorted into canonical order when the run completes.
 impl Sink for TraceRecorder {
-    fn with_capacity(events: usize) -> Self {
-        TraceRecorder::with_capacity(events)
-    }
-
     #[inline]
     fn record(&mut self, event: IoEvent) {
         TraceRecorder::record(self, event);
@@ -98,10 +91,6 @@ pub struct IoTotals {
 }
 
 impl Sink for IoTotals {
-    fn with_capacity(_events: usize) -> Self {
-        IoTotals::default()
-    }
-
     #[inline]
     fn record(&mut self, event: IoEvent) {
         self.ops += 1;
@@ -141,8 +130,8 @@ mod tests {
     #[test]
     fn totals_count_and_sum_what_the_recorder_keeps() {
         let events = [ev(1, 20, 3), ev(0, 10, 5), ev(0, 30, 0), ev(2, 10, 7)];
-        let mut totals = IoTotals::with_capacity(events.len());
-        let mut trace = <TraceRecorder as Sink>::with_capacity(events.len());
+        let mut totals = IoTotals::default();
+        let mut trace = TraceRecorder::with_capacity(events.len());
         assert!(Sink::is_empty(&totals) && Sink::is_empty(&trace));
         for e in events {
             totals.record(e);
