@@ -522,6 +522,86 @@ mod tests {
         assert_eq!(drive(&mut ObjectStore::new(cfg)), faulted);
     }
 
+    /// A modern store whose metadata shards `shards` go dark at time
+    /// zero for `duration`.
+    fn dark(shards: &[u32], duration: Time) -> ObjectStore {
+        let mut cfg = ObjectStoreConfig::modern(4);
+        for &shard in shards {
+            cfg.faults.push(
+                Time::ZERO,
+                FaultKind::MetadataShardOutage { shard, duration },
+            );
+        }
+        ObjectStore::new(cfg)
+    }
+
+    /// The metadata ladder, step by step: a 50 ms timeout, backoffs of
+    /// 20, 40, 80 and 160 ms, then the replica shard serves the 10 us
+    /// request at a 1.5x factor.
+    #[test]
+    fn a_dark_shard_reroutes_to_its_replica_after_the_full_ladder() {
+        let mut s = dark(&[0], Time::from_secs(100));
+        let arrival = Time::from_secs(1);
+        assert_eq!(
+            s.md_reserve(arrival, FileId(0)),
+            arrival + Time::from_millis(350) + Time::from_micros(15)
+        );
+        let expected = ResilienceStats {
+            timeouts: 1,
+            retries: 4,
+            reroutes: 1,
+            ..ResilienceStats::default()
+        };
+        assert_eq!(s.resilience_stats(), expected);
+        assert_eq!(
+            s.md_reserve(arrival, FileId(2)),
+            arrival + Time::from_micros(10),
+            "a healthy, idle shard serves at once"
+        );
+        assert_eq!(s.resilience_stats(), expected);
+    }
+
+    /// A shard that comes back during the backoff serves in place:
+    /// dark at 50 and 70 ms, back at 110 ms.
+    #[test]
+    fn a_shard_back_mid_ladder_serves_in_place() {
+        let arrival = Time::from_secs(1);
+        let mut s = dark(&[0], arrival + Time::from_millis(100));
+        assert_eq!(
+            s.md_reserve(arrival, FileId(0)),
+            arrival + Time::from_millis(110) + Time::from_micros(10)
+        );
+        assert_eq!(
+            s.resilience_stats(),
+            ResilienceStats {
+                timeouts: 1,
+                retries: 2,
+                ..ResilienceStats::default()
+            }
+        );
+    }
+
+    /// With every shard dark the request walks the whole ladder, then
+    /// stalls until its own shard returns, counting one abort.
+    #[test]
+    fn with_every_shard_dark_a_request_stalls_until_its_shard_returns() {
+        let until = Time::from_secs(30);
+        let mut s = dark(&[0, 1, 2, 3], until);
+        assert_eq!(
+            s.md_reserve(Time::from_secs(1), FileId(0)),
+            until + Time::from_micros(10)
+        );
+        assert_eq!(
+            s.resilience_stats(),
+            ResilienceStats {
+                timeouts: 1,
+                retries: 4,
+                aborts: 1,
+                ..ResilienceStats::default()
+            }
+        );
+    }
+
     #[test]
     fn whole_dark_metadata_service_stalls_until_restart() {
         let mut cfg = ObjectStoreConfig::modern(4);

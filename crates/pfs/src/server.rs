@@ -2314,6 +2314,111 @@ mod tests {
         assert!(faulty > healthy, "faults cost time: {faulty} vs {healthy}");
     }
 
+    /// A PFS whose I/O nodes `ions` crash at time zero and restart at
+    /// `restart`.
+    fn crashed(ions: &[u32], restart: Time) -> Pfs {
+        use sioscope_faults::FaultKind;
+        let mut cfg = PfsConfig::tiny();
+        for &ion in ions {
+            cfg.faults
+                .push(Time::ZERO, FaultKind::IonCrash { ion, restart });
+        }
+        Pfs::new(cfg)
+    }
+
+    /// The retry ladder, step by step: a 50 ms timeout, then backoffs
+    /// of 20, 40, 80 and 160 ms, then a re-route at a 1.5x service
+    /// factor to the lowest-numbered healthy I/O node.
+    #[test]
+    fn a_write_to_a_crashed_ion_reroutes_after_the_full_ladder() {
+        let mut p = crashed(&[0], Time::from_secs(30));
+        let issued = Time::from_secs(1);
+        assert_eq!(
+            p.engage_ion(0, issued, true),
+            (1, issued + Time::from_millis(350), 1.5)
+        );
+        let expected = ResilienceStats {
+            timeouts: 1,
+            retries: 4,
+            reroutes: 1,
+            ..ResilienceStats::default()
+        };
+        assert_eq!(p.resilience_stats(), expected);
+        assert_eq!(p.engage_ion(1, issued, true), (1, issued, 1.0), "healthy");
+        assert_eq!(
+            p.resilience_stats(),
+            expected,
+            "a healthy node costs nothing"
+        );
+    }
+
+    /// Reads take the reduced-stripe path after the timeout and one
+    /// probing retry: 50 + 20 ms, at the same 1.5x factor.
+    #[test]
+    fn a_read_from_a_crashed_ion_takes_the_reduced_stripe_path() {
+        let mut p = crashed(&[0], Time::from_secs(30));
+        let issued = Time::from_secs(1);
+        assert_eq!(
+            p.engage_ion(0, issued, false),
+            (1, issued + Time::from_millis(70), 1.5)
+        );
+        assert_eq!(
+            p.resilience_stats(),
+            ResilienceStats {
+                timeouts: 1,
+                retries: 1,
+                reroutes: 1,
+                degraded_reads: 1,
+                ..ResilienceStats::default()
+            }
+        );
+    }
+
+    /// A node that restarts during the backoff is retried in place:
+    /// down at 50 and 70 ms, up at 110 ms.
+    #[test]
+    fn a_write_retries_in_place_when_the_ion_restarts_mid_ladder() {
+        let issued = Time::from_secs(1);
+        let mut p = crashed(&[0], issued + Time::from_millis(100));
+        assert_eq!(
+            p.engage_ion(0, issued, true),
+            (0, issued + Time::from_millis(110), 1.0)
+        );
+        assert_eq!(
+            p.resilience_stats(),
+            ResilienceStats {
+                timeouts: 1,
+                retries: 2,
+                ..ResilienceStats::default()
+            }
+        );
+    }
+
+    /// With every I/O node down, reads and writes alike walk the whole
+    /// ladder and stall until the restart, counting one abort each.
+    #[test]
+    fn with_every_ion_down_a_request_stalls_until_the_restart() {
+        let restart = Time::from_secs(5);
+        for write in [true, false] {
+            let mut p = crashed(&[0, 1], restart);
+            assert_eq!(
+                p.engage_ion(0, Time::from_secs(1), write),
+                (0, restart, 1.0),
+                "write {write}"
+            );
+            assert_eq!(
+                p.resilience_stats(),
+                ResilienceStats {
+                    timeouts: 1,
+                    retries: 4,
+                    aborts: 1,
+                    ..ResilienceStats::default()
+                },
+                "write {write}"
+            );
+        }
+    }
+
     #[test]
     fn crash_of_every_ion_stalls_until_restart() {
         use sioscope_faults::FaultKind;
