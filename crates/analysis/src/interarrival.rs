@@ -9,7 +9,7 @@
 //! autocorrelation of successive gaps.
 
 use sioscope_sim::{Pid, Time};
-use sioscope_trace::{IoEvent, TraceIndex};
+use sioscope_trace::TraceIndex;
 use std::collections::BTreeMap;
 
 /// Interarrival statistics for one process's request stream.
@@ -59,22 +59,8 @@ pub fn of_starts(starts: &[Time]) -> Option<Interarrival> {
     })
 }
 
-/// Per-process interarrival statistics over a trace.
-pub fn per_process(events: &[IoEvent]) -> BTreeMap<Pid, Interarrival> {
-    let mut starts: BTreeMap<Pid, Vec<Time>> = BTreeMap::new();
-    for e in events {
-        starts.entry(e.pid).or_default().push(e.start);
-    }
-    starts
-        .into_iter()
-        .filter_map(|(pid, s)| of_starts(&s).map(|ia| (pid, ia)))
-        .collect()
-}
-
 /// Per-process interarrival statistics from a [`TraceIndex`]: each
-/// pid's start instants come straight off its postings list instead of
-/// being regrouped from a scan. [`of_starts`] sorts its input, so the
-/// statistics are bit-identical to [`per_process`].
+/// pid's start instants come straight off its postings list.
 pub fn per_process_indexed(index: &TraceIndex) -> BTreeMap<Pid, Interarrival> {
     index
         .pids()
@@ -143,6 +129,7 @@ mod tests {
     fn per_process_splits_streams() {
         use sioscope_pfs::{IoMode, OpKind};
         use sioscope_sim::FileId;
+        use sioscope_trace::IoEvent;
         let mut events = Vec::new();
         for pid in 0..2u32 {
             for i in 0..5u64 {
@@ -158,7 +145,7 @@ mod tests {
                 });
             }
         }
-        let map = per_process(&events);
+        let map = per_process_indexed(&TraceIndex::build(&events));
         assert_eq!(map.len(), 2);
         for ia in map.values() {
             assert_eq!(ia.gaps, 4);

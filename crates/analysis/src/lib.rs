@@ -8,14 +8,16 @@
 //! percentage-of-execution-time tables (Table 3), and ASCII renderings
 //! of all of them.
 //!
-//! Most passes have two entry points: a scan over `&[IoEvent]`, which
-//! the examples call on small traces, and an indexed variant
-//! (`from_index` / `of_kind` / `*_indexed`) that answers from a
-//! shared [`sioscope_trace::TraceIndex`] without revisiting the event
-//! vector. The indexed variants are bit-identical to the scans;
-//! property tests in `tests/proptest_indexed.rs` use the scans as the
-//! oracle and enforce this. The crate root re-exports only the names
-//! the binaries and examples import from it.
+//! Each pass over a trace has one entry point (`from_index` /
+//! `of_kind` / `*_indexed`), which answers from a shared
+//! [`sioscope_trace::TraceIndex`] without revisiting the event vector;
+//! build the index once and ask it every question. Only the Miller–Katz
+//! classifier ([`classify_file`], [`classify_all`]) scans an event
+//! slice. The naive scans live on as test oracles in
+//! `tests/oracle/`, each with its own fold, and the property tests in
+//! `tests/proptest_indexed.rs` require every indexed pass to equal its
+//! oracle exactly. The crate root re-exports only the names the
+//! binaries and examples import from it.
 
 pub mod bandwidth;
 pub mod cdf;
@@ -38,5 +40,5 @@ pub use compare::Evolution;
 pub use histogram::LogHistogram;
 pub use modes::ModeUsage;
 pub use parallelism::{ConcurrencyProfile, NodeBalance};
-pub use phases::{detect as detect_phases, detect_indexed as detect_phases_indexed, PhaseKind};
+pub use phases::{detect_indexed as detect_phases_indexed, PhaseKind};
 pub use timeline::Timeline;

@@ -4,7 +4,7 @@
 //! access modes").
 
 use sioscope_sim::Time;
-use sioscope_trace::IoEvent;
+use sioscope_trace::TraceIndex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -26,22 +26,10 @@ pub struct ModeUsage {
 }
 
 impl ModeUsage {
-    /// Aggregate a trace by access mode.
-    pub fn build(events: &[IoEvent]) -> Self {
-        let mut per_mode: BTreeMap<&'static str, ModeStats> = BTreeMap::new();
-        for e in events {
-            let s = per_mode.entry(e.mode.name()).or_default();
-            s.ops += 1;
-            s.bytes += e.bytes;
-            s.time += e.duration;
-        }
-        ModeUsage { per_mode }
-    }
-
-    /// Aggregate from a [`TraceIndex`](sioscope_trace::TraceIndex).
-    /// All three accumulations commute, so the result matches
-    /// [`build`](ModeUsage::build) regardless of event order.
-    pub fn from_index(index: &sioscope_trace::TraceIndex) -> Self {
+    /// Aggregate an indexed trace by access mode. All three
+    /// accumulations commute, so the result does not depend on event
+    /// order.
+    pub fn from_index(index: &TraceIndex) -> Self {
         let mut per_mode: BTreeMap<&'static str, ModeStats> = BTreeMap::new();
         for e in index.iter() {
             let s = per_mode.entry(e.mode.name()).or_default();
@@ -102,6 +90,11 @@ mod tests {
     use super::*;
     use sioscope_pfs::{IoMode, OpKind};
     use sioscope_sim::{FileId, Pid};
+    use sioscope_trace::IoEvent;
+
+    fn usage(events: &[IoEvent]) -> ModeUsage {
+        ModeUsage::from_index(&TraceIndex::build(events))
+    }
 
     fn ev(mode: IoMode, kind: OpKind, bytes: u64, dur_ms: u64) -> IoEvent {
         IoEvent {
@@ -124,7 +117,7 @@ mod tests {
             ev(IoMode::MRecord, OpKind::Read, 131072, 3),
             ev(IoMode::MAsync, OpKind::Write, 1800, 1),
         ];
-        let u = ModeUsage::build(&events);
+        let u = usage(&events);
         assert_eq!(u.per_mode[IoMode::MUnix.name()].ops, 2);
         assert_eq!(u.per_mode[IoMode::MUnix.name()].bytes, 100);
         assert_eq!(u.per_mode[IoMode::MUnix.name()].time, Time::from_millis(25));
@@ -137,7 +130,7 @@ mod tests {
 
     #[test]
     fn empty_trace() {
-        let u = ModeUsage::build(&[]);
+        let u = usage(&[]);
         assert!(u.used_modes().is_empty());
         assert_eq!(u.dominant_by_time(), None);
     }
@@ -145,7 +138,7 @@ mod tests {
     #[test]
     fn render_lists_modes() {
         let events = vec![ev(IoMode::MGlobal, OpKind::Read, 36, 1)];
-        let text = ModeUsage::build(&events).render("Mode usage");
+        let text = usage(&events).render("Mode usage");
         assert!(text.contains("M_GLOBAL"));
         assert!(text.contains("Mode usage"));
     }

@@ -13,7 +13,7 @@
 
 use sioscope_pfs::OpKind;
 use sioscope_sim::{Pid, Time};
-use sioscope_trace::{IoEvent, TraceIndex};
+use sioscope_trace::TraceIndex;
 use std::collections::BTreeMap;
 
 /// Sweep-line concurrency profile of outstanding I/O calls.
@@ -33,27 +33,20 @@ pub struct ConcurrencyProfile {
 }
 
 impl ConcurrencyProfile {
-    /// Build from a trace.
-    pub fn build(events: &[IoEvent]) -> Self {
-        let mut deltas: BTreeMap<Time, i64> = BTreeMap::new();
-        for e in events {
-            *deltas.entry(e.start).or_insert(0) += 1;
-            *deltas.entry(e.end()).or_insert(0) -= 1;
-        }
-        Self::from_breakpoints(deltas.into_iter())
-    }
-
-    /// Build from a [`TraceIndex`] without revisiting the events: the
-    /// index's start column and end-sorted column are merged into the
-    /// same `(instant, delta)` breakpoint sequence the scan derives,
-    /// one merged entry per distinct instant (including net-zero
-    /// deltas from zero-duration events, which the scan also emits).
-    /// The shared fold then performs the identical floating-point
-    /// accumulation, so the profile is bit-identical to `build`.
+    /// Build from a [`TraceIndex`]: the index's start column and
+    /// end-sorted column are merged into one `(instant, delta)`
+    /// breakpoint per distinct instant (including net-zero deltas
+    /// from zero-duration events), and the sweep folds each
+    /// breakpoint as the merge reaches it.
     pub fn from_index(index: &TraceIndex) -> Self {
         let starts = index.starts();
         let ends = index.ends_sorted();
-        let mut breaks: Vec<(Time, i64)> = Vec::with_capacity(starts.len() * 2);
+        let mut steps = Vec::new();
+        let mut level: i64 = 0;
+        let mut peak = 0u32;
+        let mut weighted = 0.0f64;
+        let mut active = 0.0f64;
+        let mut prev: Option<Time> = None;
         let (mut i, mut j) = (0usize, 0usize);
         while i < starts.len() || j < ends.len() {
             let t = if i < starts.len() && (j >= ends.len() || starts[i] <= ends[j]) {
@@ -70,22 +63,6 @@ impl ConcurrencyProfile {
                 d -= 1;
                 j += 1;
             }
-            breaks.push((t, d));
-        }
-        Self::from_breakpoints(breaks.into_iter())
-    }
-
-    /// The shared sweep over time-ordered `(instant, delta)`
-    /// breakpoints — both constructors funnel through this fold so
-    /// their floating-point results are identical to the bit.
-    fn from_breakpoints(deltas: impl Iterator<Item = (Time, i64)>) -> Self {
-        let mut steps = Vec::new();
-        let mut level: i64 = 0;
-        let mut peak = 0u32;
-        let mut weighted = 0.0f64;
-        let mut active = 0.0f64;
-        let mut prev: Option<Time> = None;
-        for (t, d) in deltas {
             if let Some(p) = prev {
                 let dt = (t - p).as_secs_f64();
                 weighted += level as f64 * dt;
@@ -124,26 +101,8 @@ pub struct NodeBalance {
 }
 
 impl NodeBalance {
-    /// Build from a trace (all operations).
-    pub fn build(events: &[IoEvent]) -> Self {
-        Self::build_filtered(events, |_| true)
-    }
-
-    /// Build over the events a predicate selects — e.g. only writes,
-    /// to measure the §6.1 "single node coordinates all writes"
-    /// pattern.
-    pub fn build_filtered(events: &[IoEvent], keep: impl Fn(&IoEvent) -> bool) -> Self {
-        let mut per_node: BTreeMap<u32, Time> = BTreeMap::new();
-        let mut total = Time::ZERO;
-        for e in events.iter().filter(|e| keep(e)) {
-            *per_node.entry(e.pid.0).or_insert(Time::ZERO) += e.duration;
-            total += e.duration;
-        }
-        NodeBalance { per_node, total }
-    }
-
-    /// Build from a [`TraceIndex`]: one lookup per pid against the
-    /// pre-aggregated per-pid totals.
+    /// Build from a [`TraceIndex`] (all operations): one lookup per
+    /// pid against the pre-aggregated per-pid totals.
     pub fn from_index(index: &TraceIndex) -> Self {
         let mut per_node = BTreeMap::new();
         let mut total = Time::ZERO;
@@ -155,9 +114,8 @@ impl NodeBalance {
         NodeBalance { per_node, total }
     }
 
-    /// Indexed equivalent of
-    /// [`build_filtered`](NodeBalance::build_filtered) with a
-    /// kind-equality predicate — the only filter the report paths use.
+    /// Build over the operations of one kind — e.g. only writes, to
+    /// measure the §6.1 "single node coordinates all writes" pattern.
     pub fn of_kind(index: &TraceIndex, kind: OpKind) -> Self {
         let mut per_node = BTreeMap::new();
         let mut total = Time::ZERO;
@@ -213,6 +171,15 @@ mod tests {
     use super::*;
     use sioscope_pfs::{IoMode, OpKind};
     use sioscope_sim::FileId;
+    use sioscope_trace::IoEvent;
+
+    fn profile(events: &[IoEvent]) -> ConcurrencyProfile {
+        ConcurrencyProfile::from_index(&TraceIndex::build(events))
+    }
+
+    fn balance(events: &[IoEvent]) -> NodeBalance {
+        NodeBalance::from_index(&TraceIndex::build(events))
+    }
 
     fn ev(pid: u32, start_s: u64, dur_s: u64) -> IoEvent {
         IoEvent {
@@ -239,7 +206,7 @@ mod tests {
     fn concurrency_counts_overlaps() {
         // [0,10), [5,15), [20,25): peak 2.
         let events = vec![ev(0, 0, 10), ev(1, 5, 10), ev(2, 20, 5)];
-        let p = ConcurrencyProfile::build(&events);
+        let p = profile(&events);
         assert_eq!(p.peak, 2);
         assert_eq!(at(&p, Time::from_secs(6)), 2);
         assert_eq!(at(&p, Time::from_secs(12)), 1);
@@ -253,7 +220,7 @@ mod tests {
 
     #[test]
     fn empty_profile() {
-        let p = ConcurrencyProfile::build(&[]);
+        let p = profile(&[]);
         assert_eq!(p.peak, 0);
         assert_eq!(p.mean, 0.0);
         assert_eq!(p.mean_active, 0.0);
@@ -263,7 +230,7 @@ mod tests {
     #[test]
     fn node_balance_shares() {
         let events = vec![ev(0, 0, 9), ev(1, 0, 1)];
-        let b = NodeBalance::build(&events);
+        let b = balance(&events);
         assert!((b.share(Pid(0)) - 0.9).abs() < 1e-9);
         assert!((b.share(Pid(1)) - 0.1).abs() < 1e-9);
         assert_eq!(b.share(Pid(9)), 0.0);
@@ -277,8 +244,7 @@ mod tests {
             kind: sioscope_pfs::OpKind::Write,
             ..ev(1, 0, 10)
         });
-        let writes_only =
-            NodeBalance::build_filtered(&events, |e| e.kind == sioscope_pfs::OpKind::Write);
+        let writes_only = NodeBalance::of_kind(&TraceIndex::build(&events), OpKind::Write);
         assert_eq!(writes_only.share(Pid(1)), 1.0);
         assert_eq!(writes_only.share(Pid(0)), 0.0);
     }
@@ -287,17 +253,17 @@ mod tests {
     fn gini_extremes() {
         // One node does everything among 4 → high Gini.
         let skewed = vec![ev(0, 0, 100), ev(1, 0, 0), ev(2, 0, 0), ev(3, 0, 0)];
-        let g_skewed = NodeBalance::build(&skewed).gini();
+        let g_skewed = balance(&skewed).gini();
         // Perfectly even.
         let even = vec![ev(0, 0, 10), ev(1, 0, 10), ev(2, 0, 10), ev(3, 0, 10)];
-        let g_even = NodeBalance::build(&even).gini();
+        let g_even = balance(&even).gini();
         assert!(g_skewed > 0.7, "skewed gini {g_skewed}");
         assert!(g_even.abs() < 1e-9, "even gini {g_even}");
     }
 
     #[test]
     fn zero_duration_events_do_not_break_gini() {
-        let b = NodeBalance::build(&[ev(0, 0, 0)]);
+        let b = balance(&[ev(0, 0, 0)]);
         assert_eq!(b.gini(), 0.0);
         assert_eq!(b.active_nodes(), 0);
     }

@@ -9,7 +9,7 @@
 
 use sioscope_pfs::OpKind;
 use sioscope_sim::Time;
-use sioscope_trace::{IoEvent, TraceIndex};
+use sioscope_trace::TraceIndex;
 
 /// Dominant direction of a detected phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,25 +39,12 @@ pub struct PhaseSpan {
     pub kind: PhaseKind,
 }
 
-/// Cluster a (time-sorted) trace into phases separated by I/O gaps of
-/// at least `gap`.
-pub fn detect(events: &[IoEvent], gap: Time) -> Vec<PhaseSpan> {
-    detect_iter(events.iter().copied(), gap)
-}
-
-/// Cluster an indexed trace into phases. The index's canonical order
-/// is time-sorted, so this is [`detect`] over the properly ordered
-/// stream — identical to running `detect` on a sorted trace even if
-/// the original slice was not sorted.
+/// Cluster an indexed trace into phases separated by I/O gaps of at
+/// least `gap`, walking its events in canonical (start-sorted) order.
 pub fn detect_indexed(index: &TraceIndex, gap: Time) -> Vec<PhaseSpan> {
-    detect_iter(index.iter(), gap)
-}
-
-/// The sequential clustering pass both entry points share.
-fn detect_iter(events: impl Iterator<Item = IoEvent>, gap: Time) -> Vec<PhaseSpan> {
     let mut phases: Vec<PhaseSpan> = Vec::new();
     let mut current: Option<PhaseSpan> = None;
-    for e in events {
+    for e in index.iter() {
         match current.as_mut() {
             Some(p) if e.start.saturating_sub(p.end) < gap => {
                 p.end = p.end.max(e.end());
@@ -131,6 +118,11 @@ mod tests {
     use super::*;
     use sioscope_pfs::IoMode;
     use sioscope_sim::{FileId, Pid};
+    use sioscope_trace::IoEvent;
+
+    fn detect(events: &[IoEvent], gap: Time) -> Vec<PhaseSpan> {
+        detect_indexed(&TraceIndex::build(events), gap)
+    }
 
     fn ev(kind: OpKind, start_s: u64, bytes: u64) -> IoEvent {
         IoEvent {

@@ -1,17 +1,20 @@
 //! Property-based tests that every indexed analysis pass equals its
-//! naive-scan oracle — exactly, including bit-identical floating-point
-//! results where the pass produces floats. The indexed variants feed
-//! the same accumulation code the same values in the same order, so
-//! `==` (not approximate comparison) is the correct assertion.
+//! naive-scan oracle (`oracle/`) exactly, including bit-identical
+//! floating-point results where the pass produces floats. Each oracle
+//! folds the events itself, in the same arithmetic order as the
+//! indexed pass, so `==` (not approximate comparison) is the correct
+//! assertion, and no fold is shared between the two sides.
 
 use sioscope_analysis::{
-    detect_phases, detect_phases_indexed, interarrival, BandwidthSeries, Cdf, ConcurrencyProfile,
-    LogHistogram, ModeUsage, NodeBalance, Timeline,
+    detect_phases_indexed, interarrival, BandwidthSeries, Cdf, ConcurrencyProfile, LogHistogram,
+    ModeUsage, NodeBalance, Timeline,
 };
 use sioscope_pfs::{IoMode, OpKind};
 use sioscope_prop::cases;
 use sioscope_sim::{DetRng, FileId, Pid, Time};
-use sioscope_trace::{IoEvent, TraceRecorder};
+use sioscope_trace::{IoEvent, TraceIndex};
+
+mod oracle;
 
 /// Arbitrary events with frequent zero durations and shared instants,
 /// the shapes that stress sweep-lines and degenerate intervals.
@@ -48,64 +51,56 @@ fn arb_event(rng: &mut DetRng) -> IoEvent {
     }
 }
 
-/// Fewer than 250 arbitrary events and their recorder.
-fn arb_trace(rng: &mut DetRng) -> (Vec<IoEvent>, TraceRecorder) {
+/// Fewer than 250 arbitrary events and their index.
+fn arb_trace(rng: &mut DetRng) -> (Vec<IoEvent>, TraceIndex) {
     let len = rng.range_inclusive(0, 249);
     let events: Vec<IoEvent> = (0..len).map(|_| arb_event(rng)).collect();
-    let t = recorder(&events);
+    let t = TraceIndex::build(&events);
     (events, t)
 }
 
-fn recorder(events: &[IoEvent]) -> TraceRecorder {
-    let mut t = TraceRecorder::new();
-    for e in events {
-        t.record(*e);
-    }
-    t
-}
-
 /// Concurrency profiles are bit-identical: the merged breakpoint
-/// stream reproduces the scan's BTreeMap sweep exactly, including
+/// stream reproduces the oracle's BTreeMap sweep exactly, including
 /// net-zero breakpoints from zero-duration events.
 #[test]
 fn concurrency_matches_oracle() {
     cases("concurrency_matches_oracle", 256, |rng| {
         let (events, t) = arb_trace(rng);
         assert_eq!(
-            ConcurrencyProfile::from_index(t.index()),
-            ConcurrencyProfile::build(&events)
+            ConcurrencyProfile::from_index(&t),
+            oracle::concurrency(&events)
         );
     });
 }
 
-/// Node balance (total and per-kind) equals the filtered scans.
+/// Node balance (total and per-kind) equals the filtered oracle.
 #[test]
 fn node_balance_matches_oracle() {
     cases("node_balance_matches_oracle", 256, |rng| {
         let (events, t) = arb_trace(rng);
         assert_eq!(
-            NodeBalance::from_index(t.index()),
-            NodeBalance::build(&events)
+            NodeBalance::from_index(&t),
+            oracle::node_balance(&events, |_| true)
         );
         for k in [OpKind::Read, OpKind::Write, OpKind::Seek] {
             assert_eq!(
-                NodeBalance::of_kind(t.index(), k),
-                NodeBalance::build_filtered(&events, |e| e.kind == k)
+                NodeBalance::of_kind(&t, k),
+                oracle::node_balance(&events, |e| e.kind == k)
             );
         }
     });
 }
 
 /// Bandwidth series from completion-ordered index columns equals the
-/// scan: same length, same per-window byte sums.
+/// oracle: same length, same per-window byte sums.
 #[test]
 fn bandwidth_matches_oracle() {
     cases("bandwidth_matches_oracle", 256, |rng| {
         let (events, t) = arb_trace(rng);
         let w = Time::from_nanos(rng.range_inclusive(1, 99_999));
         assert_eq!(
-            BandwidthSeries::from_index(t.index(), w),
-            BandwidthSeries::build(&events, w)
+            BandwidthSeries::from_index(&t, w),
+            oracle::bandwidth(&events, w)
         );
     });
 }
@@ -122,9 +117,9 @@ fn size_distributions_match_oracle() {
                 .filter(|e| e.kind == k)
                 .map(|e| e.bytes)
                 .collect();
-            assert_eq!(Cdf::of_kind(t.index(), k), Cdf::from_samples(sizes.clone()));
+            assert_eq!(Cdf::of_kind(&t, k), Cdf::from_samples(sizes.clone()));
             assert_eq!(
-                LogHistogram::of_kind(t.index(), k),
+                LogHistogram::of_kind(&t, k),
                 LogHistogram::from_samples(sizes)
             );
         }
@@ -146,50 +141,51 @@ fn timelines_match_oracle() {
                 .filter(|e| e.kind == k)
                 .map(|e| (e.start, e.bytes))
                 .collect();
-            assert_eq!(Timeline::of_kind(t.index(), k), Timeline::new(pairs));
+            assert_eq!(Timeline::of_kind(&t, k), Timeline::new(pairs));
             let dpairs: Vec<(Time, u64)> = sorted
                 .iter()
                 .filter(|e| e.kind == k)
                 .map(|e| (e.start, e.duration.as_nanos()))
                 .collect();
-            assert_eq!(Timeline::of_durations(t.index(), k), Timeline::new(dpairs));
+            assert_eq!(Timeline::of_durations(&t, k), Timeline::new(dpairs));
         }
     });
 }
 
-/// Phase detection over the index's canonical order equals the scan
-/// over a canonically sorted trace.
+/// Phase detection over the index's canonical order equals the
+/// oracle's clustering of a canonically sorted copy of the events.
 #[test]
 fn phases_match_oracle() {
     cases("phases_match_oracle", 256, |rng| {
-        let (_, mut t) = arb_trace(rng);
+        let (events, t) = arb_trace(rng);
         let gap = Time::from_nanos(rng.range_inclusive(1, 199_999));
-        t.sort();
-        assert_eq!(
-            detect_phases_indexed(t.index(), gap),
-            detect_phases(t.events(), gap)
-        );
+        assert_eq!(detect_phases_indexed(&t, gap), oracle::phases(&events, gap));
     });
 }
 
-/// Access-mode aggregation commutes: indexed equals scan.
+/// Access-mode aggregation commutes: indexed equals the oracle in
+/// every count, byte sum and duration (compared through `Debug`, which
+/// prints them all; see `oracle::modes`).
 #[test]
 fn modes_match_oracle() {
     cases("modes_match_oracle", 256, |rng| {
         let (events, t) = arb_trace(rng);
-        assert_eq!(ModeUsage::from_index(t.index()), ModeUsage::build(&events));
+        assert_eq!(
+            format!("{:?}", ModeUsage::from_index(&t)),
+            oracle::modes(&events)
+        );
     });
 }
 
 /// Per-process interarrival statistics from pid postings equal the
-/// regrouping scan, bit-identically.
+/// regrouping oracle, bit-identically.
 #[test]
 fn interarrival_matches_oracle() {
     cases("interarrival_matches_oracle", 256, |rng| {
         let (events, t) = arb_trace(rng);
         assert_eq!(
-            interarrival::per_process_indexed(t.index()),
-            interarrival::per_process(&events)
+            interarrival::per_process_indexed(&t),
+            oracle::interarrival(&events)
         );
     });
 }

@@ -25,7 +25,7 @@ use sioscope_analysis::{
 use sioscope_campaign::{exit_with, CliError};
 use sioscope_pfs::OpKind;
 use sioscope_sim::{Pid, Time};
-use sioscope_trace::TraceRecorder;
+use sioscope_trace::{TraceIndex, TraceRecorder};
 use std::path::Path;
 
 fn load(path: &Path) -> TraceRecorder {
@@ -163,12 +163,12 @@ fn main() {
     let events = trace.events();
     // One O(n log n) index build; every query below is a postings
     // lookup or a binary search against it instead of a fresh scan.
-    let index = trace.index();
+    let index = &TraceIndex::build(events);
     println!(
         "trace: {} events, {} total I/O time, last completion {}\n",
-        trace.len(),
-        trace.total_io_time(),
-        trace.last_completion()
+        index.len(),
+        index.total_io_time(),
+        index.ends_sorted().last().copied().unwrap_or(Time::ZERO)
     );
 
     // Request sizes.

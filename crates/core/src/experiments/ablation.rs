@@ -10,11 +10,12 @@
 //! memoized run the figures share, not a fresh simulation.
 
 use crate::experiments::{
-    escat, prism, side_by_side, Experiment, ExperimentOutput, IndexedRun, Scale, ShapeCheck,
+    escat, prism, side_by_side, Experiment, ExperimentOutput, Scale, ShapeCheck,
 };
 use crate::simulator::{run, RunResult, SimOptions};
 use sioscope_pfs::{OpKind, PfsConfig, PolicyConfig};
 use sioscope_sim::Time;
+use sioscope_trace::TraceIndex;
 use sioscope_workloads::{EscatDataset, EscatVersion, PrismVersion, Workload};
 use std::fmt::Write as _;
 
@@ -33,17 +34,23 @@ impl From<RunResult> for Totals {
         Totals {
             exec_time: r.exec_time,
             io_time: r.total_io_time(),
-            read_time: r.trace.of_kind(OpKind::Read).map(|e| e.duration).sum(),
+            read_time: r
+                .trace
+                .events()
+                .iter()
+                .filter(|e| e.kind == OpKind::Read)
+                .map(|e| e.duration)
+                .sum(),
         }
     }
 }
 
-impl From<&IndexedRun> for Totals {
-    fn from(r: &IndexedRun) -> Totals {
+impl From<&RunResult<TraceIndex>> for Totals {
+    fn from(r: &RunResult<TraceIndex>) -> Totals {
         Totals {
             exec_time: r.exec_time,
-            io_time: r.total_io_time(),
-            read_time: r.index.duration_of(OpKind::Read),
+            io_time: r.trace.total_io_time(),
+            read_time: r.trace.duration_of(OpKind::Read),
         }
     }
 }

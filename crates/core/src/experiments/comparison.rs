@@ -70,13 +70,13 @@ pub(crate) fn section6(scale: Scale) -> ExperimentOutput {
     let mut dims = Vec::new();
     for v in [EscatVersion::A, EscatVersion::B, EscatVersion::C] {
         let r = escat::run_version(v, EscatDataset::Ethylene, scale);
-        let d = measure(&r.index);
+        let d = measure(&r.trace);
         render_row(&mut rendered, &format!("ESCAT-{}", v.label()), &d);
         dims.push((format!("ESCAT-{}", v.label()), d));
     }
     for v in PrismVersion::all() {
         let r = prism::run_version(v, scale);
-        let d = measure(&r.index);
+        let d = measure(&r.trace);
         render_row(&mut rendered, &format!("PRISM-{}", v.label()), &d);
         dims.push((format!("PRISM-{}", v.label()), d));
     }

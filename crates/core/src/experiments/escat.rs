@@ -1,14 +1,15 @@
 //! ESCAT experiments: Table 1, Figures 1–5, Tables 2–3.
 
 use crate::experiments::memo::RunMemo;
-use crate::experiments::{ExperimentOutput, IndexedRun, Scale, ShapeCheck};
+use crate::experiments::{ExperimentOutput, Scale, ShapeCheck};
 use crate::paper;
-use crate::simulator::{run, SimOptions};
+use crate::simulator::{run, RunResult, SimOptions};
 use sioscope_analysis::plot;
 use sioscope_analysis::table::{render_exec_table, render_io_table, ExecTimeTable, IoTimeTable};
 use sioscope_analysis::{Cdf, Timeline};
 use sioscope_pfs::{OpKind, PfsConfig};
 use sioscope_sim::{par, Time};
+use sioscope_trace::{TraceIndex, TraceRecorder};
 use sioscope_workloads::{EscatConfig, EscatDataset, EscatVersion, Workload};
 use std::sync::Arc;
 
@@ -21,7 +22,7 @@ fn config(version: EscatVersion, dataset: EscatDataset, scale: Scale) -> EscatCo
     }
 }
 
-static RUNS: RunMemo<(EscatVersion, EscatDataset, Scale), IndexedRun> = RunMemo::new();
+static RUNS: RunMemo<(EscatVersion, EscatDataset, Scale), RunResult<TraceIndex>> = RunMemo::new();
 
 /// Drop every memoized ESCAT run (benchmarks use this to time cold runs).
 pub(crate) fn clear_cache() {
@@ -31,20 +32,23 @@ pub(crate) fn clear_cache() {
 /// Run (and memoize) one ESCAT version at a given scale: the
 /// fault-free run on the measured Caltech PFS.
 ///
-/// The memo holds the run as an [`IndexedRun`]: its scalars and its
-/// trace index, built before any caller sees it, so every figure and
-/// table renderer queries the same index. The raw trace is freed once
-/// the index exists. The index's sort-based views (sorted sizes,
-/// completion order, file regions) wait for the first renderer that
-/// asks, behind the index's own `OnceLock`s, and then serve every
-/// later one.
-pub fn run_version(version: EscatVersion, dataset: EscatDataset, scale: Scale) -> Arc<IndexedRun> {
+/// The memo holds the run with its trace as a [`TraceIndex`], built
+/// before any caller sees it, so every figure and table renderer
+/// queries the same index. The raw trace is freed once the index
+/// exists. The index's sort-based views (sorted sizes, completion
+/// order, file regions) wait for the first renderer that asks, behind
+/// the index's own `OnceLock`s, and then serve every later one.
+pub fn run_version(
+    version: EscatVersion,
+    dataset: EscatDataset,
+    scale: Scale,
+) -> Arc<RunResult<TraceIndex>> {
     RUNS.get_or_run((version, dataset, scale), || {
         let workload = config(version, dataset, scale).build();
         let pfs = PfsConfig::caltech(workload.nodes, workload.os);
         run(&workload, pfs, SimOptions::default())
             .unwrap_or_else(|e| panic!("ESCAT {version:?}/{dataset:?} failed: {e}"))
-            .into()
+            .map_trace(TraceRecorder::into_index)
     })
 }
 
@@ -156,7 +160,7 @@ pub(crate) fn table2(scale: Scale) -> ExperimentOutput {
         .iter()
         .map(|&v| {
             let r = run_version(v, EscatDataset::Ethylene, scale);
-            IoTimeTable::from_durations(v.label(), &r.index.duration_by_kind())
+            IoTimeTable::from_durations(v.label(), &r.trace.duration_by_kind())
         })
         .collect();
     let rendered = render_io_table(
@@ -227,8 +231,8 @@ pub(crate) struct ReadSizeStats {
 }
 
 /// Compute read-size stats for one version.
-pub(crate) fn read_stats(r: &IndexedRun) -> ReadSizeStats {
-    let cdf = Cdf::of_kind(&r.index, OpKind::Read);
+pub(crate) fn read_stats(r: &RunResult<TraceIndex>) -> ReadSizeStats {
+    let cdf = Cdf::of_kind(&r.trace, OpKind::Read);
     ReadSizeStats {
         small_request_fraction: cdf.fraction_leq(paper::SMALL_REQUEST_BYTES),
         large_data_fraction: 1.0 - cdf.weight_fraction_leq(paper::ESCAT_LARGE_READ_BYTES - 1),
@@ -239,10 +243,10 @@ pub(crate) fn read_stats(r: &IndexedRun) -> ReadSizeStats {
 pub(crate) fn fig2(scale: Scale) -> ExperimentOutput {
     let ra = run_version(EscatVersion::A, EscatDataset::Ethylene, scale);
     let rc = run_version(EscatVersion::C, EscatDataset::Ethylene, scale);
-    let cdf_read_a = Cdf::of_kind(&ra.index, OpKind::Read);
-    let cdf_read_c = Cdf::of_kind(&rc.index, OpKind::Read);
-    let cdf_write_a = Cdf::of_kind(&ra.index, OpKind::Write);
-    let cdf_write_c = Cdf::of_kind(&rc.index, OpKind::Write);
+    let cdf_read_a = Cdf::of_kind(&ra.trace, OpKind::Read);
+    let cdf_read_c = Cdf::of_kind(&rc.trace, OpKind::Read);
+    let cdf_write_a = Cdf::of_kind(&ra.trace, OpKind::Write);
+    let cdf_write_c = Cdf::of_kind(&rc.trace, OpKind::Write);
 
     let mut rendered = String::new();
     rendered.push_str(&plot::cdf_plot(
@@ -327,8 +331,8 @@ fn edge_concentration(tl: &Timeline, exec: Time) -> f64 {
 pub(crate) fn fig3(scale: Scale) -> ExperimentOutput {
     let ra = run_version(EscatVersion::A, EscatDataset::Ethylene, scale);
     let rc = run_version(EscatVersion::C, EscatDataset::Ethylene, scale);
-    let tl_a = Timeline::of_kind(&ra.index, OpKind::Read);
-    let tl_c = Timeline::of_kind(&rc.index, OpKind::Read);
+    let tl_a = Timeline::of_kind(&ra.trace, OpKind::Read);
+    let tl_c = Timeline::of_kind(&rc.trace, OpKind::Read);
     let mut rendered = String::new();
     rendered.push_str(&plot::scatter_log(
         "Figure 3: ESCAT read sizes vs execution time, version A (log bytes)",
@@ -381,8 +385,8 @@ pub(crate) fn fig3(scale: Scale) -> ExperimentOutput {
 pub(crate) fn fig4(scale: Scale) -> ExperimentOutput {
     let ra = run_version(EscatVersion::A, EscatDataset::Ethylene, scale);
     let rc = run_version(EscatVersion::C, EscatDataset::Ethylene, scale);
-    let tl_a = Timeline::of_kind(&ra.index, OpKind::Write);
-    let tl_c = Timeline::of_kind(&rc.index, OpKind::Write);
+    let tl_a = Timeline::of_kind(&ra.trace, OpKind::Write);
+    let tl_c = Timeline::of_kind(&rc.trace, OpKind::Write);
     let mut rendered = String::new();
     rendered.push_str(&plot::scatter_linear(
         "Figure 4: ESCAT write sizes vs execution time, version A (bytes)",
@@ -401,9 +405,9 @@ pub(crate) fn fig4(scale: Scale) -> ExperimentOutput {
     // the staging (quadrature) files only — the result-output writes
     // of phase four exist in every version.
     let ch = 2u32; // ethylene channels; quad files are indices 3..3+ch
-    let staging_sizes = |r: &IndexedRun| {
+    let staging_sizes = |r: &RunResult<TraceIndex>| {
         let mut sizes: Vec<u64> = r
-            .index
+            .trace
             .iter()
             .filter(|e| e.kind == OpKind::Write && (3..3 + ch).contains(&e.file.0))
             .map(|e| e.bytes)
@@ -444,7 +448,7 @@ pub(crate) fn fig4(scale: Scale) -> ExperimentOutput {
 pub(crate) fn fig5(scale: Scale) -> ExperimentOutput {
     let rb = run_version(EscatVersion::B, EscatDataset::Ethylene, scale);
     let rc = run_version(EscatVersion::C, EscatDataset::Ethylene, scale);
-    let sd = |r: &IndexedRun| Timeline::of_durations(&r.index, OpKind::Seek);
+    let sd = |r: &RunResult<TraceIndex>| Timeline::of_durations(&r.trace, OpKind::Seek);
     let tl_b = sd(&rb);
     let tl_c = sd(&rc);
     let mut rendered = String::new();
@@ -503,13 +507,13 @@ pub(crate) fn table3(scale: Scale) -> ExperimentOutput {
         .iter()
         .map(|&v| {
             let r = run_version(v, EscatDataset::Ethylene, scale);
-            ExecTimeTable::from_durations(v.label(), &r.index.duration_by_kind(), r.exec_time)
+            ExecTimeTable::from_durations(v.label(), &r.trace.duration_by_kind(), r.exec_time)
         })
         .collect();
     let co = run_version(EscatVersion::C, EscatDataset::CarbonMonoxide, scale);
     columns.push(ExecTimeTable::from_durations(
         "C/CO",
-        &co.index.duration_by_kind(),
+        &co.trace.duration_by_kind(),
         co.exec_time,
     ));
     let rendered = render_exec_table(

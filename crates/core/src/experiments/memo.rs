@@ -8,64 +8,11 @@
 //! If the run panics, the slot stays empty and the next caller of the
 //! key runs it again.
 //!
-//! A canonical run is memoized as an [`IndexedRun`]: its scalars and
-//! its trace's [`TraceIndex`], with the raw events dropped once the
+//! A canonical run is memoized as a `RunResult<TraceIndex>`: its
+//! scalars and its trace's index, with the raw events dropped once the
 //! index is built.
 
-use crate::simulator::RunResult;
-use sioscope_pfs::ResilienceStats;
-use sioscope_sim::Time;
-use sioscope_trace::TraceIndex;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-
-/// One copy of a run: the scalars the renderers and the run goldens
-/// read, and the trace as its [`TraceIndex`] alone. Every figure and
-/// table queries the index; [`TraceIndex::iter`] gives back the events
-/// in canonical order, which is the order the simulator records.
-#[derive(Debug)]
-pub struct IndexedRun {
-    /// Workload name.
-    pub name: String,
-    /// Version label.
-    pub version: String,
-    /// Wall-clock execution time: the latest completion across nodes.
-    pub exec_time: Time,
-    /// Per-node completion times.
-    pub node_finish: Vec<Time>,
-    /// Total simulation events processed.
-    pub events: u64,
-    /// Resilience actions the PFS took (all zero on fault-free runs).
-    pub resilience: ResilienceStats,
-    /// Fault-calendar transitions processed (zero on fault-free runs).
-    pub fault_transitions: u64,
-    /// The columnar index over the run's trace.
-    pub index: TraceIndex,
-}
-
-impl IndexedRun {
-    /// Total client-observed I/O time across all nodes.
-    pub fn total_io_time(&self) -> Time {
-        self.index.total_io_time()
-    }
-}
-
-impl From<RunResult> for IndexedRun {
-    /// Keep `run`'s scalars and index its trace, freeing the events.
-    /// What else a run carries (checkpoint commits, recovery and
-    /// backend counters) is empty or zero on a canonical run.
-    fn from(run: RunResult) -> Self {
-        IndexedRun {
-            name: run.name,
-            version: run.version,
-            exec_time: run.exec_time,
-            node_finish: run.node_finish,
-            events: run.events,
-            resilience: run.resilience,
-            fault_transitions: run.fault_transitions,
-            index: run.trace.into_index(),
-        }
-    }
-}
 
 type Slot<V> = Arc<OnceLock<Arc<V>>>;
 
@@ -113,11 +60,12 @@ impl<K: Copy + PartialEq, V> RunMemo<K, V> {
 
 #[cfg(test)]
 mod tests {
-    use super::{IndexedRun, RunMemo};
+    use super::RunMemo;
     use crate::experiments::{escat, prism, Scale};
     use crate::simulator::{run, RunResult, SimOptions};
     use sioscope_faults::FaultSchedule;
     use sioscope_pfs::{PfsConfig, PolicyConfig};
+    use sioscope_trace::TraceIndex;
     use sioscope_workloads::{
         CheckpointPolicy, EscatConfig, EscatDataset, EscatVersion, PrismConfig, PrismVersion,
         Workload,
@@ -178,14 +126,14 @@ mod tests {
             pfs.faults = FaultSchedule::empty();
             run(w, pfs, SimOptions::default()).expect("fresh run")
         };
-        let same = |memo: &IndexedRun, fresh: RunResult, what: &str| {
+        let same = |memo: &RunResult<TraceIndex>, fresh: RunResult, what: &str| {
             assert_eq!(memo.exec_time, fresh.exec_time, "{what}");
             assert_eq!(memo.node_finish, fresh.node_finish, "{what}");
             assert_eq!(memo.events, fresh.events, "{what}");
             assert_eq!(memo.resilience, fresh.resilience, "{what}");
             assert_eq!(memo.fault_transitions, fresh.fault_transitions, "{what}");
-            assert_eq!(memo.index.len(), fresh.trace.len(), "{what}");
-            for (i, (m, f)) in memo.index.iter().zip(fresh.trace.events()).enumerate() {
+            assert_eq!(memo.trace.len(), fresh.trace.len(), "{what}");
+            for (i, (m, f)) in memo.trace.iter().zip(fresh.trace.events()).enumerate() {
                 assert_eq!(m, *f, "{what}: event {i}");
             }
         };

@@ -48,7 +48,6 @@ pub mod resilience;
 pub mod shape;
 pub mod stream;
 
-pub use memo::IndexedRun;
 pub use shape::ShapeCheck;
 use sioscope_sim::par;
 use sioscope_workloads::{EscatConfig, EscatVersion, PrismConfig, PrismVersion};

@@ -11,14 +11,12 @@
 //! finish the run anyway. The fault-free run is the memoized run the
 //! paper's figures share.
 
-use crate::experiments::{
-    escat, prism, Experiment, ExperimentOutput, IndexedRun, Scale, ShapeCheck,
-};
+use crate::experiments::{escat, prism, Experiment, ExperimentOutput, Scale, ShapeCheck};
 use crate::simulator::{simulate, RunResult};
 use sioscope_faults::{FaultKind, FaultSchedule};
 use sioscope_pfs::{BackendConfig, PfsConfig};
 use sioscope_sim::{par, Time};
-use sioscope_trace::IoTotals;
+use sioscope_trace::{IoTotals, TraceIndex};
 use sioscope_workloads::{EscatDataset, EscatVersion, PrismVersion, Workload};
 use std::fmt::Write as _;
 
@@ -104,7 +102,7 @@ fn resilience_experiment(
     experiment: Experiment,
     title: &str,
     workload: &Workload,
-    baseline: &IndexedRun,
+    baseline: &RunResult<TraceIndex>,
 ) -> ExperimentOutput {
     let scenarios = class_scenarios(baseline.exec_time);
     let runs: Vec<(&'static str, RunResult<IoTotals>)> =
@@ -178,20 +176,20 @@ fn resilience_experiment(
         // bit-identical while every affected operation still pays.
         ShapeCheck::new(
             "I/O-node slowdown inflates total I/O time",
-            slowdown.total_io_time() > baseline.total_io_time(),
+            slowdown.total_io_time() > baseline.trace.total_io_time(),
             format!(
                 "{} vs {}",
                 slowdown.total_io_time(),
-                baseline.total_io_time()
+                baseline.trace.total_io_time()
             ),
         ),
         ShapeCheck::new(
             "link congestion inflates total I/O time",
-            congestion.total_io_time() > baseline.total_io_time(),
+            congestion.total_io_time() > baseline.trace.total_io_time(),
             format!(
                 "{} vs {}",
                 congestion.total_io_time(),
-                baseline.total_io_time()
+                baseline.trace.total_io_time()
             ),
         ),
         ShapeCheck::new(

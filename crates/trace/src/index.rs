@@ -468,9 +468,12 @@ impl<K: Copy + Ord + Hash, A: Default> Groups<K, A> {
     }
 }
 
-/// The one-pass columnar index over a trace. Build once per trace
-/// (or let [`TraceRecorder::index`](crate::TraceRecorder::index) cache
-/// it), then share it across every summary and analysis query.
+/// The one-pass columnar index over a trace, and the one place a
+/// trace is queried. Build it once per trace, with [`build`] or
+/// [`TraceRecorder::into_index`](crate::TraceRecorder::into_index),
+/// then share it across every summary and analysis query.
+///
+/// [`build`]: TraceIndex::build
 #[derive(Debug, Clone, Default)]
 pub struct TraceIndex {
     // Canonical columns, stably sorted by (start, pid, file, offset).
@@ -755,16 +758,15 @@ impl TraceIndex {
         total as u64
     }
 
-    /// Sum of durations per kind — the indexed
-    /// [`TraceRecorder::duration_by_kind`](crate::TraceRecorder::duration_by_kind).
+    /// Sum of client-observed durations per operation kind — the raw
+    /// material of Tables 2, 3 and 5.
     pub fn duration_by_kind(&self) -> BTreeMap<OpKind, Time> {
         self.kinds_present()
             .map(|k| (k, self.duration_of(k)))
             .collect()
     }
 
-    /// Bytes per data kind — the indexed
-    /// [`TraceRecorder::bytes_by_kind`](crate::TraceRecorder::bytes_by_kind).
+    /// Bytes transferred per data kind (reads and writes).
     pub fn bytes_by_kind(&self) -> BTreeMap<OpKind, u64> {
         [OpKind::Read, OpKind::Write]
             .into_iter()
@@ -778,20 +780,6 @@ impl TraceIndex {
         let total: u128 = self.by_kind.iter().map(|k| k.total_dur).sum();
         debug_assert!(total <= u128::from(u64::MAX), "duration sum overflows u64");
         Time::from_nanos(total as u64)
-    }
-
-    /// Completion time of the last event (zero for an empty trace).
-    pub(crate) fn last_completion(&self) -> Time {
-        self.by_kind
-            .iter()
-            .filter_map(|k| k.last_end)
-            .max()
-            .unwrap_or(Time::ZERO)
-    }
-
-    /// Request sizes of every event of `kind`, in canonical order.
-    pub(crate) fn sizes_of(&self, kind: OpKind) -> Vec<u64> {
-        self.kind(kind).by_start.sizes().collect()
     }
 
     /// Request sizes of every event of `kind`, ascending — a CDF can
@@ -1018,8 +1006,6 @@ mod tests {
         idx.bytes_by_kind();
         idx.timeline_of(OpKind::Read);
         idx.duration_timeline_of(OpKind::Read);
-        idx.sizes_of(OpKind::Write);
-        idx.last_completion();
         idx.last_end_of(OpKind::Read);
         idx.file_per_kind(FileId(0));
         idx.pid_duration_of(Pid(0), OpKind::Read);
@@ -1128,7 +1114,7 @@ mod tests {
         assert_eq!(idx.duration_of(OpKind::Read), Time::from_secs(8));
         assert_eq!(idx.bytes_of(OpKind::Read), 1199);
         assert_eq!(idx.total_io_time(), Time::from_secs(11));
-        assert_eq!(idx.last_completion(), Time::from_secs(11));
+        assert_eq!(idx.ends_sorted().last(), Some(&Time::from_secs(11)));
         assert_eq!(idx.duration_by_kind()[&OpKind::Write], Time::from_secs(1));
         assert_eq!(idx.bytes_by_kind()[&OpKind::Write], 50);
         assert!(!idx.bytes_by_kind().contains_key(&OpKind::Open));
@@ -1240,7 +1226,6 @@ mod tests {
         for idx in [TraceIndex::build(&[]), TraceIndex::default()] {
             assert!(idx.is_empty());
             assert_eq!(idx.total_io_time(), Time::ZERO);
-            assert_eq!(idx.last_completion(), Time::ZERO);
             assert!(idx.duration_by_kind().is_empty());
             assert!(idx.bytes_by_kind().is_empty());
             assert!(idx.window_stats(Time::ZERO, Time::MAX).is_empty());
@@ -1248,7 +1233,6 @@ mod tests {
             assert_eq!(none, OpStats::default());
             assert!(idx.region_stats(FileId(0), 0, u64::MAX).is_empty());
             assert_eq!(idx.first_at_or_after(Time::from_secs(5)), 0);
-            assert_eq!(idx.sizes_of(OpKind::Read), Vec::<u64>::new());
             assert!(idx.sizes_sorted_of(OpKind::Read).is_empty());
             assert_eq!(idx.end_bytes_of(OpKind::Read).count(), 0);
             assert!(idx.ends_sorted().is_empty());

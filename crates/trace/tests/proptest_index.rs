@@ -162,63 +162,65 @@ fn region_indexed_matches_oracle() {
     });
 }
 
-/// The recorder's routed aggregates equal naive per-event folds.
+/// The index's by-kind aggregates and per-kind extractions equal
+/// naive per-event folds over the canonically sorted events, whether
+/// the index was built from the events as drawn or sorted.
 #[test]
-fn recorder_aggregates_match_naive_folds() {
-    cases("recorder_aggregates_match_naive_folds", 256, |rng| {
+fn index_aggregates_match_naive_folds() {
+    cases("index_aggregates_match_naive_folds", 256, |rng| {
         let events = arb_events(rng);
-        let mut t = recorder(&events);
-        t.sort(); // canonical order: routed extractions == filtered scans
-        let sorted = t.events().to_vec();
+        let [drawn, sorted] = drawn_and_sorted(&events);
+        for input in [&drawn, &sorted] {
+            let idx = TraceIndex::build(input);
 
-        let by_kind = t.duration_by_kind();
-        for (&k, &d) in &by_kind {
-            let manual: u64 = sorted
-                .iter()
-                .filter(|e| e.kind == k)
-                .map(|e| e.duration.as_nanos())
-                .sum();
-            assert_eq!(d.as_nanos(), manual);
+            let by_kind = idx.duration_by_kind();
+            for (&k, &d) in &by_kind {
+                let manual: u64 = sorted
+                    .iter()
+                    .filter(|e| e.kind == k)
+                    .map(|e| e.duration.as_nanos())
+                    .sum();
+                assert_eq!(d.as_nanos(), manual);
+            }
+            assert_eq!(by_kind.len(), {
+                let mut kinds: Vec<OpKind> = sorted.iter().map(|e| e.kind).collect();
+                kinds.sort_unstable();
+                kinds.dedup();
+                kinds.len()
+            });
+
+            let bytes = idx.bytes_by_kind();
+            for k in [OpKind::Read, OpKind::Write] {
+                let manual: u64 = sorted.iter().filter(|e| e.kind == k).map(|e| e.bytes).sum();
+                assert_eq!(bytes.get(&k).copied().unwrap_or(0), manual);
+                let mut manual_sizes: Vec<u64> = sorted
+                    .iter()
+                    .filter(|e| e.kind == k)
+                    .map(|e| e.bytes)
+                    .collect();
+                manual_sizes.sort_unstable();
+                assert_eq!(idx.sizes_sorted_of(k), manual_sizes);
+                let manual_tl: Vec<(Time, u64)> = sorted
+                    .iter()
+                    .filter(|e| e.kind == k)
+                    .map(|e| (e.start, e.bytes))
+                    .collect();
+                assert_eq!(idx.timeline_of(k), manual_tl);
+                let manual_dtl: Vec<(Time, Time)> = sorted
+                    .iter()
+                    .filter(|e| e.kind == k)
+                    .map(|e| (e.start, e.duration))
+                    .collect();
+                assert_eq!(idx.duration_timeline_of(k), manual_dtl);
+            }
+
+            let manual_total: u64 = sorted.iter().map(|e| e.duration.as_nanos()).sum();
+            assert_eq!(idx.total_io_time().as_nanos(), manual_total);
+            assert_eq!(recorder(input).total_io_time().as_nanos(), manual_total);
+            let manual_last = sorted.iter().map(|e| e.end()).fold(Time::ZERO, Time::max);
+            let last = idx.ends_sorted().last().copied().unwrap_or(Time::ZERO);
+            assert_eq!(last, manual_last);
         }
-        assert_eq!(by_kind.len(), {
-            let mut kinds: Vec<OpKind> = sorted.iter().map(|e| e.kind).collect();
-            kinds.sort_unstable();
-            kinds.dedup();
-            kinds.len()
-        });
-
-        let bytes = t.bytes_by_kind();
-        for k in [OpKind::Read, OpKind::Write] {
-            let manual: u64 = sorted.iter().filter(|e| e.kind == k).map(|e| e.bytes).sum();
-            assert_eq!(bytes.get(&k).copied().unwrap_or(0), manual);
-            let manual_sizes: Vec<u64> = sorted
-                .iter()
-                .filter(|e| e.kind == k)
-                .map(|e| e.bytes)
-                .collect();
-            assert_eq!(t.sizes_of(k), manual_sizes);
-            let manual_tl: Vec<(Time, u64)> = sorted
-                .iter()
-                .filter(|e| e.kind == k)
-                .map(|e| (e.start, e.bytes))
-                .collect();
-            assert_eq!(t.timeline_of(k), manual_tl);
-            let manual_dtl: Vec<(Time, Time)> = sorted
-                .iter()
-                .filter(|e| e.kind == k)
-                .map(|e| (e.start, e.duration))
-                .collect();
-            assert_eq!(t.duration_timeline_of(k), manual_dtl);
-        }
-
-        let manual_total: u64 = sorted.iter().map(|e| e.duration.as_nanos()).sum();
-        assert_eq!(t.total_io_time().as_nanos(), manual_total);
-        let manual_last = sorted.iter().map(|e| e.end()).fold(Time::ZERO, Time::max);
-        assert_eq!(t.last_completion(), manual_last);
-        // And the same two answers once the index is warm.
-        let _ = t.index();
-        assert_eq!(t.total_io_time().as_nanos(), manual_total);
-        assert_eq!(t.last_completion(), manual_last);
     });
 }
 
@@ -238,9 +240,9 @@ fn index_order_is_the_canonical_sort() {
 
 /// On a trace in canonical order, as every simulator trace is, the
 /// digest folded over the index's events equals the recorder's `.siot`
-/// digest, whether the index was cached or built by `into_index`. The
-/// run goldens' `trace_digest` fields rest on this: memoized runs keep
-/// only their index.
+/// digest, whether the index was built from the events or by
+/// `into_index`. The run goldens' `trace_digest` fields rest on this:
+/// memoized runs keep only their index.
 #[test]
 fn index_digest_equals_the_recorder_digest_in_canonical_order() {
     cases(
@@ -251,8 +253,10 @@ fn index_digest_equals_the_recorder_digest_in_canonical_order() {
             t.sort();
             let expected = binary::digest(&t);
             assert_eq!(binary::fnv64(&binary::encode(&t)), expected);
-            assert_eq!(binary::index_digest(t.index()), expected);
-            assert_eq!(binary::index_digest(&t.clone().into_index()), expected);
+            assert_eq!(
+                binary::index_digest(&TraceIndex::build(t.events())),
+                expected
+            );
             assert_eq!(binary::index_digest(&t.into_index()), expected);
         },
     );

@@ -4,7 +4,7 @@
 use sioscope_pfs::{IoMode, OpKind};
 use sioscope_prop::cases;
 use sioscope_sim::{DetRng, FileId, Pid, Time};
-use sioscope_trace::{IoEvent, TraceRecorder};
+use sioscope_trace::{IoEvent, TraceIndex, TraceRecorder};
 
 // `pub`: this file checks lifetimes and windows only, and a private
 // module would report the shared `oracle::region` as dead code.
@@ -46,19 +46,20 @@ fn arb_trace(rng: &mut DetRng, max_len: u64) -> (Vec<IoEvent>, TraceRecorder) {
     (events, t)
 }
 
-/// duration_by_kind sums exactly to total_io_time, and bytes are
-/// partitioned by kind.
+/// The index's duration_by_kind sums exactly to the recorder's
+/// total_io_time, and bytes are partitioned by kind.
 #[test]
 fn aggregates_are_exact() {
     cases("aggregates_are_exact", 256, |rng| {
         let (events, t) = arb_trace(rng, 200);
-        let by_kind = t.duration_by_kind();
+        let index = TraceIndex::build(t.events());
+        let by_kind = index.duration_by_kind();
         let total: Time = by_kind.values().copied().sum();
         assert_eq!(total, t.total_io_time());
         let manual: u64 = events.iter().map(|e| e.duration.as_nanos()).sum();
         assert_eq!(total.as_nanos(), manual);
 
-        let bytes = t.bytes_by_kind();
+        let bytes = index.bytes_by_kind();
         let manual_read: u64 = events
             .iter()
             .filter(|e| e.kind == OpKind::Read)

@@ -93,15 +93,16 @@ fn main() {
     println!("total I/O time : {}", result.trace.total_io_time());
     println!();
 
-    let table = IoTimeTable::from_durations("demo", &result.trace.duration_by_kind());
+    // One index over the trace answers every query below.
+    let index = result.trace.into_index();
+    let table = IoTimeTable::from_durations("demo", &index.duration_by_kind());
     println!(
         "{}",
         render_io_table("Share of I/O time by operation:", &[table])
     );
 
     for file_idx in [0u32, 1] {
-        let summary =
-            LifetimeSummary::from_index(result.trace.index(), sioscope_sim::FileId(file_idx));
+        let summary = LifetimeSummary::from_index(&index, sioscope_sim::FileId(file_idx));
         println!(
             "file {}: {} bytes accessed, open span {:?}",
             workload.files[file_idx as usize].name,

@@ -14,10 +14,11 @@
 
 use sioscope::experiments::Scale;
 use sioscope::simulator::{run, RunResult, SimOptions};
-use sioscope_analysis::interarrival::per_process;
+use sioscope_analysis::interarrival::per_process_indexed;
 use sioscope_analysis::{BandwidthSeries, Cdf};
 use sioscope_pfs::{OpKind, PfsConfig};
 use sioscope_sim::Time;
+use sioscope_trace::TraceIndex;
 use sioscope_workloads::synthetic::{cray_cyclical, KernelConfig};
 use sioscope_workloads::{EscatVersion, PrismVersion, Workload};
 
@@ -27,16 +28,16 @@ fn execute(w: &Workload) -> RunResult {
 }
 
 fn row(name: &str, r: &RunResult) {
-    let events = r.trace.events();
-    let ias = per_process(events);
+    let index = &TraceIndex::build(r.trace.events());
+    let ias = per_process_indexed(index);
     let median_cv = {
         let mut cvs: Vec<f64> = ias.values().map(|ia| ia.cv).collect();
         cvs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
         cvs.get(cvs.len() / 2).copied().unwrap_or(0.0)
     };
-    let bw = BandwidthSeries::build(events, Time::from_secs(10));
-    let reads = Cdf::from_samples(r.trace.sizes_of(OpKind::Read));
-    let writes = Cdf::from_samples(r.trace.sizes_of(OpKind::Write));
+    let bw = BandwidthSeries::from_index(index, Time::from_secs(10));
+    let reads = Cdf::of_kind(index, OpKind::Read);
+    let writes = Cdf::of_kind(index, OpKind::Write);
     let span = |c: &Cdf| -> String {
         match (c.quantile(0.0), c.quantile(1.0)) {
             (Some(lo), Some(hi)) if hi > 0 => format!("{lo}..{hi}"),

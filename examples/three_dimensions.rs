@@ -16,15 +16,17 @@ use sioscope_analysis::{
 };
 use sioscope_pfs::{OpKind, PfsConfig};
 use sioscope_sim::{Pid, Time};
+use sioscope_trace::TraceIndex;
 use sioscope_workloads::{EscatVersion, PrismVersion};
 
 fn characterize(r: &RunResult) {
     println!("=== {} ===", r.name);
     let events = r.trace.events();
+    let index = &TraceIndex::build(events);
 
     // Dimension 1: request size.
-    let reads = Cdf::from_samples(r.trace.sizes_of(OpKind::Read));
-    let writes = Cdf::from_samples(r.trace.sizes_of(OpKind::Write));
+    let reads = Cdf::of_kind(index, OpKind::Read);
+    let writes = Cdf::of_kind(index, OpKind::Write);
     println!(
         "  sizes       : {} reads (median {} B, small<=2K {:.0}%), {} writes (median {} B)",
         reads.n(),
@@ -35,9 +37,9 @@ fn characterize(r: &RunResult) {
     );
 
     // Dimension 2: I/O parallelism.
-    let conc = ConcurrencyProfile::build(events);
-    let bal = NodeBalance::build(events);
-    let writes = NodeBalance::build_filtered(events, |e| e.kind == OpKind::Write);
+    let conc = ConcurrencyProfile::from_index(index);
+    let bal = NodeBalance::from_index(index);
+    let writes = NodeBalance::of_kind(index, OpKind::Write);
     println!(
         "  parallelism : peak {} concurrent calls, {:.1} mean while active; gini {:.2} over {} nodes",
         conc.peak,
@@ -51,7 +53,7 @@ fn characterize(r: &RunResult) {
     );
 
     // Dimension 3: access modes.
-    let modes = ModeUsage::build(events);
+    let modes = ModeUsage::from_index(index);
     println!(
         "  modes       : {} used; most time in {}, most bytes via {}",
         modes.used_modes().len(),
@@ -66,7 +68,7 @@ fn characterize(r: &RunResult) {
         .iter()
         .map(|(label, (bytes, _))| format!("{label}: {:.1} MB", *bytes as f64 / 1e6))
         .collect();
-    let bw = BandwidthSeries::build(events, Time::from_secs(10));
+    let bw = BandwidthSeries::from_index(index, Time::from_secs(10));
     println!("  classes     : {}", mix.join(", "));
     println!(
         "  temporality : burstiness {:.1} (peak/mean), duty cycle {:.0}%\n",

@@ -12,8 +12,8 @@ pub mod prelude {
     pub use sioscope::simulator::{run, RunResult, SimError, SimOptions};
     pub use sioscope::sweeps;
     pub use sioscope_analysis::{
-        classify_all, detect_phases, BandwidthSeries, Cdf, ConcurrencyProfile, Evolution, IoClass,
-        LogHistogram, ModeUsage, NodeBalance, Timeline,
+        classify_all, detect_phases_indexed, BandwidthSeries, Cdf, ConcurrencyProfile, Evolution,
+        IoClass, LogHistogram, ModeUsage, NodeBalance, Timeline,
     };
     pub use sioscope_machine::MachineConfig;
     pub use sioscope_pfs::{IoMode, IoOp, OpKind, Pfs, PfsConfig, PolicyConfig};
@@ -33,6 +33,6 @@ mod tests {
         let cfg = PfsConfig::caltech(w.nodes, w.os);
         let r = run(&w, cfg, SimOptions::default()).expect("runs");
         assert!(r.exec_time > Time::ZERO);
-        let _cdf = Cdf::from_samples(r.trace.sizes_of(OpKind::Read));
+        let _cdf = Cdf::of_kind(&r.trace.into_index(), OpKind::Read);
     }
 }

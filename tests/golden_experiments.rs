@@ -31,11 +31,13 @@
 //! Snapshots are captured at smoke scale so the suite stays cheap
 //! enough to run on every commit.
 
-use sioscope::experiments::{run_experiment, Experiment, IndexedRun, Scale};
+use sioscope::experiments::{run_experiment, Experiment, Scale};
+use sioscope::simulator::RunResult;
 use sioscope::sweeps::{run_sweep, SweepId};
 use sioscope_campaign::json::Json;
 use sioscope_pfs::OpKind;
 use sioscope_sim::Time;
+use sioscope_trace::TraceIndex;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -64,33 +66,33 @@ fn by_kind<V>(map: BTreeMap<OpKind, V>, f: impl Fn(V) -> Json) -> Json {
     )
 }
 
-fn run_summary(r: &IndexedRun) -> Json {
+fn run_summary(r: &RunResult<TraceIndex>) -> Json {
     let s = &r.resilience;
     Json::obj(vec![
         ("name", Json::Str(r.name.clone())),
         ("version", Json::Str(r.version.clone())),
         ("exec_time_ns", nanos(r.exec_time)),
         ("events", Json::UInt(r.events)),
-        ("total_io_time_ns", nanos(r.total_io_time())),
+        ("total_io_time_ns", nanos(r.trace.total_io_time())),
         (
             "node_finish_ns",
             Json::Array(r.node_finish.iter().map(|&t| nanos(t)).collect()),
         ),
-        ("trace_events", Json::UInt(r.index.len() as u64)),
+        ("trace_events", Json::UInt(r.trace.len() as u64)),
         (
             "trace_digest",
             Json::Str(format!(
                 "{:016x}",
-                sioscope_trace::binary::index_digest(&r.index)
+                sioscope_trace::binary::index_digest(&r.trace)
             )),
         ),
         (
             "duration_by_kind_ns",
-            by_kind(r.index.duration_by_kind(), nanos),
+            by_kind(r.trace.duration_by_kind(), nanos),
         ),
         (
             "bytes_by_kind",
-            by_kind(r.index.bytes_by_kind(), Json::UInt),
+            by_kind(r.trace.bytes_by_kind(), Json::UInt),
         ),
         (
             "resilience",

@@ -5,7 +5,7 @@
 //! allocator and holds a single test, so nothing else allocates while
 //! it measures. It measures what a smoke-scale ESCAT run keeps alive
 //! twice: memoized by `run_version`, and as the `RunResult` of the
-//! same simulation with its index built. Dropping the raw trace saves
+//! same simulation kept beside its index. Dropping the raw trace saves
 //! its whole size, less a few kilobytes of the memo's own structs, so
 //! the memoized run must keep fewer bytes by at least half the raw
 //! trace. If a copy of the trace comes back into the memo, this fails.
@@ -14,7 +14,7 @@ use sioscope::experiments::escat::run_version;
 use sioscope::experiments::Scale;
 use sioscope::simulator::{run, RunResult, SimOptions};
 use sioscope_pfs::PfsConfig;
-use sioscope_trace::IoEvent;
+use sioscope_trace::{IoEvent, TraceIndex};
 use sioscope_workloads::{EscatConfig, EscatDataset, EscatVersion};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -89,16 +89,16 @@ fn a_memoized_run_keeps_its_index_and_not_its_trace() {
     // process, so neither measurement below is charged for it.
     drop(simulate());
 
-    let (full, full_bytes) = retained(|| {
+    let ((full, _index), full_bytes) = retained(|| {
         let r = simulate();
-        r.trace.index();
-        r
+        let index = TraceIndex::build(r.trace.events());
+        (r, index)
     });
     let (memo, memo_bytes) =
         retained(|| run_version(version, EscatDataset::Ethylene, Scale::Smoke));
     let raw_bytes = full.trace.len() * std::mem::size_of::<IoEvent>();
 
-    assert_eq!(memo.index.len(), full.trace.len(), "the same run");
+    assert_eq!(memo.trace.len(), full.trace.len(), "the same run");
     assert!(raw_bytes > 0, "the run traces I/O");
     assert!(
         memo_bytes + raw_bytes / 2 <= full_bytes,

@@ -64,7 +64,7 @@ fn table2_version_dominants_match_paper_narrative() {
 
     let dominant = |v: EscatVersion| -> OpKind {
         let r = run_version(v, EscatDataset::Ethylene, Scale::Full);
-        IoTimeTable::from_durations("x", &r.index.duration_by_kind())
+        IoTimeTable::from_durations("x", &r.trace.duration_by_kind())
             .dominant()
             .expect("non-empty")
     };
@@ -87,8 +87,8 @@ fn prism_read_pathology_of_version_c() {
 
     // §5.4: "a few small reads can dominate overall I/O time."
     let rc = run_version(PrismVersion::C, Scale::Full);
-    let read = rc.index.duration_of(OpKind::Read);
-    let total = rc.index.total_io_time();
+    let read = rc.trace.duration_of(OpKind::Read);
+    let total = rc.trace.total_io_time();
     assert!(
         read.as_secs_f64() / total.as_secs_f64() > 0.5,
         "reads must dominate version C I/O: {read} of {total}"
@@ -96,7 +96,7 @@ fn prism_read_pathology_of_version_c() {
     // And the small header reads specifically are a visible share:
     // every sub-40-byte read pays a real round trip.
     let small_read: Time = rc
-        .index
+        .trace
         .iter()
         .filter(|e| e.kind == OpKind::Read && e.bytes <= 40)
         .map(|e| e.duration)
@@ -118,7 +118,7 @@ fn initial_access_patterns_match_section_6_1() {
     use sioscope_workloads::{EscatDataset, EscatVersion, PrismVersion};
 
     let escat_a = escat::run_version(EscatVersion::A, EscatDataset::Ethylene, Scale::Full);
-    let cdf = Cdf::of_kind(&escat_a.index, OpKind::Read);
+    let cdf = Cdf::of_kind(&escat_a.trace, OpKind::Read);
     assert!(
         cdf.fraction_leq(2048) > 0.90,
         "ESCAT A small-read request fraction: {}",
@@ -126,7 +126,7 @@ fn initial_access_patterns_match_section_6_1() {
     );
 
     let prism_a = prism::run_version(PrismVersion::A, Scale::Full);
-    let cdf = Cdf::of_kind(&prism_a.index, OpKind::Read);
+    let cdf = Cdf::of_kind(&prism_a.trace, OpKind::Read);
     assert!(
         cdf.fraction_leq(2048) > 0.60,
         "PRISM A small-read request fraction: {}",
@@ -146,7 +146,7 @@ fn optimized_access_patterns_match_section_6_2() {
     use sioscope_workloads::{EscatDataset, EscatVersion};
 
     let rc = run_version(EscatVersion::C, EscatDataset::Ethylene, Scale::Full);
-    let cdf = Cdf::of_kind(&rc.index, OpKind::Read);
+    let cdf = Cdf::of_kind(&rc.trace, OpKind::Read);
     let large_requests = 1.0 - cdf.fraction_leq(128 * 1024 - 1);
     let large_data = 1.0 - cdf.weight_fraction_leq(128 * 1024 - 1);
     assert!(

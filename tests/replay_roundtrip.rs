@@ -4,6 +4,7 @@
 
 use sioscope::simulator::{run, SimOptions};
 use sioscope_pfs::{OpKind, PfsConfig};
+use sioscope_trace::TraceIndex;
 use sioscope_workloads::{replay, EscatConfig, EscatVersion, Workload};
 use std::collections::BTreeMap;
 
@@ -27,26 +28,20 @@ fn escat_replay_reproduces_the_request_stream() {
         replay::from_trace(original.trace.events(), &sizes).expect("replayable");
     assert!(replayed_workload.validate().is_empty());
     let replayed = run_workload(&replayed_workload);
+    let orig = TraceIndex::build(original.trace.events());
+    let repl = TraceIndex::build(replayed.trace.events());
 
     // Exactly the same bytes move.
-    assert_eq!(
-        original.trace.bytes_by_kind(),
-        replayed.trace.bytes_by_kind()
-    );
+    assert_eq!(orig.bytes_by_kind(), repl.bytes_by_kind());
     // Same data-operation counts.
     for kind in [OpKind::Read, OpKind::Write, OpKind::Seek] {
-        assert_eq!(
-            original.trace.of_kind(kind).count(),
-            replayed.trace.of_kind(kind).count(),
-            "{kind} count"
-        );
+        assert_eq!(orig.count_of(kind), repl.count_of(kind), "{kind} count");
     }
     // Same request-size distribution.
-    let mut orig_sizes = original.trace.sizes_of(OpKind::Read);
-    let mut repl_sizes = replayed.trace.sizes_of(OpKind::Read);
-    orig_sizes.sort_unstable();
-    repl_sizes.sort_unstable();
-    assert_eq!(orig_sizes, repl_sizes);
+    assert_eq!(
+        orig.sizes_sorted_of(OpKind::Read),
+        repl.sizes_sorted_of(OpKind::Read)
+    );
 
     // Timing lands in the same ballpark (think time is reproduced;
     // barrier structure is not, so allow slack).
@@ -73,9 +68,7 @@ fn replay_is_idempotent_at_the_stream_level() {
     let r1 = run_workload(&w1);
     let w2 = replay::from_trace(r1.trace.events(), &sizes).expect("second replay");
     let r2 = run_workload(&w2);
-    assert_eq!(r1.trace.bytes_by_kind(), r2.trace.bytes_by_kind());
-    assert_eq!(
-        r1.trace.of_kind(OpKind::Read).count(),
-        r2.trace.of_kind(OpKind::Read).count()
-    );
+    let (i1, i2) = (r1.trace.into_index(), r2.trace.into_index());
+    assert_eq!(i1.bytes_by_kind(), i2.bytes_by_kind());
+    assert_eq!(i1.count_of(OpKind::Read), i2.count_of(OpKind::Read));
 }

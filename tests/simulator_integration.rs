@@ -5,7 +5,7 @@ use sioscope::simulator::{run, SimOptions};
 use sioscope_analysis::{classify_file, Cdf, IoClass, Timeline};
 use sioscope_pfs::{OpKind, PfsConfig};
 use sioscope_sim::{Pid, Time};
-use sioscope_trace::{FileRegionSummary, LifetimeSummary, TimeWindowSummary};
+use sioscope_trace::{FileRegionSummary, LifetimeSummary, TimeWindowSummary, TraceIndex};
 use sioscope_workloads::{EscatConfig, EscatVersion, PrismConfig, PrismVersion};
 
 fn run_escat(v: EscatVersion) -> sioscope::simulator::RunResult {
@@ -30,9 +30,17 @@ fn traces_satisfy_global_invariants() {
         run_prism(PrismVersion::B),
         run_prism(PrismVersion::C),
     ] {
-        assert_eq!(r.trace.invariant_violations(), 0, "{}", r.name);
-        // Every event ends no later than the run does.
+        // Every event's interval fits in `Time`, and it ends no later
+        // than the run does.
         for e in r.trace.events() {
+            assert!(
+                e.start
+                    .as_nanos()
+                    .checked_add(e.duration.as_nanos())
+                    .is_some(),
+                "{}: event interval overflows",
+                r.name
+            );
             assert!(e.end() <= r.exec_time, "{}: event past exec end", r.name);
         }
         // Sorted by construction after run().
@@ -66,7 +74,7 @@ fn conservation_of_bytes_between_workload_and_trace() {
         let cfg = PfsConfig::caltech(w.nodes, w.os);
         let r = run(&w, cfg, SimOptions::default()).expect("runs");
         let (declared_read, declared_written) = w.declared_volume();
-        let b = r.trace.bytes_by_kind();
+        let b = r.trace.into_index().bytes_by_kind();
         assert_eq!(b.get(&OpKind::Read).copied().unwrap_or(0), declared_read);
         assert_eq!(
             b.get(&OpKind::Write).copied().unwrap_or(0),
@@ -78,29 +86,27 @@ fn conservation_of_bytes_between_workload_and_trace() {
 #[test]
 fn summaries_are_consistent_with_raw_trace() {
     let r = run_prism(PrismVersion::B);
+    let index = TraceIndex::build(r.trace.events());
     // Lifetime summaries partition the trace by file: per-kind counts
     // summed across files equal global counts.
     let mut total_reads = 0;
     for f in 0..9u32 {
-        let s = LifetimeSummary::from_index(r.trace.index(), sioscope_sim::FileId(f));
+        let s = LifetimeSummary::from_index(&index, sioscope_sim::FileId(f));
         total_reads += s.per_kind.get(&OpKind::Read).map(|x| x.count).unwrap_or(0);
     }
-    assert_eq!(total_reads, r.trace.of_kind(OpKind::Read).count() as u64);
+    let reads = r.trace.events().iter().filter(|e| e.kind == OpKind::Read);
+    assert_eq!(total_reads, reads.count() as u64);
 
     // A window covering everything equals the whole trace.
-    let w = TimeWindowSummary::from_index(
-        r.trace.index(),
-        Time::ZERO,
-        r.exec_time + Time::from_secs(1),
-    );
+    let w = TimeWindowSummary::from_index(&index, Time::ZERO, r.exec_time + Time::from_secs(1));
     let total: u64 = w.per_kind.values().map(|s| s.count).sum();
     assert_eq!(total, r.trace.len() as u64);
 
     // A region covering all offsets of one file equals that file's
     // data ops.
     let restart = sioscope_sim::FileId(1);
-    let region = FileRegionSummary::from_index(r.trace.index(), restart, 0, u64::MAX);
-    let lifetime = LifetimeSummary::from_index(r.trace.index(), restart);
+    let region = FileRegionSummary::from_index(&index, restart, 0, u64::MAX);
+    let lifetime = LifetimeSummary::from_index(&index, restart);
     let data_ops = lifetime
         .per_kind
         .iter()
@@ -113,10 +119,11 @@ fn summaries_are_consistent_with_raw_trace() {
 #[test]
 fn analysis_pipeline_runs_over_real_traces() {
     let r = run_escat(EscatVersion::C);
-    let cdf = Cdf::from_samples(r.trace.sizes_of(OpKind::Write));
+    let index = TraceIndex::build(r.trace.events());
+    let cdf = Cdf::of_kind(&index, OpKind::Write);
     assert!(!cdf.is_empty());
     assert!(cdf.fraction_leq(u64::MAX) > 0.999);
-    let tl = Timeline::new(r.trace.timeline_of(OpKind::Write));
+    let tl = Timeline::of_kind(&index, OpKind::Write);
     assert!(!tl.is_empty());
     assert!(tl.end().unwrap() <= r.exec_time);
     let ds = tl.downsample(10);
@@ -139,7 +146,8 @@ fn node_zero_does_all_phase_two_io_in_prism() {
     // Files 3..=6 and 8 (measurement, stats, history) are node-zero
     // territory in every version.
     for f in [3u32, 4, 5, 6, 8] {
-        for e in r.trace.of_file(sioscope_sim::FileId(f)) {
+        let file = sioscope_sim::FileId(f);
+        for e in r.trace.events().iter().filter(|e| e.file == file) {
             assert_eq!(e.pid, Pid(0), "file {f} touched by {:?}", e.pid);
         }
     }
@@ -151,7 +159,9 @@ fn escat_version_c_has_no_expensive_seeks() {
     let rc = run_escat(EscatVersion::C);
     let max_seek = |r: &sioscope::simulator::RunResult| {
         r.trace
-            .of_kind(OpKind::Seek)
+            .events()
+            .iter()
+            .filter(|e| e.kind == OpKind::Seek)
             .map(|e| e.duration)
             .max()
             .unwrap_or(Time::ZERO)
@@ -233,7 +243,8 @@ fn phase_detection_recovers_prism_structure() {
     let w = PrismConfig::test_problem(PrismVersion::A).build();
     let cfg = PfsConfig::caltech(w.nodes, w.os);
     let r = run(&w, cfg, SimOptions::default()).expect("runs");
-    let phases = sioscope_analysis::detect_phases(r.trace.events(), Time::from_secs(40));
+    let phases =
+        sioscope_analysis::detect_phases_indexed(&r.trace.into_index(), Time::from_secs(40));
     assert!(
         phases.len() >= 3,
         "expected at least 3 phases, got {}",
@@ -257,7 +268,13 @@ fn phase_detection_recovers_prism_structure() {
 #[test]
 fn log_histogram_matches_cdf_on_real_trace() {
     let r = run_escat(EscatVersion::A);
-    let sizes = r.trace.sizes_of(OpKind::Read);
+    let sizes: Vec<u64> = r
+        .trace
+        .events()
+        .iter()
+        .filter(|e| e.kind == OpKind::Read)
+        .map(|e| e.bytes)
+        .collect();
     let hist = sioscope_analysis::LogHistogram::from_samples(sizes.iter().copied());
     let cdf = Cdf::from_samples(sizes);
     assert_eq!(hist.total(), cdf.n());
@@ -278,8 +295,9 @@ fn interarrival_structure_distinguishes_node_roles() {
     let r = run(&w, cfg, SimOptions::default()).expect("runs");
     let node0_writes: Vec<Time> = r
         .trace
-        .of_pid(Pid(0))
-        .filter(|e| e.kind == OpKind::Write && e.file.0 == 3)
+        .events()
+        .iter()
+        .filter(|e| e.pid == Pid(0) && e.kind == OpKind::Write && e.file.0 == 3)
         .map(|e| e.start)
         .collect();
     let ia =
@@ -288,7 +306,7 @@ fn interarrival_structure_distinguishes_node_roles() {
     assert!(ia.cv < 0.5, "measurement stream CV {}", ia.cv);
     // The whole-trace request sizes span orders of magnitude (the
     // paper's irregularity claim).
-    let cdf = Cdf::from_samples(r.trace.sizes_of(OpKind::Read));
+    let cdf = Cdf::of_kind(&r.trace.into_index(), OpKind::Read);
     let lo = cdf.quantile(0.0).expect("reads");
     let hi = cdf.quantile(1.0).expect("reads");
     assert!(hi / lo.max(1) > 1000, "read sizes {lo}..{hi}");
