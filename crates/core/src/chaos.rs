@@ -39,21 +39,19 @@
 //! seed budget (the CI `chaos-smoke` job); the functions are public
 //! so soaks can also run in-process from tests.
 
-use crate::canon::{tier_config, WorkloadId};
+use crate::canon::{tier_config, tier_faults, WorkloadId};
 use crate::coupled::{run_coupled, Route};
 use crate::experiments::memo::RunMemo;
 use crate::experiments::Scale;
 use crate::recovery::recover;
 use crate::simulator::{run_backend, RunResult, SimOptions};
 use sioscope_faults::{FaultGen, FaultKind, FaultSchedule};
-use sioscope_pfs::{BackendKind, BackendStats, PfsConfig, ResilienceStats};
+use sioscope_pfs::{BackendKind, BackendStats, ResilienceStats};
 use sioscope_sim::{par, Time};
 use sioscope_stream::StagingConfig;
 use sioscope_trace::binary::{digest, fnv64};
 use sioscope_trace::IoTotals;
-use sioscope_workloads::{
-    CheckpointPolicy, EscatConfig, EscatVersion, PrismConfig, PrismVersion, Workload,
-};
+use sioscope_workloads::{CheckpointPolicy, EscatConfig, EscatVersion, PrismConfig, PrismVersion};
 use std::collections::BTreeMap;
 
 /// The canonical run fingerprint: exec nanoseconds, event count,
@@ -159,30 +157,6 @@ impl ChaosVerdict {
     }
 }
 
-/// The seed's tier-appropriate fuzzed schedule over `horizon`.
-fn tier_schedule(
-    kind: BackendKind,
-    seed: u64,
-    horizon: Time,
-    workload: &Workload,
-    events: usize,
-) -> FaultSchedule {
-    let io_nodes = match kind {
-        BackendKind::Pfs | BackendKind::Burst => {
-            PfsConfig::caltech(workload.nodes, workload.os)
-                .machine
-                .io_nodes
-        }
-        BackendKind::Object => 0,
-    };
-    let generator = FaultGen::new(seed, horizon, io_nodes).with_events(events);
-    match kind {
-        BackendKind::Pfs => generator.schedule(),
-        BackendKind::Object => generator.object_schedule(4),
-        BackendKind::Burst => generator.burst_schedule(),
-    }
-}
-
 /// What a backend case's checks read from one run. Each run is shrunk
 /// to this as soon as it ends, so no trace outlives its run.
 struct RunSummary {
@@ -226,10 +200,10 @@ pub(crate) fn clear_cache() {
 /// `clean_horizon`, the case's fault-free exec time. Returns the
 /// crash-free and the crashed time-to-solution; the crash-free run is
 /// dropped before the crashed one starts.
-fn recovery_pair(tier: BackendKind, seed: u64, clean_horizon: Time, events: usize) -> (Time, Time) {
+fn recovery_pair(tier: BackendKind, seed: u64, clean_horizon: Time, events: u32) -> (Time, Time) {
     let rec =
         EscatConfig::tiny(EscatVersion::B).recoverable(CheckpointPolicy::Fixed { interval: 5 });
-    let rec_faults = tier_schedule(tier, seed, clean_horizon, rec.workload(), events);
+    let rec_faults = tier_faults(tier, rec.workload(), clean_horizon, events, seed);
     let storage = tier_config(tier, rec.workload(), rec_faults);
     let run = |crashes: &FaultSchedule, what: &str| {
         recover(&rec, crashes, &storage, &SimOptions::default(), |_| {
@@ -282,8 +256,8 @@ pub fn chaos_case(
 
     // The fuzzed schedule: event count is itself seed-derived so the
     // soak covers sparse and dense schedules alike.
-    let events = 1 + (seed % 4) as usize;
-    let faults = tier_schedule(tier, seed, clean.exec_time, &workload, events);
+    let events = 1 + (seed % 4) as u32;
+    let faults = tier_faults(tier, &workload, clean.exec_time, events, seed);
     let faulted = run_with(&faults);
     let replay = run_with(&faults);
     // The recovery pair builds its own workload.
