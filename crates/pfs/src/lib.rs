@@ -57,6 +57,6 @@ pub use mode::IoMode;
 pub use object::{ObjectStore, ObjectStoreConfig};
 pub use op::{Completion, IoOp, OpKind, Outcome};
 pub use policy::PolicyConfig;
-pub use resilience::{ResilienceConfig, ResilienceStats};
+pub use resilience::ResilienceStats;
 pub use server::{Pfs, PfsConfig};
 pub use stripe::StripeLayout;

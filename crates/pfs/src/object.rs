@@ -28,7 +28,10 @@ use crate::backend::{BackendKind, BackendStats, StorageBackend};
 use crate::error::PfsError;
 use crate::mode::IoMode;
 use crate::op::{Completion, IoOp};
-use crate::resilience::{ResilienceConfig, ResilienceStats};
+use crate::resilience::{
+    ResilienceStats, BACKOFF_BASE, BACKOFF_MULTIPLIER, MAX_RETRIES, REQUEST_TIMEOUT,
+    REROUTE_PENALTY,
+};
 use sioscope_faults::{FaultSchedule, ObjectFaultState};
 use sioscope_machine::MachineConfig;
 use sioscope_sim::{CalendarPool, DetHashMap, FileId, Pid, Time};
@@ -59,9 +62,6 @@ pub struct ObjectStoreConfig {
     /// schedule keeps every computation bit-identical to a build
     /// without the fault machinery.
     pub faults: FaultSchedule,
-    /// How clients react to a dark metadata shard (timeouts, retries,
-    /// re-route to the replica shard).
-    pub resilience: ResilienceConfig,
 }
 
 impl ObjectStoreConfig {
@@ -81,7 +81,6 @@ impl ObjectStoreConfig {
             client_overhead: Time::from_micros(1),
             bandwidth_bps: 1_000_000_000,
             faults: FaultSchedule::empty(),
-            resilience: ResilienceConfig::standard(),
         }
     }
 }
@@ -172,7 +171,7 @@ impl ObjectStore {
     /// ladder runs: a dark shard costs one timeout, then bounded
     /// retries with exponential backoff; if the shard is still dark
     /// the request re-routes to the lowest-numbered healthy replica
-    /// shard (service scaled by `reroute_penalty`), and only when the
+    /// shard (service scaled by the re-route penalty), and only when the
     /// whole metadata service is dark does it stall until the shard
     /// returns. Degraded-service windows scale the service demand.
     /// Every branch is a pure function of `(arrival, fid)` and the
@@ -180,7 +179,6 @@ impl ObjectStore {
     fn md_reserve(&mut self, arrival: Time, fid: FileId) -> Time {
         let shard = self.shard(fid);
         let service = self.cfg.md_service;
-        let rz = self.cfg.resilience;
         match &self.fault_state {
             None => self.md.reserve(shard, arrival, service).finish,
             Some(state) => {
@@ -189,21 +187,21 @@ impl ObjectStore {
                 let mut penalty = 1.0f64;
                 if state.is_shard_down(shard, t) {
                     self.resilience.timeouts += 1;
-                    t = t.saturating_add(rz.request_timeout);
-                    let mut backoff = rz.backoff_base;
+                    t = t.saturating_add(REQUEST_TIMEOUT);
+                    let mut backoff = BACKOFF_BASE;
                     let mut tries = 0;
-                    while tries < rz.max_retries && state.is_shard_down(shard, t) {
+                    while tries < MAX_RETRIES && state.is_shard_down(shard, t) {
                         self.resilience.retries += 1;
                         t = t.saturating_add(backoff);
-                        backoff = backoff.scale(rz.backoff_multiplier);
+                        backoff = backoff.scale(BACKOFF_MULTIPLIER);
                         tries += 1;
                     }
                     if state.is_shard_down(shard, t) {
-                        match state.first_healthy_shard(t, shard).filter(|_| rz.reroute) {
+                        match state.first_healthy_shard(t, shard) {
                             Some(alt) => {
                                 self.resilience.reroutes += 1;
                                 shard = alt;
-                                penalty = rz.reroute_penalty;
+                                penalty = REROUTE_PENALTY;
                             }
                             None => {
                                 self.resilience.aborts += 1;

@@ -9,56 +9,30 @@
 //! reduced-stripe-width fast path for reads that skips the full retry
 //! ladder. Every decision is a pure function of the fault state and
 //! the request instant, so runs stay deterministic.
+//!
+//! The policy is one fixed ladder, sized against Paragon-era service
+//! times: a 50 ms timeout clears healthy queueing, and four retries
+//! with 20 ms doubling backoff span ~0.3 s before re-routing. A
+//! request that exhausts its retries always re-routes when a healthy
+//! node exists, and a read always takes the reduced-stripe path after
+//! one probing retry: it is reconstructed from the surviving nodes,
+//! which reads can be and writes cannot.
 
 use sioscope_sim::Time;
 
-/// Knobs for the client-side fault-handling policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResilienceConfig {
-    /// How long a request waits on an unresponsive I/O node before the
-    /// client declares a timeout and starts the retry ladder.
-    pub request_timeout: Time,
-    /// Retries after the initial timeout before giving up on the node.
-    pub max_retries: u32,
-    /// Backoff before the first retry.
-    pub backoff_base: Time,
-    /// Multiplier applied to the backoff after each retry.
-    pub backoff_multiplier: f64,
-    /// After exhausting retries, re-route the request to a healthy
-    /// I/O node instead of stalling until restart.
-    pub reroute: bool,
-    /// Reads skip the retry ladder: after the first timeout and one
-    /// probing retry they fall back to reconstructing the stripe from
-    /// the surviving nodes (reads can be served from parity; writes
-    /// cannot).
-    pub reduced_stripe_reads: bool,
-    /// Service-time factor on re-routed requests — the serving node
-    /// must reconstruct the missing stripe from parity.
-    pub reroute_penalty: f64,
-}
-
-impl ResilienceConfig {
-    /// Defaults sized against Paragon-era service times: a 50 ms
-    /// timeout clears healthy queueing, four retries with 20 ms
-    /// doubling backoff span ~0.3 s before re-routing.
-    pub fn standard() -> Self {
-        ResilienceConfig {
-            request_timeout: Time::from_millis(50),
-            max_retries: 4,
-            backoff_base: Time::from_millis(20),
-            backoff_multiplier: 2.0,
-            reroute: true,
-            reduced_stripe_reads: true,
-            reroute_penalty: 1.5,
-        }
-    }
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        Self::standard()
-    }
-}
+/// How long a request waits on an unresponsive I/O node or metadata
+/// shard before the client declares a timeout and starts the retry
+/// ladder.
+pub(crate) const REQUEST_TIMEOUT: Time = Time::from_millis(50);
+/// Retries after the initial timeout before giving up on the node.
+pub(crate) const MAX_RETRIES: u32 = 4;
+/// Backoff before the first retry.
+pub(crate) const BACKOFF_BASE: Time = Time::from_millis(20);
+/// Multiplier applied to the backoff after each retry.
+pub(crate) const BACKOFF_MULTIPLIER: f64 = 2.0;
+/// Service-time factor on re-routed requests — the serving node must
+/// reconstruct the missing stripe from parity.
+pub(crate) const REROUTE_PENALTY: f64 = 1.5;
 
 /// Counters of every resilience action a run took. All-zero on a
 /// fault-free run by construction.
@@ -110,16 +84,6 @@ impl ResilienceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_policy_is_standard() {
-        let d = ResilienceConfig::default();
-        assert_eq!(d, ResilienceConfig::standard());
-        assert!(d.reroute);
-        assert!(d.reduced_stripe_reads);
-        assert!(d.reroute_penalty > 1.0);
-        assert!(d.backoff_multiplier > 1.0);
-    }
 
     #[test]
     fn stats_start_quiet_and_merge() {

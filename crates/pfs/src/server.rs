@@ -23,7 +23,10 @@ use crate::ioncache::IonCache;
 use crate::mode::{IoMode, OsRelease};
 use crate::op::{Completion, IoOp, OpKind, Outcome};
 use crate::policy::PolicyConfig;
-use crate::resilience::{ResilienceConfig, ResilienceStats};
+use crate::resilience::{
+    ResilienceStats, BACKOFF_BASE, BACKOFF_MULTIPLIER, MAX_RETRIES, REQUEST_TIMEOUT,
+    REROUTE_PENALTY,
+};
 use crate::stripe::StripeLayout;
 use sioscope_faults::{FaultSchedule, FaultState};
 use sioscope_machine::{DiskModel, MachineConfig, MeshModel};
@@ -49,8 +52,6 @@ pub struct PfsConfig {
     /// default) keeps every computation bit-identical to a build
     /// without the fault machinery.
     pub faults: FaultSchedule,
-    /// How clients react to faults (timeouts, retries, re-routing).
-    pub resilience: ResilienceConfig,
 }
 
 impl PfsConfig {
@@ -63,7 +64,6 @@ impl PfsConfig {
             stripe_unit: 64 * 1024,
             policy: PolicyConfig::measured_pfs(),
             faults: FaultSchedule::empty(),
-            resilience: ResilienceConfig::standard(),
         }
     }
 
@@ -76,7 +76,6 @@ impl PfsConfig {
             stripe_unit: 64 * 1024,
             policy: PolicyConfig::measured_pfs(),
             faults: FaultSchedule::empty(),
-            resilience: ResilienceConfig::standard(),
         }
     }
 }
@@ -1063,34 +1062,31 @@ impl Pfs {
         let Some(back_up) = state.down_until(ion, start) else {
             return (ion, start, 1.0);
         };
-        let r = self.cfg.resilience;
         self.res_stats.timeouts += 1;
-        let mut t = start.saturating_add(r.request_timeout);
+        let mut t = start.saturating_add(REQUEST_TIMEOUT);
         // Reads can be reconstructed from the surviving stripes +
         // parity; one probing retry, then fall back at reduced width.
-        if !write && r.reduced_stripe_reads && r.reroute {
+        if !write {
             if let Some(alt) = state.first_healthy_ion(t, ion) {
                 self.res_stats.retries += 1;
                 self.res_stats.degraded_reads += 1;
                 self.res_stats.reroutes += 1;
-                return (alt, t.saturating_add(r.backoff_base), r.reroute_penalty);
+                return (alt, t.saturating_add(BACKOFF_BASE), REROUTE_PENALTY);
             }
         }
-        let mut backoff = r.backoff_base;
-        for _ in 0..r.max_retries {
+        let mut backoff = BACKOFF_BASE;
+        for _ in 0..MAX_RETRIES {
             self.res_stats.retries += 1;
             t = t.saturating_add(backoff);
-            backoff = backoff.scale(r.backoff_multiplier);
+            backoff = backoff.scale(BACKOFF_MULTIPLIER);
             if !state.is_down(ion, t) {
                 // The node restarted while the client was backing off.
                 return (ion, t, 1.0);
             }
         }
-        if r.reroute {
-            if let Some(alt) = state.first_healthy_ion(t, ion) {
-                self.res_stats.reroutes += 1;
-                return (alt, t, r.reroute_penalty);
-            }
+        if let Some(alt) = state.first_healthy_ion(t, ion) {
+            self.res_stats.reroutes += 1;
+            return (alt, t, REROUTE_PENALTY);
         }
         // Nowhere to go: stall until the node comes back.
         self.res_stats.aborts += 1;

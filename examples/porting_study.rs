@@ -27,7 +27,6 @@ fn run_on(workload: &Workload, machine: MachineConfig) -> sioscope::simulator::R
         stripe_unit: 64 * 1024,
         policy: Default::default(),
         faults: Default::default(),
-        resilience: sioscope_pfs::ResilienceConfig::standard(),
     };
     run(workload, cfg, SimOptions::default()).expect("runs")
 }
