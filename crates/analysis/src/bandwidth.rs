@@ -1,7 +1,7 @@
 //! Time-resolved throughput and burstiness.
 //!
 //! The vector-supercomputer studies the paper builds on (Miller & Katz
-//! [9], Pasquale & Polyzos [12, 13]) characterized scientific I/O as
+//! \[9\], Pasquale & Polyzos \[12, 13\]) characterized scientific I/O as
 //! "highly regular, cyclical, and bursty"; the paper's own Figures 3–5
 //! and 8–9 are the temporal evidence for the Paragon. This module
 //! computes the windowed-throughput series behind such plots plus the

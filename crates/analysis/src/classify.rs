@@ -1,6 +1,6 @@
 //! High-level I/O classification.
 //!
-//! Miller & Katz [9] first proposed classifying supercomputer I/O into
+//! Miller & Katz \[9\] first proposed classifying supercomputer I/O into
 //! **compulsory**, **checkpoint**, and **data staging** operations;
 //! the paper uses the same taxonomy throughout (§4: ESCAT's phases are
 //! compulsory → staging → staging → compulsory; §5: PRISM's are

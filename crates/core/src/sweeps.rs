@@ -321,8 +321,9 @@ pub(crate) fn degraded_array_sweep(id: WorkloadId, scale: Scale, degraded_counts
 /// `k + 1`'s — each point adds faults to the previous scenario
 /// instead of rolling an unrelated one, so execution-time inflation
 /// accumulates along the axis. Fault instants and window lengths are
-/// placed as fractions of the healthy run's execution time, which is
-/// [`canonical_run`]'s.
+/// placed as fractions of the healthy run's execution time: `id`'s
+/// fault-free run at `scale` on the canonical Caltech PFS, the one
+/// every sweep and campaign run of a process shares.
 pub fn fault_intensity_sweep(
     id: WorkloadId,
     scale: Scale,

@@ -1,6 +1,6 @@
 //! Adaptive policy selection.
 //!
-//! §5.4 of the paper points to PPFS (Huber et al. [6]) as the way out
+//! §5.4 of the paper points to PPFS (Huber et al. \[6\]) as the way out
 //! of manual tuning: *"A file system that dynamically tunes its policy
 //! to match the requirements of the application access patterns and
 //! disk performance characteristics is a promising alternative."*
