@@ -7,8 +7,9 @@
 //! mechanism — phase one re-reads it in 155,584-byte records). This
 //! module drives the simulator through that story:
 //!
-//! 1. Run the current attempt (full workload, or a replay sliced from
-//!    the last committed marker) up to the next scheduled
+//! 1. Run the current attempt (full workload, or a replay from the
+//!    last committed marker, which borrows the annotated programs past
+//!    it rather than copying them) up to the next scheduled
 //!    [`FaultKind::ComputeNodeCrash`], and no further.
 //! 2. If the crash lands inside the attempt, charge the crash's
 //!    rework/reboot latency, roll the attempt back to its last
@@ -149,26 +150,28 @@ pub(crate) fn recover<S: Sink>(
             .get(next)
             .map_or(Time::MAX, |&(at, _)| at.saturating_sub(wall));
         // An attempt from the beginning runs the annotated workload
-        // itself; only a replay from a marker needs a sliced copy.
-        let sliced;
-        let workload = match from {
-            None => rec.workload(),
+        // itself. A replay from a marker runs its restart heads, then
+        // the annotated programs past the marker as tails, uncopied.
+        let restart;
+        let (workload, tails) = match from {
+            None => (rec.workload(), &[][..]),
             Some(k) => {
-                sliced = rec.slice_from(Some(k));
-                &sliced
+                restart = rec.restart(k);
+                (&restart.0, &restart.1[..])
             }
         };
         // The checkpoint accounting needs only the attempt's checkpoint
         // writes: the ledger sums them as they are recorded, split at
         // the crash instant.
         let ledger = Ledger {
-            sink: new_sink(workload.io_stmts()),
+            sink: new_sink(workload.io_stmts_with(tails)),
             checkpoint_files: rec.checkpoint_files(),
             stop: local,
             before: 0,
             at_stop: 0,
         };
-        let crashed = match run_backend_until(workload, cfg.clone(), options, local, ledger)? {
+        let attempt = run_backend_until(workload, tails, cfg.clone(), options, local, ledger)?;
+        let crashed = match attempt {
             Attempt::Finished(result) => {
                 // The attempt outlives the crash schedule: done. A
                 // crash at the exact completion instant strikes a

@@ -320,6 +320,7 @@ pub fn run_schedule(
             }
             job.gang = Some(Gang::new(
                 workload,
+                &[],
                 job.pid_base,
                 job.file_base,
                 dispatches << 32,

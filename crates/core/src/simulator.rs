@@ -257,12 +257,15 @@ struct NodeState {
 /// One application's processes and what they have recorded: the
 /// statement interpreter every event loop steps its processes through.
 ///
-/// Local pid `p` runs program `p`. The storage tier sees it as global
-/// pid `pid_base + p` and its file `f` as `file_base + f`; its `s`-th
-/// collective joins rendezvous group `key_base + s`. The trace and the
-/// crash accounting use local pids and files.
+/// Local pid `p` runs program `p`, then `tails[p]` if there is one (a
+/// recovery replay borrows its program past the marker this way). The
+/// storage tier sees it as global pid `pid_base + p` and its file `f`
+/// as `file_base + f`; its `s`-th collective joins rendezvous group
+/// `key_base + s`. The trace and the crash accounting use local pids
+/// and files.
 pub(crate) struct Gang<'w, S> {
     workload: &'w Workload,
+    tails: &'w [&'w [Stmt]],
     nodes: Vec<NodeState>,
     trace: S,
     /// The latest instant any node passed each checkpoint marker.
@@ -275,10 +278,11 @@ pub(crate) struct Gang<'w, S> {
 }
 
 impl<'w, S: Sink> Gang<'w, S> {
-    /// A gang about to run `workload`, recording into `trace`, which
-    /// its caller built.
+    /// A gang about to run `workload`, each node going on to its tail
+    /// in `tails`, recording into `trace`, which its caller built.
     pub(crate) fn new(
         workload: &'w Workload,
+        tails: &'w [&'w [Stmt]],
         pid_base: u32,
         file_base: u32,
         key_base: u64,
@@ -287,6 +291,7 @@ impl<'w, S: Sink> Gang<'w, S> {
         let n = workload.nodes as usize;
         Gang {
             workload,
+            tails,
             nodes: (0..n)
                 .map(|_| NodeState {
                     pc: 0,
@@ -306,6 +311,16 @@ impl<'w, S: Sink> Gang<'w, S> {
         }
     }
 
+    /// Statement `pc` of local process `pid`, counting on into its
+    /// tail; `None` past the end.
+    fn stmt(&self, pid: usize, pc: usize) -> Option<&'w Stmt> {
+        let program = &self.workload.programs[pid];
+        match program.get(pc) {
+            Some(stmt) => Some(stmt),
+            None => self.tails.get(pid)?.get(pc - program.len()),
+        }
+    }
+
     /// Run local process `pid`'s next statement at `now`. Every process
     /// the statement releases is resumed through `wake`: completions in
     /// the order the tier returns them, collective members in arrival
@@ -319,20 +334,19 @@ impl<'w, S: Sink> Gang<'w, S> {
         wake: impl Fn(Pid) -> E,
     ) -> Result<bool, (usize, PfsError)> {
         let workload = self.workload;
+        let stmt_idx = self.nodes[pid.index()].pc;
+        let next = self.stmt(pid.index(), stmt_idx);
         let state = &mut self.nodes[pid.index()];
         debug_assert!(!state.finished, "{pid} resumed after finishing");
-        let program = &workload.programs[pid.index()];
-
-        if state.pc >= program.len() {
+        let Some(stmt) = next else {
             state.finished = true;
             state.finish_time = now;
             self.unfinished -= 1;
             return Ok(self.unfinished == 0);
-        }
-        let stmt_idx = state.pc;
+        };
         state.pc += 1;
 
-        match &program[stmt_idx] {
+        match stmt {
             Stmt::Compute(d) => {
                 engine.queue.schedule(now + *d, wake(pid));
             }
@@ -456,14 +470,14 @@ impl<'w, S: Sink> Gang<'w, S> {
 
     /// Gather a stopped run's crash accounting.
     fn crashed<B: StorageBackend>(self, backend: &mut B) -> Crashed<S> {
-        let programs = &self.workload.programs;
+        let gang = &self;
         // A marker still ahead of some node is not committed: every node
         // that carries a marker must have passed it.
         let ahead: BTreeSet<u32> = self
             .nodes
             .iter()
-            .zip(programs)
-            .flat_map(|(state, program)| &program[state.pc..])
+            .enumerate()
+            .flat_map(|(pid, state)| (state.pc..).map_while(move |pc| gang.stmt(pid, pc)))
             .filter_map(|stmt| match stmt {
                 Stmt::CheckpointCommit(k) => Some(*k),
                 _ => None,
@@ -484,9 +498,9 @@ impl<'w, S: Sink> Gang<'w, S> {
         let parked_writes = self
             .nodes
             .iter()
-            .zip(programs)
-            .filter(|(state, _)| state.parked)
-            .filter_map(|(state, program)| match &program[state.pc - 1] {
+            .enumerate()
+            .filter(|(_, state)| state.parked)
+            .filter_map(|(pid, state)| match self.stmt(pid, state.pc - 1)? {
                 Stmt::Io {
                     file,
                     op: IoOp::Write { size },
@@ -529,7 +543,8 @@ pub fn run_backend(
     // Sized up front: growing a trace by doubling would briefly hold
     // up to three times the finished trace.
     let trace = TraceRecorder::with_capacity(workload.io_stmts());
-    run_backend_until(workload, cfg.clone(), &options, Time::MAX, trace).map(Attempt::unstopped)
+    run_backend_until(workload, &[], cfg.clone(), &options, Time::MAX, trace)
+        .map(Attempt::unstopped)
 }
 
 /// [`run_backend`] recording only [`IoTotals`], for a run whose events
@@ -538,21 +553,22 @@ pub(crate) fn simulate(
     workload: &Workload,
     cfg: BackendConfig,
 ) -> Result<RunResult<IoTotals>, SimError> {
-    let totals = IoTotals::default();
-    run_backend_until(workload, cfg, &SimOptions::default(), Time::MAX, totals)
-        .map(Attempt::unstopped)
+    let (options, totals) = (SimOptions::default(), IoTotals::default());
+    run_backend_until(workload, &[], cfg, &options, Time::MAX, totals).map(Attempt::unstopped)
 }
 
 /// [`run_backend`] into `sink`, which the caller built, up to the
-/// `stop` instant (see [`run_loop`]).
+/// `stop` instant (see [`run_loop`]), with node `p` going on to
+/// `tails[p]` after its program (see [`Gang`]).
 pub(crate) fn run_backend_until<S: Sink>(
     workload: &Workload,
+    tails: &[&[Stmt]],
     mut cfg: BackendConfig,
     options: &SimOptions,
     stop: Time,
     sink: S,
 ) -> Result<Attempt<S>, SimError> {
-    let problems = workload.validate();
+    let problems = workload.validate_with(tails);
     if !problems.is_empty() {
         return Err(SimError::InvalidWorkload(problems));
     }
@@ -564,7 +580,7 @@ pub(crate) fn run_backend_until<S: Sink>(
     let mesh = MeshModel::new(cfg.machine().mesh);
     // One event loop monomorphized per tier: no dynamic dispatch on
     // the measured path.
-    let gang = Gang::new(workload, 0, 0, 0, sink);
+    let gang = Gang::new(workload, tails, 0, 0, 0, sink);
     match cfg {
         BackendConfig::Pfs(mut c) => {
             c.os = workload.os;
@@ -977,7 +993,7 @@ pub(crate) mod tests {
         let until = |stop| {
             let cfg = BackendConfig::Pfs(tiny_pfs(2));
             let trace = TraceRecorder::new();
-            run_backend_until(&w, cfg, &SimOptions::default(), stop, trace).unwrap()
+            run_backend_until(&w, &[], cfg, &SimOptions::default(), stop, trace).unwrap()
         };
         let commits = |stop| match until(stop) {
             Attempt::Crashed(c) => c.commits,
@@ -1072,9 +1088,9 @@ pub(crate) mod tests {
                 let at = |faults: &FaultSchedule, stop| {
                     let cfg = tier_config(backend, w, faults.clone());
                     let totals = IoTotals::default();
-                    let totals = run_backend_until(w, cfg.clone(), &opts, stop, totals);
+                    let totals = run_backend_until(w, &[], cfg.clone(), &opts, stop, totals);
                     let trace = TraceRecorder::with_capacity(w.io_stmts());
-                    let trace = run_backend_until(w, cfg, &opts, stop, trace);
+                    let trace = run_backend_until(w, &[], cfg, &opts, stop, trace);
                     (totals.unwrap(), trace.unwrap())
                 };
                 let clean = at(&FaultSchedule::empty(), Time::MAX).1.unstopped();

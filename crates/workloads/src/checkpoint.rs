@@ -16,6 +16,9 @@
 //!   prologues (the phase-one re-reads a restarted run performs, e.g.
 //!   PRISM's 155,584-byte restart-body records) and the file set that
 //!   constitutes the checkpoint.
+//!   [`Recoverable::restart`] builds each node's restart head and
+//!   borrows the annotated program past the marker as its tail, so a
+//!   replay holds no second copy of the program.
 //!
 //! Markers are placed immediately *after* a barrier, so every node
 //! agrees on what marker `k` covers, and the sliced suffixes keep
@@ -73,8 +76,8 @@ struct FileTrack {
     open: bool,
 }
 
-/// A workload annotated with checkpoint-commit markers, sliceable into
-/// "replay from marker `k`" workloads.
+/// A workload annotated with checkpoint-commit markers, from which
+/// "replay from marker `k`" attempts are built.
 #[derive(Debug, Clone)]
 pub struct Recoverable {
     workload: Workload,
@@ -193,12 +196,9 @@ impl Recoverable {
     }
 
     /// The workload that replays from marker `from` (or from the
-    /// beginning for `None`): per node, the restart prologue, the
-    /// statements that re-establish files open at the marker (reopen +
-    /// mode changes + a seek to the saved pointer), then the program
-    /// suffix after the marker. File sizes carry forward — anything
-    /// written before the marker is durable, so the replay's file
-    /// table starts at the prefix's high-water sizes.
+    /// beginning for `None`), as one standalone [`Workload`]: the
+    /// [`restart`](Recoverable::restart) heads with each node's tail
+    /// copied after its head.
     ///
     /// # Panics
     /// Panics if `from` names a marker the workload does not carry.
@@ -206,6 +206,25 @@ impl Recoverable {
         let Some(k) = from else {
             return self.workload.clone();
         };
+        let (mut sliced, tails) = self.restart(k);
+        for (program, tail) in sliced.programs.iter_mut().zip(tails) {
+            program.extend_from_slice(tail);
+        }
+        sliced
+    }
+
+    /// The replay from marker `k`, without copying the annotated
+    /// program: a workload whose program `p` is node `p`'s head (the
+    /// restart prologue, then the statements that re-establish files
+    /// open at the marker: reopen + mode changes + a seek to the saved
+    /// pointer), and per node its tail, the program suffix after the
+    /// marker, which node `p` runs after its head. File sizes carry
+    /// forward — anything written before the marker is durable, so the
+    /// replay's file table starts at the prefix's high-water sizes.
+    ///
+    /// # Panics
+    /// Panics if the workload carries no marker `k`.
+    pub fn restart(&self, k: u32) -> (Workload, Vec<&[Stmt]>) {
         assert!(
             k < self.checkpoints,
             "marker {k} out of range ({} checkpoints)",
@@ -213,7 +232,8 @@ impl Recoverable {
         );
         // Global high-water write offsets, per file, across all nodes.
         let mut write_end: BTreeMap<u32, u64> = BTreeMap::new();
-        let mut programs = Vec::with_capacity(self.workload.programs.len());
+        let mut heads = Vec::with_capacity(self.workload.programs.len());
+        let mut tails = Vec::with_capacity(self.workload.programs.len());
         for (pid, prog) in self.workload.programs.iter().enumerate() {
             let pos = prog
                 .iter()
@@ -256,17 +276,17 @@ impl Recoverable {
                 .filter(|t| t.open)
                 .map(|t| t.open_ops.len() + 1)
                 .sum();
-            let mut replay = Vec::with_capacity(prologue.len() + reopen + (prog.len() - pos - 1));
-            replay.extend_from_slice(prologue);
+            let mut head = Vec::with_capacity(prologue.len() + reopen);
+            head.extend_from_slice(prologue);
             // Re-establish open files in ascending file order so the
             // collective reopen sequence lines up across nodes.
             for (file, track) in &tracks {
                 if !track.open {
                     continue;
                 }
-                replay.extend(track.open_ops.iter().cloned());
+                head.extend(track.open_ops.iter().cloned());
                 if track.pointer > 0 {
-                    replay.push(Stmt::Io {
+                    head.push(Stmt::Io {
                         file: *file,
                         op: IoOp::Seek {
                             offset: track.pointer,
@@ -274,24 +294,24 @@ impl Recoverable {
                     });
                 }
             }
-            replay.extend(prog[pos + 1..].iter().cloned());
-            programs.push(replay);
+            heads.push(head);
+            tails.push(&prog[pos + 1..]);
         }
         let w = &self.workload;
-        let mut sliced = Workload {
+        let mut head = Workload {
             name: w.name.clone(),
             version: w.version.clone(),
             os: w.os,
             nodes: w.nodes,
             files: w.files.clone(),
-            programs,
+            programs: heads,
             phases: w.phases.clone(),
         };
         for (file, end) in write_end {
-            let spec = &mut sliced.files[file as usize];
+            let spec = &mut head.files[file as usize];
             spec.initial_size = spec.initial_size.max(end);
         }
-        sliced
+        (head, tails)
     }
 }
 
@@ -431,6 +451,31 @@ mod tests {
             assert!(!prog.iter().any(|s| matches!(s, Stmt::CheckpointCommit(0))));
             assert!(prog.iter().any(|s| matches!(s, Stmt::CheckpointCommit(1))));
         }
+    }
+
+    #[test]
+    fn a_restart_borrows_the_suffix_its_slice_copies() {
+        let rec = Recoverable::annotate(staged_workload(), 1, Vec::new(), vec![0]);
+        let (head, tails) = rec.restart(1);
+        let sliced = rec.slice_from(Some(1));
+        assert!(head.validate_with(&tails).is_empty());
+        assert_eq!(head.io_stmts_with(&tails), sliced.io_stmts());
+        assert_eq!(head.files, sliced.files);
+        for (pid, tail) in tails.iter().enumerate() {
+            let annotated = &rec.workload().programs[pid];
+            assert!(!tail.is_empty(), "round 2 replays");
+            assert!(
+                std::ptr::eq(tail.as_ptr_range().end, annotated.as_ptr_range().end),
+                "the tail is the annotated program's own suffix"
+            );
+            assert_eq!(
+                sliced.programs[pid],
+                [&head.programs[pid][..], tail].concat()
+            );
+        }
+        // A tail is validated as part of its node's program.
+        let extra = [tails[1], &[Stmt::Barrier]].concat();
+        assert!(!head.validate_with(&[tails[0], &extra]).is_empty());
     }
 
     #[test]

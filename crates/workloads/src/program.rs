@@ -94,9 +94,16 @@ impl Workload {
     /// completes records exactly one trace event, so this is the length
     /// of a finished run's trace.
     pub fn io_stmts(&self) -> usize {
+        self.io_stmts_with(&[])
+    }
+
+    /// [`io_stmts`](Workload::io_stmts) for a run in which node `p`
+    /// goes on to `tails[p]` after its own program.
+    pub fn io_stmts_with(&self, tails: &[&[Stmt]]) -> usize {
         self.programs
             .iter()
             .flatten()
+            .chain(tails.iter().copied().flatten())
             .filter(|s| matches!(s, Stmt::Io { .. }))
             .count()
     }
@@ -126,6 +133,12 @@ impl Workload {
     /// and M_ASYNC is not used under OSF/1 R1.2. Returns a list of
     /// problems (empty = valid).
     pub fn validate(&self) -> Vec<String> {
+        self.validate_with(&[])
+    }
+
+    /// [`validate`](Workload::validate) for a run in which node `p`
+    /// goes on to `tails[p]` after its own program.
+    pub fn validate_with(&self, tails: &[&[Stmt]]) -> Vec<String> {
         let mut problems = Vec::new();
         if self.programs.len() != self.nodes as usize {
             problems.push(format!(
@@ -136,8 +149,9 @@ impl Workload {
         }
         let mut collective_counts = Vec::with_capacity(self.programs.len());
         for (pid, prog) in self.programs.iter().enumerate() {
+            let tail = tails.get(pid).copied().unwrap_or_default();
             let mut collectives = 0u32;
-            for (i, stmt) in prog.iter().enumerate() {
+            for (i, stmt) in prog.iter().chain(tail).enumerate() {
                 match stmt {
                     Stmt::Io { file, op } => {
                         if *file as usize >= self.files.len() {
