@@ -14,6 +14,12 @@
 //! schedule's makespan, merged-trace digest and I/O-node utilization
 //! bits), fault-free and under seeded crashes and I/O faults, go to
 //! `tests/golden/schedule-<case>.json`.
+//! The derived benchmark suite (`sioscope_workloads::synthetic`) goes
+//! to `tests/golden/synthetic-suite.txt`: at `KernelConfig::small()`,
+//! each kernel's name, node count, file table and statement count with
+//! its run on the Caltech PFS (exact nanoseconds, events, trace length
+//! and `.siot` digest); at `paper_scale()`, each kernel's statement
+//! count and declared volume.
 //! The comparison is **string equality on the rendered JSON** — one
 //! nanosecond of drift anywhere fails the suite, which is exactly the
 //! guarantee an optimization pass needs: the refactored simulator must
@@ -32,13 +38,16 @@
 //! enough to run on every commit.
 
 use sioscope::experiments::{run_experiment, Experiment, Scale};
-use sioscope::simulator::RunResult;
+use sioscope::simulator::{run, RunResult, SimOptions};
 use sioscope::sweeps::{run_sweep, SweepId};
 use sioscope_campaign::json::Json;
-use sioscope_pfs::OpKind;
+use sioscope_pfs::{OpKind, PfsConfig};
 use sioscope_sim::Time;
 use sioscope_trace::TraceIndex;
+use sioscope_workloads::synthetic::{cray_cyclical, suite, KernelConfig};
+use sioscope_workloads::Workload;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 fn golden_dir() -> PathBuf {
@@ -402,5 +411,59 @@ fn schedules_match_goldens_bit_exact() {
             &mut failures,
         );
     }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// The nine kernels of the derived suite and the single-node Cray
+/// contrast, at one configuration.
+fn synthetic_kernels(cfg: &KernelConfig) -> Vec<Workload> {
+    let mut kernels = suite(cfg);
+    kernels.push(cray_cyclical(cfg, 5));
+    kernels
+}
+
+fn statements(w: &Workload) -> usize {
+    w.programs.iter().map(Vec::len).sum()
+}
+
+#[test]
+fn synthetic_suite_matches_golden_bit_exact() {
+    let mut out = String::new();
+    for w in synthetic_kernels(&KernelConfig::small()) {
+        let files: Vec<String> = w
+            .files
+            .iter()
+            .map(|f| format!("{}:{}", f.name, f.initial_size))
+            .collect();
+        let r = run(&w, PfsConfig::caltech(w.nodes, w.os), SimOptions::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        let _ = writeln!(
+            out,
+            "small {} nodes={} files=[{}] stmts={} exec_ns={} events={} trace={} digest={:016x}",
+            w.name,
+            w.nodes,
+            files.join(","),
+            statements(&w),
+            r.exec_time.as_nanos(),
+            r.events,
+            r.trace.len(),
+            sioscope_trace::binary::digest(&r.trace)
+        );
+    }
+    for w in synthetic_kernels(&KernelConfig::paper_scale()) {
+        let (read, written) = w.declared_volume();
+        let _ = writeln!(
+            out,
+            "paper_scale {} stmts={} read={read} written={written}",
+            w.name,
+            statements(&w)
+        );
+    }
+    let mut failures = Vec::new();
+    check_snapshot(
+        &golden_dir().join("synthetic-suite.txt"),
+        &out,
+        &mut failures,
+    );
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
