@@ -27,7 +27,7 @@ use crate::simulator::{simulate, RunResult};
 use crate::sweeps::{run_sweep, SweepId};
 use sioscope_faults::{FaultGen, FaultSchedule};
 pub use sioscope_pfs::BackendKind;
-use sioscope_pfs::{BackendConfig, BurstBufferConfig, ObjectStoreConfig, PfsConfig};
+use sioscope_pfs::{object, BackendConfig, BurstBufferConfig, ObjectStoreConfig, PfsConfig};
 use sioscope_sched::QueuePolicy;
 use sioscope_sim::Time;
 use sioscope_stream::StagingConfig;
@@ -471,7 +471,7 @@ fn simulate_fault_free(workload: &Workload, backend: BackendKind) -> FaultFree {
 
 /// `fault_events` faults of `backend`'s own kind drawn from `seed` over
 /// `horizon`.
-pub(crate) fn tier_faults(
+pub fn tier_faults(
     backend: BackendKind,
     workload: &Workload,
     horizon: Time,
@@ -481,7 +481,7 @@ pub(crate) fn tier_faults(
     let draw = |scope: u32| FaultGen::new(seed, horizon, scope).with_events(fault_events as usize);
     match tier_config(backend, workload, FaultSchedule::empty()) {
         BackendConfig::Pfs(c) => draw(c.machine.io_nodes).schedule(),
-        BackendConfig::Object(c) => draw(workload.nodes).object_schedule(c.md_shards.max(1) as u32),
+        BackendConfig::Object(_) => draw(workload.nodes).object_schedule(object::MD_SHARDS),
         BackendConfig::Burst(c) => draw(c.pfs.machine.io_nodes).burst_schedule(),
     }
 }

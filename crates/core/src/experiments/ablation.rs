@@ -16,7 +16,9 @@ use crate::simulator::{run, RunResult, SimOptions};
 use sioscope_pfs::{OpKind, PfsConfig, PolicyConfig};
 use sioscope_sim::Time;
 use sioscope_trace::TraceIndex;
-use sioscope_workloads::{EscatDataset, EscatVersion, PrismVersion, Workload};
+use sioscope_workloads::{
+    EscatDataset, EscatVersion, FileSpec, OsRelease, PrismVersion, ProgramBuilder, Workload,
+};
 use std::fmt::Write as _;
 
 /// What the ablation tables and checks read of one run. A fresh run is
@@ -132,50 +134,33 @@ pub(crate) fn aggregation(scale: Scale) -> ExperimentOutput {
 /// reads — the ESCAT version-A reload pattern, distilled so the
 /// benefit is not masked by the unrelated phase-one open storm.
 fn sequential_scan_workload(scale: Scale) -> Workload {
-    use sioscope_pfs::mode::OsRelease;
-    use sioscope_pfs::IoOp;
-    use sioscope_sim::Time;
-    use sioscope_workloads::{FileSpec, Stmt};
     let (nodes, file_mb, chunk) = match scale {
         Scale::Full => (16u32, 8u64, 4096u64),
         Scale::Smoke => (2, 1, 4096),
     };
-    let files: Vec<FileSpec> = (0..nodes)
-        .map(|i| FileSpec {
-            name: format!("scan/stage{i}"),
-            initial_size: file_mb << 20,
-        })
-        .collect();
-    let programs = (0..nodes)
-        .map(|pid| {
-            let mut prog = vec![Stmt::Io {
-                file: pid,
-                op: IoOp::Open,
-            }];
-            let total = file_mb << 20;
-            let mut read = 0;
-            while read < total {
-                prog.push(Stmt::Io {
-                    file: pid,
-                    op: IoOp::Read { size: chunk },
-                });
-                prog.push(Stmt::Compute(Time::from_micros(400)));
-                read += chunk;
-            }
-            prog.push(Stmt::Io {
-                file: pid,
-                op: IoOp::Close,
-            });
-            prog
-        })
-        .collect();
+    let total = file_mb << 20;
     Workload {
         name: "sequential-scan".into(),
         version: "scan".into(),
         os: OsRelease::Osf13,
         nodes,
-        files,
-        programs,
+        files: (0..nodes)
+            .map(|i| FileSpec {
+                name: format!("scan/stage{i}"),
+                initial_size: total,
+            })
+            .collect(),
+        programs: (0..nodes)
+            .map(|pid| {
+                let mut b = ProgramBuilder::new();
+                b.open(pid);
+                for _ in 0..total.div_ceil(chunk) {
+                    b.read(pid, chunk).compute(Time::from_micros(400));
+                }
+                b.close(pid);
+                b.build()
+            })
+            .collect(),
         phases: vec![],
     }
 }

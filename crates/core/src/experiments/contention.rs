@@ -22,11 +22,11 @@
 use crate::experiments::{Experiment, ExperimentOutput, Scale, ShapeCheck};
 use crate::schedule::{run_schedule, ScheduleOutcome};
 use sioscope_faults::FaultSchedule;
-use sioscope_pfs::{IoOp, PfsConfig};
+use sioscope_pfs::PfsConfig;
 use sioscope_sched::{JobStream, JobTemplate, QueuePolicy, StreamKind};
 use sioscope_sim::Time;
 use sioscope_trace::TraceIndex;
-use sioscope_workloads::{FileSpec, OsRelease, Stmt, Workload};
+use sioscope_workloads::{FileSpec, OsRelease, ProgramBuilder, Workload};
 use std::fmt::Write as _;
 
 /// Bounded-slowdown threshold for the per-class comparison. The
@@ -45,22 +45,12 @@ pub(crate) const COMPUTE_BOUND: usize = 1;
 /// `io_bytes` through a shared file, then a closing barrier. The
 /// compute/io balance is the experiment's knob.
 fn job_workload(name: &str, nodes: u32, io_bytes: u64, compute: Time) -> Workload {
-    let program = vec![
-        Stmt::Compute(compute),
-        Stmt::Io {
-            file: 0,
-            op: IoOp::Open,
-        },
-        Stmt::Io {
-            file: 0,
-            op: IoOp::Read { size: io_bytes },
-        },
-        Stmt::Io {
-            file: 0,
-            op: IoOp::Close,
-        },
-        Stmt::Barrier,
-    ];
+    let mut b = ProgramBuilder::new();
+    b.compute(compute)
+        .open(0)
+        .read(0, io_bytes)
+        .close(0)
+        .barrier();
     Workload {
         name: name.into(),
         version: "S".into(),
@@ -70,7 +60,7 @@ fn job_workload(name: &str, nodes: u32, io_bytes: u64, compute: Time) -> Workloa
             name: "input".into(),
             initial_size: 256 << 20,
         }],
-        programs: (0..nodes).map(|_| program.clone()).collect(),
+        programs: vec![b.build(); nodes as usize],
         phases: vec![],
     }
 }

@@ -20,7 +20,7 @@
 
 use crate::burst::BurstBufferConfig;
 use crate::error::PfsError;
-use crate::object::ObjectStoreConfig;
+use crate::object::{self, ObjectStoreConfig};
 use crate::op::{Completion, IoOp};
 use crate::resilience::ResilienceStats;
 use crate::server::{Pfs, PfsConfig};
@@ -235,7 +235,7 @@ impl BackendConfig {
             }
             BackendConfig::Object(c) => {
                 c.faults
-                    .validate_for_tier(Tier::Object, c.md_shards.max(1) as u32, compute_nodes)
+                    .validate_for_tier(Tier::Object, object::MD_SHARDS, compute_nodes)
             }
             BackendConfig::Burst(c) => {
                 let mut msgs = c.faults.validate_for_tier(Tier::Burst, 0, compute_nodes);

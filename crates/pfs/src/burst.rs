@@ -49,19 +49,24 @@ pub enum BurstAbsorb {
     Files(Vec<u32>),
 }
 
-/// Burst-buffer sizing and timing over an inner PFS.
+/// Local log append/lookup latency (NVMe-class).
+const LOG_LATENCY: Time = Time::from_micros(5);
+
+/// Per-process log bandwidth, bytes per second.
+const LOG_BANDWIDTH_BPS: u64 = 2_000_000_000;
+
+/// Background drain bandwidth to the PFS, bytes per second: roughly a
+/// 1996 I/O node's pace.
+pub const DRAIN_BANDWIDTH_BPS: u64 = 300_000_000;
+
+/// What varies between burst-buffer runs over an inner PFS: the PFS,
+/// what the log absorbs, and the faults.
 #[derive(Debug, Clone)]
 pub struct BurstBufferConfig {
     /// The backing store (and the machine/mesh the run executes on).
     pub pfs: PfsConfig,
     /// Which files the log absorbs.
     pub absorb: BurstAbsorb,
-    /// Local log append/lookup latency (NVMe-class).
-    pub log_latency: Time,
-    /// Per-process log bandwidth, bytes per second.
-    pub log_bandwidth_bps: u64,
-    /// Background drain bandwidth to the PFS, bytes per second.
-    pub drain_bandwidth_bps: u64,
     /// Injected *burst-tier* fault scenario (drain stalls, burst-node
     /// crashes). Faults of the inner PFS live in `pfs.faults`; the
     /// two schedules are validated against their own tiers.
@@ -70,14 +75,11 @@ pub struct BurstBufferConfig {
 
 impl BurstBufferConfig {
     /// A node-local NVMe log over the given PFS: microsecond appends,
-    /// ~2 GB/s absorb, drained at roughly a 1996 I/O node's pace.
+    /// ~2 GB/s absorb, drained at [`DRAIN_BANDWIDTH_BPS`].
     pub fn over(pfs: PfsConfig) -> Self {
         BurstBufferConfig {
             pfs,
             absorb: BurstAbsorb::All,
-            log_latency: Time::from_micros(5),
-            log_bandwidth_bps: 2_000_000_000,
-            drain_bandwidth_bps: 300_000_000,
             faults: FaultSchedule::empty(),
         }
     }
@@ -109,9 +111,6 @@ struct DrainEntry {
 /// The burst buffer: an absorbing log plus the inner PFS.
 pub struct BurstBuffer {
     absorb: BurstAbsorb,
-    log_latency: Time,
-    log_bandwidth_bps: u64,
-    drain_bandwidth_bps: u64,
     inner: Pfs,
     /// Private pointer per (file, process) for absorbed files; also
     /// the open-handle set.
@@ -149,9 +148,6 @@ impl BurstBuffer {
             .then(|| BurstFaultState::new(&cfg.faults));
         BurstBuffer {
             absorb: cfg.absorb,
-            log_latency: cfg.log_latency,
-            log_bandwidth_bps: cfg.log_bandwidth_bps.max(1),
-            drain_bandwidth_bps: cfg.drain_bandwidth_bps.max(1),
             inner: Pfs::new(cfg.pfs),
             handles: DetHashMap::default(),
             sizes: DetHashMap::default(),
@@ -184,7 +180,7 @@ impl BurstBuffer {
     /// retirement instant and lost verdict, advancing the virtual
     /// clock (a crash frees the channel at the crash instant).
     fn schedule_drain(&mut self, ready: Time, len: u64) -> (Time, bool) {
-        let xfer = Self::xfer(len, self.drain_bandwidth_bps);
+        let xfer = Self::xfer(len, DRAIN_BANDWIDTH_BPS);
         match &self.faults {
             None => {
                 let start = self.drain_virtual.max(ready);
@@ -300,7 +296,7 @@ impl StorageBackend for BurstBuffer {
                 // per-process at append latency.
                 self.handles.insert(key, 0);
                 self.stats.absorbed_ops += 1;
-                out.push(completion(now + self.log_latency, 0, 0));
+                out.push(completion(now + LOG_LATENCY, 0, 0));
                 Ok(true)
             }
             IoOp::Close => {
@@ -309,7 +305,7 @@ impl StorageBackend for BurstBuffer {
                 }
                 self.handles.remove(&key);
                 self.stats.absorbed_ops += 1;
-                out.push(completion(now + self.log_latency, 0, 0));
+                out.push(completion(now + LOG_LATENCY, 0, 0));
                 Ok(true)
             }
             IoOp::Seek { offset } => {
@@ -318,7 +314,7 @@ impl StorageBackend for BurstBuffer {
                 }
                 self.handles.insert(key, *offset);
                 self.stats.absorbed_ops += 1;
-                out.push(completion(now + self.log_latency, 0, *offset));
+                out.push(completion(now + LOG_LATENCY, 0, *offset));
                 Ok(true)
             }
             IoOp::SetIoMode { .. } | IoOp::SetBuffering { .. } | IoOp::Flush => {
@@ -327,7 +323,7 @@ impl StorageBackend for BurstBuffer {
                 }
                 let ptr = self.handles[&key];
                 self.stats.absorbed_ops += 1;
-                out.push(completion(now + self.log_latency, 0, ptr));
+                out.push(completion(now + LOG_LATENCY, 0, ptr));
                 Ok(true)
             }
             IoOp::Read { size } => {
@@ -340,10 +336,7 @@ impl StorageBackend for BurstBuffer {
                 let avail = self.sizes[&fid].saturating_sub(ptr);
                 let bytes = (*size).min(avail);
                 let cal = self.logs.entry(pid).or_default();
-                let res = cal.reserve(
-                    now + self.log_latency,
-                    Self::xfer(bytes, self.log_bandwidth_bps),
-                );
+                let res = cal.reserve(now + LOG_LATENCY, Self::xfer(bytes, LOG_BANDWIDTH_BPS));
                 self.stats.absorbed_ops += 1;
                 self.handles.insert(key, ptr + bytes);
                 out.push(completion(res.finish, bytes, ptr));
@@ -366,7 +359,7 @@ impl StorageBackend for BurstBuffer {
                 if down {
                     let state = self.faults.as_ref().expect("checked above");
                     let start = state.drain_clear(self.drain_virtual.max(now));
-                    let finish = start.saturating_add(Self::xfer(*size, self.drain_bandwidth_bps));
+                    let finish = start.saturating_add(Self::xfer(*size, DRAIN_BANDWIDTH_BPS));
                     self.drain_virtual = finish;
                     self.resilience.writethroughs += 1;
                     self.stats.passthrough_ops += 1;
@@ -377,10 +370,7 @@ impl StorageBackend for BurstBuffer {
                     return Ok(true);
                 }
                 let cal = self.logs.entry(pid).or_default();
-                let res = cal.reserve(
-                    now + self.log_latency,
-                    Self::xfer(*size, self.log_bandwidth_bps),
-                );
+                let res = cal.reserve(now + LOG_LATENCY, Self::xfer(*size, LOG_BANDWIDTH_BPS));
                 let ready = res.finish;
                 self.stats.bytes_logged += *size;
                 self.stats.bytes_resident += *size;

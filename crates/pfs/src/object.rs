@@ -16,13 +16,19 @@
 //! Timing model (all analytic, FIFO calendars):
 //!
 //! * metadata op (`open`/`gopen`/`close`): client → shard queue
-//!   (`md_service`) → client, one `net_latency` each way;
+//!   (`MD_SERVICE`) → client, one `NET_LATENCY` each way;
 //! * GET: metadata lookup on the object's shard, then the transfer on
-//!   the object's target at `bandwidth_bps`, then the return latency;
-//! * PUT: the same with an extra client-side `put_overhead`
+//!   the object's target at `BANDWIDTH_BPS`, then the return latency;
+//! * PUT: the same with an extra client-side `PUT_OVERHEAD`
 //!   (marshalling, erasure-coding prep) before the lookup;
 //! * `seek`/`setiomode`/`setbuffering`/`flush`: client-local at
-//!   `client_overhead` — there is no shared state to update.
+//!   `CLIENT_OVERHEAD` — there is no shared state to update.
+//!
+//! These are constants: one contemporary disaggregated store fronting
+//! the mesh the Paragon workloads ran on, with per-target bandwidth
+//! ~30x a 1996 RAID-3 array and metadata an order of magnitude faster
+//! than the PFS metadata server, where every request still pays a
+//! network round trip.
 
 use crate::backend::{BackendKind, BackendStats, StorageBackend};
 use crate::error::PfsError;
@@ -36,27 +42,34 @@ use sioscope_faults::{FaultSchedule, ObjectFaultState};
 use sioscope_machine::MachineConfig;
 use sioscope_sim::{CalendarPool, DetHashMap, FileId, Pid, Time};
 
-/// Object-store sizing and timing.
+/// Storage targets; an object lives wholly on `id % TARGETS`.
+const TARGETS: usize = 16;
+
+/// Metadata-service shards; an object's metadata lives on
+/// `id % MD_SHARDS`.
+pub const MD_SHARDS: u32 = 4;
+
+/// Service demand of one metadata operation on its shard.
+const MD_SERVICE: Time = Time::from_micros(10);
+
+/// Client-side cost of preparing a PUT before it leaves the node.
+const PUT_OVERHEAD: Time = Time::from_micros(30);
+
+/// One-way client/service network latency, paid each direction.
+const NET_LATENCY: Time = Time::from_micros(100);
+
+/// Client-local cost of pointer and mode bookkeeping.
+const CLIENT_OVERHEAD: Time = Time::from_micros(1);
+
+/// Sequential bandwidth of one target, bytes per second.
+const BANDWIDTH_BPS: u64 = 1_000_000_000;
+
+/// What varies between object-store runs: the mesh and the faults.
 #[derive(Debug, Clone)]
 pub struct ObjectStoreConfig {
     /// Mesh the gateways sit on (compute-node count is sized to the
     /// workload by the run driver, like the PFS machine).
     pub machine: MachineConfig,
-    /// Storage targets; an object lives wholly on `id % targets`.
-    pub targets: usize,
-    /// Metadata-service shards; an object's metadata lives on
-    /// `id % md_shards`.
-    pub md_shards: usize,
-    /// Service demand of one metadata operation on its shard.
-    pub md_service: Time,
-    /// Client-side cost of preparing a PUT before it leaves the node.
-    pub put_overhead: Time,
-    /// One-way client/service network latency, paid each direction.
-    pub net_latency: Time,
-    /// Client-local cost of pointer and mode bookkeeping.
-    pub client_overhead: Time,
-    /// Sequential bandwidth of one target, bytes per second.
-    pub bandwidth_bps: u64,
     /// Injected fault scenario (object-tier classes: metadata-shard
     /// outages and degraded-service windows). An empty, disengaged
     /// schedule keeps every computation bit-identical to a build
@@ -65,21 +78,10 @@ pub struct ObjectStoreConfig {
 }
 
 impl ObjectStoreConfig {
-    /// A contemporary disaggregated store fronting the same mesh the
-    /// Paragon workloads ran on: per-target bandwidth ~30x a 1996
-    /// RAID-3 array, metadata an order of magnitude faster than the
-    /// PFS metadata server, but every request still pays a network
-    /// round trip.
+    /// The store in front of the Caltech Paragon's mesh, fault-free.
     pub fn modern(compute_nodes: u32) -> Self {
         ObjectStoreConfig {
             machine: MachineConfig::caltech_paragon(compute_nodes),
-            targets: 16,
-            md_shards: 4,
-            md_service: Time::from_micros(10),
-            put_overhead: Time::from_micros(30),
-            net_latency: Time::from_micros(100),
-            client_overhead: Time::from_micros(1),
-            bandwidth_bps: 1_000_000_000,
             faults: FaultSchedule::empty(),
         }
     }
@@ -105,7 +107,6 @@ pub struct ObjectMeta {
 /// The flat-namespace store itself.
 #[derive(Debug, Clone)]
 pub struct ObjectStore {
-    cfg: ObjectStoreConfig,
     objects: Vec<ObjectMeta>,
     /// Private pointer per (object, process); also the open-handle set.
     handles: DetHashMap<(FileId, Pid), u64>,
@@ -121,18 +122,15 @@ pub struct ObjectStore {
 impl ObjectStore {
     /// Build an empty store.
     pub fn new(cfg: ObjectStoreConfig) -> Self {
-        let md = CalendarPool::new(cfg.md_shards.max(1));
-        let targets = CalendarPool::new(cfg.targets.max(1));
         let fault_state = cfg
             .faults
             .engages()
-            .then(|| ObjectFaultState::new(&cfg.faults, cfg.md_shards.max(1) as u32));
+            .then(|| ObjectFaultState::new(&cfg.faults, MD_SHARDS));
         ObjectStore {
-            cfg,
             objects: Vec::new(),
             handles: DetHashMap::default(),
-            md,
-            targets,
+            md: CalendarPool::new(MD_SHARDS as usize),
+            targets: CalendarPool::new(TARGETS),
             stats: BackendStats::default(),
             fault_state,
             resilience: ResilienceStats::default(),
@@ -153,8 +151,7 @@ impl ObjectStore {
     }
 
     fn transfer_time(&self, bytes: u64) -> Time {
-        let ns =
-            (u128::from(bytes) * 1_000_000_000u128) / u128::from(self.cfg.bandwidth_bps.max(1));
+        let ns = (u128::from(bytes) * 1_000_000_000u128) / u128::from(BANDWIDTH_BPS);
         Time::from_nanos(ns as u64)
     }
 
@@ -178,7 +175,7 @@ impl ObjectStore {
     /// compiled windows, so replays are bit-identical.
     fn md_reserve(&mut self, arrival: Time, fid: FileId) -> Time {
         let shard = self.shard(fid);
-        let service = self.cfg.md_service;
+        let service = MD_SERVICE;
         match &self.fault_state {
             None => self.md.reserve(shard, arrival, service).finish,
             Some(state) => {
@@ -239,8 +236,8 @@ impl ObjectStore {
 
     /// Metadata round trip: client → shard → client.
     fn metadata_op(&mut self, now: Time, fid: FileId) -> Time {
-        let finish = self.md_reserve(now + self.cfg.net_latency, fid);
-        finish + self.cfg.net_latency
+        let finish = self.md_reserve(now + NET_LATENCY, fid);
+        finish + NET_LATENCY
     }
 }
 
@@ -311,7 +308,7 @@ impl StorageBackend for ObjectStore {
                     return Err(PfsError::NotOpen { file: fid, pid });
                 }
                 self.handles.insert(key, *offset);
-                out.push(completion(now + self.cfg.client_overhead, 0, *offset));
+                out.push(completion(now + CLIENT_OVERHEAD, 0, *offset));
                 Ok(true)
             }
             IoOp::SetIoMode { .. } | IoOp::SetBuffering { .. } | IoOp::Flush => {
@@ -321,7 +318,7 @@ impl StorageBackend for ObjectStore {
                 // No shared modes to change, nothing buffered
                 // server-side to flush: client-local bookkeeping.
                 let ptr = self.handles[&key];
-                out.push(completion(now + self.cfg.client_overhead, 0, ptr));
+                out.push(completion(now + CLIENT_OVERHEAD, 0, ptr));
                 Ok(true)
             }
             IoOp::Read { size } => {
@@ -331,10 +328,10 @@ impl StorageBackend for ObjectStore {
                 let ptr = self.handles[&key];
                 let avail = self.objects[fid.index()].size.saturating_sub(ptr);
                 let bytes = (*size).min(avail);
-                let md_done = self.md_reserve(now + self.cfg.net_latency, fid);
+                let md_done = self.md_reserve(now + NET_LATENCY, fid);
                 let xfer = self.degraded_xfer(self.transfer_time(bytes), md_done);
                 let tgt = self.target(fid);
-                let finish = self.targets.reserve(tgt, md_done, xfer).finish + self.cfg.net_latency;
+                let finish = self.targets.reserve(tgt, md_done, xfer).finish + NET_LATENCY;
                 let meta = &mut self.objects[fid.index()];
                 meta.gets += 1;
                 self.stats.gets += 1;
@@ -347,11 +344,10 @@ impl StorageBackend for ObjectStore {
                     return Err(PfsError::NotOpen { file: fid, pid });
                 }
                 let ptr = self.handles[&key];
-                let md_done =
-                    self.md_reserve(now + self.cfg.put_overhead + self.cfg.net_latency, fid);
+                let md_done = self.md_reserve(now + PUT_OVERHEAD + NET_LATENCY, fid);
                 let xfer = self.degraded_xfer(self.transfer_time(*size), md_done);
                 let tgt = self.target(fid);
-                let finish = self.targets.reserve(tgt, md_done, xfer).finish + self.cfg.net_latency;
+                let finish = self.targets.reserve(tgt, md_done, xfer).finish + NET_LATENCY;
                 let meta = &mut self.objects[fid.index()];
                 meta.size = meta.size.max(ptr + *size);
                 meta.mtime = finish;

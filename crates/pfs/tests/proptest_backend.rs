@@ -17,8 +17,8 @@
 
 use sioscope_faults::{FaultGen, FaultKind, FaultSchedule};
 use sioscope_pfs::{
-    BurstAbsorb, BurstBuffer, BurstBufferConfig, IoOp, ObjectStore, ObjectStoreConfig, PfsConfig,
-    StorageBackend,
+    burst, BurstAbsorb, BurstBuffer, BurstBufferConfig, IoOp, ObjectStore, ObjectStoreConfig,
+    PfsConfig, StorageBackend,
 };
 use sioscope_prop::cases;
 use sioscope_sim::{DetRng, FileId, Pid, Time};
@@ -185,7 +185,7 @@ fn burst_drain_conserves_bytes_and_is_fifo() {
         let probe_gap_ns = rng.range_inclusive(0, 2_999_999_999);
         let mut cfg = BurstBufferConfig::over(PfsConfig::tiny());
         cfg.absorb = BurstAbsorb::All;
-        let drain_bps = cfg.drain_bandwidth_bps;
+        let drain_bps = burst::DRAIN_BANDWIDTH_BPS;
         let mut buffer = BurstBuffer::new(cfg);
         for fid in 0..2u32 {
             buffer.create_file_with_size(&format!("log-{fid}"), 0);

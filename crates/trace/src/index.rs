@@ -26,10 +26,7 @@
 //!   counts and duration totals. An event reaches its file and its pid
 //!   through one hash lookup each, into storage sized by the number of
 //!   distinct ids, never by the largest id. The ids are then sorted,
-//!   and a query finds a file, pid or job by binary search;
-//! * a **time-bucketed offset table** over the start column, so seeking
-//!   to a window boundary binary-searches one bucket instead of the
-//!   whole column.
+//!   and a query finds a file, pid or job by binary search.
 //!
 //! The sort-based views are built the first time a query asks for
 //! them, each behind its own [`OnceLock`], and kept from then on:
@@ -95,13 +92,6 @@ use sioscope_sim::{FileId, JobId, Pid, Time};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::OnceLock;
-
-/// Target events per bucket of the start-time offset table.
-const BUCKET_TARGET: usize = 64;
-
-/// Upper bound on the bucket count, keeping the offset table small
-/// even for enormous traces.
-const BUCKET_MAX: usize = 65_536;
 
 /// Number of operation kinds. Per-kind state lives in arrays indexed by
 /// `kind as usize`, whose order is the kinds' ascending order.
@@ -496,12 +486,6 @@ pub struct TraceIndex {
     /// the index was built with a [`JobMap`] (multi-tenant traces).
     job_ids: Vec<JobId>,
     by_job: Vec<JobIndex>,
-    /// Time-bucketed offset table over `starts`: `bucket_first[b]` is
-    /// the first column position with `start ≥ t_min + b·width`.
-    bucket_first: Vec<u32>,
-    bucket_width: u64,
-    t_min: Time,
-    t_max: Time,
     /// Every completion instant, ascending; built on first use.
     ends_sorted: OnceLock<Vec<Time>>,
     /// Per file (aligned with `file_ids`), the `Read` and `Write`
@@ -559,7 +543,6 @@ impl TraceIndex {
         index.file_ids = file_ids;
         index.by_file = file_accs.into_iter().map(FileIndex::from).collect();
         (index.pid_ids, index.by_pid) = pids.into_sorted();
-        index.build_bucket_table();
         index
     }
 
@@ -587,36 +570,6 @@ impl TraceIndex {
         }
         (index.job_ids, index.by_job) = jobs.into_sorted();
         index
-    }
-
-    fn build_bucket_table(&mut self) {
-        let n = self.starts.len();
-        if n == 0 {
-            self.bucket_first = vec![0, 0];
-            self.bucket_width = 1;
-            self.t_min = Time::ZERO;
-            self.t_max = Time::ZERO;
-            return;
-        }
-        self.t_min = self.starts[0];
-        self.t_max = self.starts[n - 1];
-        let nb = (n / BUCKET_TARGET).clamp(1, BUCKET_MAX);
-        let span = self.t_max.as_nanos() - self.t_min.as_nanos();
-        // width · nb > span, so every start ≤ t_max falls in a bucket.
-        let width = span / nb as u64 + 1;
-        let mut bucket_first = Vec::with_capacity(nb + 1);
-        for b in 0..=nb {
-            let boundary = u128::from(self.t_min.as_nanos()) + u128::from(width) * b as u128;
-            let pos = if boundary > u128::from(u64::MAX) {
-                n
-            } else {
-                self.starts
-                    .partition_point(|s| u128::from(s.as_nanos()) < boundary)
-            };
-            bucket_first.push(pos as u32);
-        }
-        self.bucket_first = bucket_first;
-        self.bucket_width = width;
     }
 
     fn kind(&self, kind: OpKind) -> &KindIndex {
@@ -907,21 +860,9 @@ impl TraceIndex {
         self.job(job).map_or(0, |j| j.idxs.len())
     }
 
-    /// First canonical position with `start ≥ t`: a bucket lookup in
-    /// the time-offset table plus a binary search within one bucket.
+    /// First canonical position with `start ≥ t`.
     pub(crate) fn first_at_or_after(&self, t: Time) -> usize {
-        let n = self.len();
-        if n == 0 || t <= self.t_min {
-            return 0;
-        }
-        if t > self.t_max {
-            return n;
-        }
-        let b = ((t.as_nanos() - self.t_min.as_nanos()) / self.bucket_width) as usize;
-        let b = b.min(self.bucket_first.len() - 2);
-        let lo = self.bucket_first[b] as usize;
-        let hi = self.bucket_first[b + 1] as usize;
-        lo + self.starts[lo..hi].partition_point(|&s| s < t)
+        self.starts.partition_point(|&s| s < t)
     }
 
     /// Events whose start lies in `[t0, t1)`, in canonical order.
@@ -1199,26 +1140,6 @@ mod tests {
                 Time::from_secs(10)
             ]
         );
-    }
-
-    #[test]
-    fn bucket_table_lower_bound_agrees_with_partition_point() {
-        let events: Vec<IoEvent> = (0..500)
-            .map(|i| ev(0, 0, OpKind::Read, (i * 7) % 97, 1, 1, 0))
-            .collect();
-        let idx = TraceIndex::build(&events);
-        for t in 0..100u64 {
-            let t = Time::from_secs(t);
-            let expect = idx.starts().partition_point(|&s| s < t);
-            assert_eq!(idx.first_at_or_after(t), expect, "at {t}");
-        }
-        assert_eq!(idx.first_at_or_after(Time::MAX), idx.len());
-        let in_window: Vec<IoEvent> = idx
-            .starting_in(Time::from_secs(10), Time::from_secs(20))
-            .collect();
-        assert!(in_window
-            .iter()
-            .all(|e| e.start >= Time::from_secs(10) && e.start < Time::from_secs(20)));
     }
 
     #[test]

@@ -290,8 +290,8 @@ fn permutation_sort_equals_sort_by_key() {
     });
 }
 
-/// `starting_in` (bucket-table lookups) equals the filtered scan over
-/// the sorted trace.
+/// `starting_in` (two binary searches of the start column) equals the
+/// filtered scan over the sorted trace.
 #[test]
 fn starting_in_matches_filtered_scan() {
     cases("starting_in_matches_filtered_scan", 256, |rng| {

@@ -6,41 +6,41 @@ use sioscope_sim::{DetRng, Time};
 
 /// Builds one node's statement sequence.
 #[derive(Debug, Default)]
-pub(crate) struct ProgramBuilder {
+pub struct ProgramBuilder {
     stmts: Vec<Stmt>,
 }
 
 impl ProgramBuilder {
     /// An empty program.
-    pub(crate) fn new() -> Self {
+    pub fn new() -> Self {
         Self::default()
     }
 
-    /// Append a compute burst, optionally jittered by `rng`.
-    pub(crate) fn compute(&mut self, dur: Time) -> &mut Self {
+    /// Append a compute burst.
+    pub fn compute(&mut self, dur: Time) -> &mut Self {
         self.stmts.push(Stmt::Compute(dur));
         self
     }
 
     /// Append a jittered compute burst (±`frac` multiplicative).
-    pub(crate) fn compute_jittered(&mut self, dur: Time, frac: f64, rng: &mut DetRng) -> &mut Self {
+    pub fn compute_jittered(&mut self, dur: Time, frac: f64, rng: &mut DetRng) -> &mut Self {
         self.stmts.push(Stmt::Compute(rng.jitter(dur, frac)));
         self
     }
 
     /// Append an arbitrary I/O statement.
-    pub(crate) fn io(&mut self, file: u32, op: IoOp) -> &mut Self {
+    pub fn io(&mut self, file: u32, op: IoOp) -> &mut Self {
         self.stmts.push(Stmt::Io { file, op });
         self
     }
 
     /// Non-collective open.
-    pub(crate) fn open(&mut self, file: u32) -> &mut Self {
+    pub fn open(&mut self, file: u32) -> &mut Self {
         self.io(file, IoOp::Open)
     }
 
     /// Collective open setting the mode.
-    pub(crate) fn gopen(&mut self, file: u32, group: u32, mode: IoMode) -> &mut Self {
+    pub fn gopen(&mut self, file: u32, group: u32, mode: IoMode) -> &mut Self {
         self.io(
             file,
             IoOp::Gopen {
@@ -51,8 +51,20 @@ impl ProgramBuilder {
         )
     }
 
+    /// Collective M_RECORD open with `record` bytes per node per round.
+    pub fn gopen_record(&mut self, file: u32, group: u32, record: u64) -> &mut Self {
+        self.io(
+            file,
+            IoOp::Gopen {
+                group,
+                mode: IoMode::MRecord,
+                record_size: Some(record),
+            },
+        )
+    }
+
     /// Collective mode change.
-    pub(crate) fn setiomode(&mut self, file: u32, group: u32, mode: IoMode) -> &mut Self {
+    pub fn setiomode(&mut self, file: u32, group: u32, mode: IoMode) -> &mut Self {
         self.io(
             file,
             IoOp::SetIoMode {
@@ -64,12 +76,12 @@ impl ProgramBuilder {
     }
 
     /// Read `size` bytes at the current pointer.
-    pub(crate) fn read(&mut self, file: u32, size: u64) -> &mut Self {
+    pub fn read(&mut self, file: u32, size: u64) -> &mut Self {
         self.io(file, IoOp::Read { size })
     }
 
     /// `n` consecutive reads of `size` bytes.
-    pub(crate) fn read_n(&mut self, file: u32, n: u32, size: u64) -> &mut Self {
+    pub fn read_n(&mut self, file: u32, n: u32, size: u64) -> &mut Self {
         for _ in 0..n {
             self.read(file, size);
         }
@@ -77,12 +89,12 @@ impl ProgramBuilder {
     }
 
     /// Write `size` bytes at the current pointer.
-    pub(crate) fn write(&mut self, file: u32, size: u64) -> &mut Self {
+    pub fn write(&mut self, file: u32, size: u64) -> &mut Self {
         self.io(file, IoOp::Write { size })
     }
 
     /// `n` consecutive writes of `size` bytes.
-    pub(crate) fn write_n(&mut self, file: u32, n: u32, size: u64) -> &mut Self {
+    pub fn write_n(&mut self, file: u32, n: u32, size: u64) -> &mut Self {
         for _ in 0..n {
             self.write(file, size);
         }
@@ -90,39 +102,39 @@ impl ProgramBuilder {
     }
 
     /// Seek to an absolute offset.
-    pub(crate) fn seek(&mut self, file: u32, offset: u64) -> &mut Self {
+    pub fn seek(&mut self, file: u32, offset: u64) -> &mut Self {
         self.io(file, IoOp::Seek { offset })
     }
 
     /// Enable/disable client buffering.
-    pub(crate) fn set_buffering(&mut self, file: u32, enabled: bool) -> &mut Self {
+    pub fn set_buffering(&mut self, file: u32, enabled: bool) -> &mut Self {
         self.io(file, IoOp::SetBuffering { enabled })
     }
 
     /// Close the file.
-    pub(crate) fn close(&mut self, file: u32) -> &mut Self {
+    pub fn close(&mut self, file: u32) -> &mut Self {
         self.io(file, IoOp::Close)
     }
 
     /// Flush the file.
-    pub(crate) fn flush(&mut self, file: u32) -> &mut Self {
+    pub fn flush(&mut self, file: u32) -> &mut Self {
         self.io(file, IoOp::Flush)
     }
 
     /// Global barrier.
-    pub(crate) fn barrier(&mut self) -> &mut Self {
+    pub fn barrier(&mut self) -> &mut Self {
         self.stmts.push(Stmt::Barrier);
         self
     }
 
     /// Broadcast from `root`.
-    pub(crate) fn broadcast(&mut self, root: u32, bytes: u64) -> &mut Self {
+    pub fn broadcast(&mut self, root: u32, bytes: u64) -> &mut Self {
         self.stmts.push(Stmt::Broadcast { root, bytes });
         self
     }
 
     /// Gather to `root`.
-    pub(crate) fn gather(&mut self, root: u32, bytes_per_node: u64) -> &mut Self {
+    pub fn gather(&mut self, root: u32, bytes_per_node: u64) -> &mut Self {
         self.stmts.push(Stmt::Gather {
             root,
             bytes_per_node,
@@ -132,7 +144,7 @@ impl ProgramBuilder {
 
     /// Finish, yielding the statement list without spare capacity (a
     /// workload holds one list per node for its whole lifetime).
-    pub(crate) fn build(mut self) -> Vec<Stmt> {
+    pub fn build(mut self) -> Vec<Stmt> {
         self.stmts.shrink_to_fit();
         self.stmts
     }

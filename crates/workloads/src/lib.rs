@@ -23,7 +23,8 @@
 //!
 //! [`synthetic`] additionally provides the parallel-file-system
 //! benchmark kernels the paper says should be derived from these
-//! characterizations (§7).
+//! characterizations (§7). The ESCAT, PRISM and synthetic generators
+//! all write their node programs through [`ProgramBuilder`].
 
 pub mod builder;
 pub mod checkpoint;
@@ -34,6 +35,7 @@ pub mod replay;
 pub mod streaming;
 pub mod synthetic;
 
+pub use builder::ProgramBuilder;
 pub use checkpoint::{CheckpointPolicy, Recoverable};
 pub use escat::{EscatConfig, EscatDataset, EscatVersion};
 pub use prism::{PrismConfig, PrismVersion};

@@ -20,9 +20,10 @@
 //! | `staging_pipeline` | ESCAT's write-then-reload staging cycle |
 //! | `msync_result_gather` | node-ordered variable-size result output (M_SYNC) |
 
-use crate::program::{FileSpec, Stmt, Workload};
+use crate::builder::ProgramBuilder;
+use crate::program::{FileSpec, Workload};
 use sioscope_pfs::mode::OsRelease;
-use sioscope_pfs::{IoMode, IoOp};
+use sioscope_pfs::IoMode;
 use sioscope_sim::{DetRng, Time};
 
 /// Common kernel parameters.
@@ -70,14 +71,30 @@ impl KernelConfig {
     }
 }
 
-fn workload(name: &str, nodes: u32, files: Vec<FileSpec>, programs: Vec<Vec<Stmt>>) -> Workload {
+/// A kernel over one shared file `(file, size)`: node `pid`'s program
+/// is what `program(pid, _)` writes.
+fn kernel(
+    name: &str,
+    nodes: u32,
+    (file, size): (&str, u64),
+    program: impl Fn(u32, &mut ProgramBuilder),
+) -> Workload {
     Workload {
         name: format!("synthetic/{name}"),
         version: "bench".into(),
         os: OsRelease::Osf13,
         nodes,
-        files,
-        programs,
+        files: vec![FileSpec {
+            name: file.into(),
+            initial_size: size,
+        }],
+        programs: (0..nodes)
+            .map(|pid| {
+                let mut b = ProgramBuilder::new();
+                program(pid, &mut b);
+                b.build()
+            })
+            .collect(),
         phases: vec![],
     }
 }
@@ -85,48 +102,17 @@ fn workload(name: &str, nodes: u32, files: Vec<FileSpec>, programs: Vec<Vec<Stmt
 /// Every node scans its own contiguous region of a shared file
 /// sequentially — the staged-data reload pattern.
 pub(crate) fn sequential_scan(cfg: &KernelConfig) -> Workload {
-    let per_node = cfg.requests_per_node() * cfg.request;
-    let programs = (0..cfg.nodes)
-        .map(|pid| {
-            let mut p = vec![
-                Stmt::Io {
-                    file: 0,
-                    op: IoOp::Gopen {
-                        group: cfg.nodes,
-                        mode: IoMode::MAsync,
-                        record_size: None,
-                    },
-                },
-                Stmt::Io {
-                    file: 0,
-                    op: IoOp::Seek {
-                        offset: u64::from(pid) * per_node,
-                    },
-                },
-            ];
-            for _ in 0..cfg.requests_per_node() {
-                p.push(Stmt::Io {
-                    file: 0,
-                    op: IoOp::Read { size: cfg.request },
-                });
-                p.push(Stmt::Compute(cfg.think_time));
-            }
-            p.push(Stmt::Io {
-                file: 0,
-                op: IoOp::Close,
-            });
-            p
-        })
-        .collect();
-    workload(
-        "sequential-scan",
-        cfg.nodes,
-        vec![FileSpec {
-            name: "scan.dat".into(),
-            initial_size: per_node * u64::from(cfg.nodes),
-        }],
-        programs,
-    )
+    let reqs = cfg.requests_per_node();
+    let per_node = reqs * cfg.request;
+    let file = ("scan.dat", per_node * u64::from(cfg.nodes));
+    kernel("sequential-scan", cfg.nodes, file, |pid, b| {
+        let start = u64::from(pid) * per_node;
+        b.gopen(0, cfg.nodes, IoMode::MAsync).seek(0, start);
+        for _ in 0..reqs {
+            b.read(0, cfg.request).compute(cfg.think_time);
+        }
+        b.close(0);
+    })
 }
 
 /// Nodes read interleaved stripes of a shared file: node `i` reads
@@ -134,93 +120,42 @@ pub(crate) fn sequential_scan(cfg: &KernelConfig) -> Workload {
 /// strided distribution of a block-cyclic matrix.
 pub(crate) fn strided_read(cfg: &KernelConfig) -> Workload {
     let reqs = cfg.requests_per_node();
-    let programs = (0..cfg.nodes)
-        .map(|pid| {
-            let mut p = vec![Stmt::Io {
-                file: 0,
-                op: IoOp::Gopen {
-                    group: cfg.nodes,
-                    mode: IoMode::MAsync,
-                    record_size: None,
-                },
-            }];
-            for k in 0..reqs {
-                let offset = (k * u64::from(cfg.nodes) + u64::from(pid)) * cfg.request;
-                p.push(Stmt::Io {
-                    file: 0,
-                    op: IoOp::Seek { offset },
-                });
-                p.push(Stmt::Io {
-                    file: 0,
-                    op: IoOp::Read { size: cfg.request },
-                });
-                p.push(Stmt::Compute(cfg.think_time));
-            }
-            p.push(Stmt::Io {
-                file: 0,
-                op: IoOp::Close,
-            });
-            p
-        })
-        .collect();
-    workload(
-        "strided-read",
-        cfg.nodes,
-        vec![FileSpec {
-            name: "strided.dat".into(),
-            initial_size: reqs * u64::from(cfg.nodes) * cfg.request,
-        }],
-        programs,
-    )
+    let nodes = u64::from(cfg.nodes);
+    let file = ("strided.dat", reqs * nodes * cfg.request);
+    kernel("strided-read", cfg.nodes, file, |pid, b| {
+        b.gopen(0, cfg.nodes, IoMode::MAsync);
+        for k in 0..reqs {
+            let offset = (k * nodes + u64::from(pid)) * cfg.request;
+            b.seek(0, offset).read(0, cfg.request);
+            b.compute(cfg.think_time);
+        }
+        b.close(0);
+    })
 }
 
 /// Synchronized periodic write bursts from node zero (measurement
 /// records) plus all-node barriers — the checkpoint shape.
 pub(crate) fn checkpoint_burst(cfg: &KernelConfig, bursts: u32) -> Workload {
     let writes_per_burst = (cfg.requests_per_node() / u64::from(bursts.max(1))).max(1);
-    let programs = (0..cfg.nodes)
-        .map(|pid| {
-            let mut p = Vec::new();
-            if pid == 0 {
-                p.push(Stmt::Io {
-                    file: 0,
-                    op: IoOp::Open,
-                });
-            }
-            for _ in 0..bursts {
-                p.push(Stmt::Compute(Time::from_millis(200)));
-                if pid == 0 {
-                    for _ in 0..writes_per_burst {
-                        p.push(Stmt::Io {
-                            file: 0,
-                            op: IoOp::Write { size: cfg.request },
-                        });
-                    }
-                    p.push(Stmt::Io {
-                        file: 0,
-                        op: IoOp::Flush,
-                    });
+    kernel("checkpoint-burst", cfg.nodes, ("ckpt.dat", 0), |pid, b| {
+        let writer = pid == 0;
+        if writer {
+            b.open(0);
+        }
+        for _ in 0..bursts {
+            b.compute(Time::from_millis(200));
+            if writer {
+                for _ in 0..writes_per_burst {
+                    b.write(0, cfg.request);
                 }
-                p.push(Stmt::Barrier);
+                b.flush(0);
             }
-            if pid == 0 {
-                p.push(Stmt::Io {
-                    file: 0,
-                    op: IoOp::Close,
-                });
-            }
-            p
-        })
-        .collect();
-    workload(
-        "checkpoint-burst",
-        cfg.nodes,
-        vec![FileSpec {
-            name: "ckpt.dat".into(),
-            initial_size: 0,
-        }],
-        programs,
-    )
+            b.barrier();
+        }
+        if writer {
+            b.close(0);
+        }
+    })
 }
 
 /// All nodes reload staged data in node-ordered M_RECORD rounds —
@@ -228,119 +163,44 @@ pub(crate) fn checkpoint_burst(cfg: &KernelConfig, bursts: u32) -> Workload {
 /// that tiles (`total = nodes * request * rounds`).
 pub(crate) fn collective_reload(cfg: &KernelConfig) -> Workload {
     let rounds = cfg.requests_per_node().max(1);
-    let programs = (0..cfg.nodes)
-        .map(|_| {
-            let mut p = vec![Stmt::Io {
-                file: 0,
-                op: IoOp::Gopen {
-                    group: cfg.nodes,
-                    mode: IoMode::MRecord,
-                    record_size: Some(cfg.request),
-                },
-            }];
-            for _ in 0..rounds {
-                p.push(Stmt::Io {
-                    file: 0,
-                    op: IoOp::Read { size: cfg.request },
-                });
-                p.push(Stmt::Compute(cfg.think_time));
-            }
-            p.push(Stmt::Io {
-                file: 0,
-                op: IoOp::Close,
-            });
-            p
-        })
-        .collect();
-    workload(
-        "collective-reload",
-        cfg.nodes,
-        vec![FileSpec {
-            name: "staged.dat".into(),
-            initial_size: rounds * u64::from(cfg.nodes) * cfg.request,
-        }],
-        programs,
-    )
+    let file = ("staged.dat", rounds * u64::from(cfg.nodes) * cfg.request);
+    kernel("collective-reload", cfg.nodes, file, |_, b| {
+        b.gopen_record(0, cfg.nodes, cfg.request);
+        for _ in 0..rounds {
+            b.read(0, cfg.request).compute(cfg.think_time);
+        }
+        b.close(0);
+    })
 }
 
 /// All nodes read the same initialization data through M_GLOBAL —
 /// one disk access per request regardless of node count.
 pub(crate) fn global_init_read(cfg: &KernelConfig) -> Workload {
     let reqs = (cfg.total_bytes / cfg.request).clamp(1, 4096);
-    let programs = (0..cfg.nodes)
-        .map(|_| {
-            let mut p = vec![Stmt::Io {
-                file: 0,
-                op: IoOp::Gopen {
-                    group: cfg.nodes,
-                    mode: IoMode::MGlobal,
-                    record_size: None,
-                },
-            }];
-            for _ in 0..reqs {
-                p.push(Stmt::Io {
-                    file: 0,
-                    op: IoOp::Read { size: cfg.request },
-                });
-            }
-            p.push(Stmt::Io {
-                file: 0,
-                op: IoOp::Close,
-            });
-            p
-        })
-        .collect();
-    workload(
-        "global-init-read",
-        cfg.nodes,
-        vec![FileSpec {
-            name: "init.dat".into(),
-            initial_size: reqs * cfg.request,
-        }],
-        programs,
-    )
+    let file = ("init.dat", reqs * cfg.request);
+    kernel("global-init-read", cfg.nodes, file, |_, b| {
+        b.gopen(0, cfg.nodes, IoMode::MGlobal);
+        for _ in 0..reqs {
+            b.read(0, cfg.request);
+        }
+        b.close(0);
+    })
 }
 
 /// Unsynchronized first-come-first-served appends to a shared log —
 /// the stdout pattern (M_LOG).
 pub(crate) fn log_append(cfg: &KernelConfig) -> Workload {
     let reqs = cfg.requests_per_node();
-    let mut root_rng = DetRng::new(cfg.seed);
-    let programs = (0..cfg.nodes)
-        .map(|pid| {
-            let mut rng = root_rng.fork(u64::from(pid));
-            let mut p = vec![Stmt::Io {
-                file: 0,
-                op: IoOp::Gopen {
-                    group: cfg.nodes,
-                    mode: IoMode::MLog,
-                    record_size: None,
-                },
-            }];
-            for _ in 0..reqs {
-                p.push(Stmt::Compute(rng.jitter(cfg.think_time, 0.5)));
-                p.push(Stmt::Io {
-                    file: 0,
-                    op: IoOp::Write { size: cfg.request },
-                });
-            }
-            p.push(Stmt::Io {
-                file: 0,
-                op: IoOp::Close,
-            });
-            p
-        })
-        .collect();
-    let _ = &mut root_rng;
-    workload(
-        "log-append",
-        cfg.nodes,
-        vec![FileSpec {
-            name: "app.log".into(),
-            initial_size: 0,
-        }],
-        programs,
-    )
+    let root_rng = DetRng::new(cfg.seed);
+    kernel("log-append", cfg.nodes, ("app.log", 0), |pid, b| {
+        let mut rng = root_rng.fork(u64::from(pid));
+        b.gopen(0, cfg.nodes, IoMode::MLog);
+        for _ in 0..reqs {
+            b.compute_jittered(cfg.think_time, 0.5, &mut rng)
+                .write(0, cfg.request);
+        }
+        b.close(0);
+    })
 }
 
 /// Random small reads over a large shared file with buffering off —
@@ -349,51 +209,18 @@ pub(crate) fn random_small_io(cfg: &KernelConfig) -> Workload {
     let reqs = cfg.requests_per_node();
     let extent = cfg.total_bytes.max(cfg.request * 2);
     let root_rng = DetRng::new(cfg.seed);
-    let programs = (0..cfg.nodes)
-        .map(|pid| {
-            let mut rng = root_rng.fork(u64::from(pid));
-            let mut p = vec![
-                Stmt::Io {
-                    file: 0,
-                    op: IoOp::Gopen {
-                        group: cfg.nodes,
-                        mode: IoMode::MAsync,
-                        record_size: None,
-                    },
-                },
-                Stmt::Io {
-                    file: 0,
-                    op: IoOp::SetBuffering { enabled: false },
-                },
-            ];
-            for _ in 0..reqs {
-                let offset = rng.range_inclusive(0, extent - cfg.request);
-                p.push(Stmt::Io {
-                    file: 0,
-                    op: IoOp::Seek { offset },
-                });
-                p.push(Stmt::Io {
-                    file: 0,
-                    op: IoOp::Read { size: cfg.request },
-                });
-                p.push(Stmt::Compute(cfg.think_time));
-            }
-            p.push(Stmt::Io {
-                file: 0,
-                op: IoOp::Close,
-            });
-            p
-        })
-        .collect();
-    workload(
-        "random-small-io",
-        cfg.nodes,
-        vec![FileSpec {
-            name: "random.dat".into(),
-            initial_size: extent,
-        }],
-        programs,
-    )
+    let file = ("random.dat", extent);
+    kernel("random-small-io", cfg.nodes, file, |pid, b| {
+        let mut rng = root_rng.fork(u64::from(pid));
+        b.gopen(0, cfg.nodes, IoMode::MAsync);
+        b.set_buffering(0, false);
+        for _ in 0..reqs {
+            let offset = rng.range_inclusive(0, extent - cfg.request);
+            b.seek(0, offset).read(0, cfg.request);
+            b.compute(cfg.think_time);
+        }
+        b.close(0);
+    })
 }
 
 /// Write staged data from all nodes (M_ASYNC), synchronize, reload it
@@ -402,66 +229,18 @@ pub(crate) fn staging_pipeline(cfg: &KernelConfig) -> Workload {
     let record = cfg.request.max(64 << 10);
     let rounds = (cfg.total_bytes / (u64::from(cfg.nodes) * record)).max(1);
     let per_node = rounds * record;
-    let programs = (0..cfg.nodes)
-        .map(|pid| {
-            let mut p = vec![
-                Stmt::Io {
-                    file: 0,
-                    op: IoOp::Gopen {
-                        group: cfg.nodes,
-                        mode: IoMode::MAsync,
-                        record_size: None,
-                    },
-                },
-                Stmt::Io {
-                    file: 0,
-                    op: IoOp::Seek {
-                        offset: u64::from(pid) * per_node,
-                    },
-                },
-            ];
-            for _ in 0..rounds {
-                p.push(Stmt::Io {
-                    file: 0,
-                    op: IoOp::Write { size: record },
-                });
-                p.push(Stmt::Compute(cfg.think_time));
-            }
-            p.push(Stmt::Io {
-                file: 0,
-                op: IoOp::Close,
-            });
-            p.push(Stmt::Barrier);
-            p.push(Stmt::Io {
-                file: 0,
-                op: IoOp::Gopen {
-                    group: cfg.nodes,
-                    mode: IoMode::MRecord,
-                    record_size: Some(record),
-                },
-            });
-            for _ in 0..rounds {
-                p.push(Stmt::Io {
-                    file: 0,
-                    op: IoOp::Read { size: record },
-                });
-            }
-            p.push(Stmt::Io {
-                file: 0,
-                op: IoOp::Close,
-            });
-            p
-        })
-        .collect();
-    workload(
-        "staging-pipeline",
-        cfg.nodes,
-        vec![FileSpec {
-            name: "stage.dat".into(),
-            initial_size: 0,
-        }],
-        programs,
-    )
+    kernel("staging-pipeline", cfg.nodes, ("stage.dat", 0), |pid, b| {
+        let start = u64::from(pid) * per_node;
+        b.gopen(0, cfg.nodes, IoMode::MAsync).seek(0, start);
+        for _ in 0..rounds {
+            b.write(0, record).compute(cfg.think_time);
+        }
+        b.close(0).barrier().gopen_record(0, cfg.nodes, record);
+        for _ in 0..rounds {
+            b.read(0, record);
+        }
+        b.close(0);
+    })
 }
 
 /// Every node contributes a variable-size result record to a shared
@@ -470,40 +249,15 @@ pub(crate) fn staging_pipeline(cfg: &KernelConfig) -> Workload {
 /// bytes per round.
 pub(crate) fn msync_result_gather(cfg: &KernelConfig) -> Workload {
     let rounds = cfg.requests_per_node().clamp(1, 512);
-    let programs = (0..cfg.nodes)
-        .map(|pid| {
-            let my_size = cfg.request + u64::from(pid) * 256;
-            let mut p = vec![Stmt::Io {
-                file: 0,
-                op: IoOp::Gopen {
-                    group: cfg.nodes,
-                    mode: IoMode::MSync,
-                    record_size: None,
-                },
-            }];
-            for _ in 0..rounds {
-                p.push(Stmt::Compute(cfg.think_time));
-                p.push(Stmt::Io {
-                    file: 0,
-                    op: IoOp::Write { size: my_size },
-                });
-            }
-            p.push(Stmt::Io {
-                file: 0,
-                op: IoOp::Close,
-            });
-            p
-        })
-        .collect();
-    workload(
-        "msync-result-gather",
-        cfg.nodes,
-        vec![FileSpec {
-            name: "results.dat".into(),
-            initial_size: 0,
-        }],
-        programs,
-    )
+    let file = ("results.dat", 0);
+    kernel("msync-result-gather", cfg.nodes, file, |pid, b| {
+        let my_size = cfg.request + u64::from(pid) * 256;
+        b.gopen(0, cfg.nodes, IoMode::MSync);
+        for _ in 0..rounds {
+            b.compute(cfg.think_time).write(0, my_size);
+        }
+        b.close(0);
+    })
 }
 
 /// A vector-supercomputer-era workload for the §2 related-work
@@ -514,32 +268,16 @@ pub(crate) fn msync_result_gather(cfg: &KernelConfig) -> Workload {
 /// Paragon workloads look irregular.
 pub fn cray_cyclical(cfg: &KernelConfig, cycles: u32) -> Workload {
     let writes_per_cycle = (cfg.requests_per_node() / u64::from(cycles.max(1))).max(1);
-    let mut p = vec![Stmt::Io {
-        file: 0,
-        op: IoOp::Open,
-    }];
-    for _ in 0..cycles {
-        p.push(Stmt::Compute(Time::from_secs(30)));
-        for _ in 0..writes_per_cycle {
-            p.push(Stmt::Io {
-                file: 0,
-                op: IoOp::Write { size: cfg.request },
-            });
+    kernel("cray-cyclical", 1, ("cray.dat", 0), |_, b| {
+        b.open(0);
+        for _ in 0..cycles {
+            b.compute(Time::from_secs(30));
+            for _ in 0..writes_per_cycle {
+                b.write(0, cfg.request);
+            }
         }
-    }
-    p.push(Stmt::Io {
-        file: 0,
-        op: IoOp::Close,
-    });
-    workload(
-        "cray-cyclical",
-        1,
-        vec![FileSpec {
-            name: "cray.dat".into(),
-            initial_size: 0,
-        }],
-        vec![p],
-    )
+        b.close(0);
+    })
 }
 
 /// All kernels, with names, at one configuration.
@@ -560,6 +298,8 @@ pub fn suite(cfg: &KernelConfig) -> Vec<Workload> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::Stmt;
+    use sioscope_pfs::IoOp;
 
     #[test]
     fn all_kernels_validate() {

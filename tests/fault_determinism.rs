@@ -15,7 +15,7 @@
 //! vocabulary replays exactly (resilience ledger and byte ledger
 //! included).
 
-use sioscope::canon::tier_config;
+use sioscope::canon::{tier_config, tier_faults};
 use sioscope::simulator::{run, run_backend, RunResult, SimOptions};
 use sioscope_faults::{FaultGen, FaultSchedule};
 use sioscope_pfs::{BackendKind, PfsConfig};
@@ -84,17 +84,6 @@ fn faulty_runs_replay_exactly() {
     assert_eq!(a.trace.events(), b.trace.events());
 }
 
-/// The tier's own fault vocabulary for a seed, as the canonical run
-/// surface would draw it.
-fn tier_schedule(kind: BackendKind, seed: u64, events: usize, io_nodes: u32) -> FaultSchedule {
-    let gen = FaultGen::new(seed, Time::from_secs(20), io_nodes).with_events(events);
-    match kind {
-        BackendKind::Pfs => gen.schedule(),
-        BackendKind::Object => gen.object_schedule(4),
-        BackendKind::Burst => gen.burst_schedule(),
-    }
-}
-
 #[test]
 fn disengaged_and_engaged_empty_schedules_are_invisible_on_every_tier() {
     let w = EscatConfig::tiny(EscatVersion::B).build();
@@ -154,11 +143,10 @@ fn same_seed_replay_has_identical_retry_and_abort_counters() {
 fn tier_fault_runs_replay_exactly_on_every_tier() {
     cases("tier_fault_runs_replay_exactly_on_every_tier", 12, |rng| {
         let seed = rng.range_inclusive(0, u64::MAX);
-        let events = rng.range_inclusive(1, 3) as usize;
+        let events = rng.range_inclusive(1, 3) as u32;
         let w = EscatConfig::tiny(EscatVersion::B).build();
-        let io_nodes = PfsConfig::caltech(w.nodes, w.os).machine.io_nodes;
         for kind in BackendKind::all() {
-            let faults = tier_schedule(kind, seed, events, io_nodes);
+            let faults = tier_faults(kind, &w, Time::from_secs(20), events, seed);
             let a = run_backend(
                 &w,
                 &tier_config(kind, &w, faults.clone()),
