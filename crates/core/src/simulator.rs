@@ -416,7 +416,7 @@ impl<'w, S: Sink> Gang<'w, S> {
                                 }
                             }
                             Stmt::Broadcast { bytes, .. } => {
-                                let t = base + mesh.broadcast_time(n, *bytes);
+                                let t = base + mesh.broadcast_time(n, *bytes, 1.0);
                                 for (p, _) in arrivals {
                                     queue.schedule(t.max(now), wake(p));
                                 }
@@ -429,13 +429,16 @@ impl<'w, S: Sink> Gang<'w, S> {
                                 // message; the root collects the
                                 // reduction tree's worth of data.
                                 let root_pid = Pid(*root);
-                                let gather_t = base + mesh.broadcast_time(n, *bytes_per_node);
+                                let gather_t = base + mesh.broadcast_time(n, *bytes_per_node, 1.0);
                                 for (p, _) in arrivals {
                                     let t = if p == root_pid {
                                         gather_t
                                     } else {
-                                        base + mesh
-                                            .message_time_hops(*bytes_per_node, mesh.diameter() / 2)
+                                        base + mesh.message_time_hops(
+                                            *bytes_per_node,
+                                            mesh.diameter() / 2,
+                                            1.0,
+                                        )
                                     };
                                     queue.schedule(t.max(now), wake(p));
                                 }

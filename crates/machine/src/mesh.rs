@@ -72,54 +72,29 @@ impl MeshModel {
         a.0.abs_diff(b.0) + a.1.abs_diff(b.1)
     }
 
-    /// One-way latency for a `bytes`-byte message across `hops` hops.
-    pub fn message_time_hops(&self, bytes: u64, hops: u32) -> Time {
-        let wire = Time::from_secs_f64(bytes as f64 / self.params.bandwidth_bps);
-        self.params.sw_setup + self.params.per_hop * u64::from(hops) + wire
-    }
-
-    /// One-way latency across `hops` hops under link congestion. A
-    /// congestion factor of `c` means the payload streams at `1/c` of
-    /// the link bandwidth (contending wormhole traffic); the setup and
-    /// per-hop header terms are unaffected. `c == 1.0` takes exactly
-    /// the uncongested path so fault-free runs stay bit-identical.
-    pub(crate) fn message_time_hops_congested(
-        &self,
-        bytes: u64,
-        hops: u32,
-        congestion: f64,
-    ) -> Time {
-        if congestion == 1.0 {
-            return self.message_time_hops(bytes, hops);
-        }
+    /// One-way latency for a `bytes`-byte message across `hops` hops,
+    /// under a link congestion factor: with `congestion` `c` the
+    /// payload streams at `1/c` of the link bandwidth (contending
+    /// wormhole traffic), while the setup and per-hop header terms are
+    /// unaffected. An uncongested mesh passes exactly 1.0, which
+    /// leaves the wire time's f64 unchanged.
+    pub fn message_time_hops(&self, bytes: u64, hops: u32, congestion: f64) -> Time {
         let wire = Time::from_secs_f64(bytes as f64 * congestion / self.params.bandwidth_bps);
         self.params.sw_setup + self.params.per_hop * u64::from(hops) + wire
     }
 
     /// Time for a binomial-tree broadcast of `bytes` from one root to
-    /// `members` processes. Each of the `ceil(log2(members))` stages
-    /// forwards the full payload one average-distance hop span away.
-    pub fn broadcast_time(&self, members: u32, bytes: u64) -> Time {
+    /// `members` processes under link congestion (see
+    /// [`MeshModel::message_time_hops`]). Each of the
+    /// `ceil(log2(members))` stages forwards the full payload one
+    /// average-distance hop span away.
+    pub fn broadcast_time(&self, members: u32, bytes: u64, congestion: f64) -> Time {
         if members <= 1 {
             return Time::ZERO;
         }
         let stages = 32 - (members - 1).leading_zeros(); // ceil(log2(members))
         let avg_hops = (self.params.rows + self.params.cols) / 4;
-        self.message_time_hops(bytes, avg_hops.max(1)) * u64::from(stages)
-    }
-
-    /// [`MeshModel::broadcast_time`] under link congestion; see
-    /// `MeshModel::message_time_hops_congested` for the convention.
-    pub fn broadcast_time_congested(&self, members: u32, bytes: u64, congestion: f64) -> Time {
-        if congestion == 1.0 {
-            return self.broadcast_time(members, bytes);
-        }
-        if members <= 1 {
-            return Time::ZERO;
-        }
-        let stages = 32 - (members - 1).leading_zeros();
-        let avg_hops = (self.params.rows + self.params.cols) / 4;
-        self.message_time_hops_congested(bytes, avg_hops.max(1), congestion) * u64::from(stages)
+        self.message_time_hops(bytes, avg_hops.max(1), congestion) * u64::from(stages)
     }
 
     /// Diameter of the mesh in hops.
@@ -147,9 +122,9 @@ mod tests {
     #[test]
     fn message_time_increases_with_size_and_distance() {
         let m = model();
-        let small_near = m.message_time_hops(64, 1);
-        let small_far = m.message_time_hops(64, 40);
-        let big_near = m.message_time_hops(1 << 20, 1);
+        let small_near = m.message_time_hops(64, 1, 1.0);
+        let small_far = m.message_time_hops(64, 40, 1.0);
+        let big_near = m.message_time_hops(1 << 20, 1, 1.0);
         assert!(small_far > small_near);
         assert!(big_near > small_near);
     }
@@ -157,33 +132,36 @@ mod tests {
     #[test]
     fn zero_byte_message_still_costs_setup() {
         let m = model();
-        assert!(m.message_time_hops(0, 0) >= Time::from_micros(60));
+        assert!(m.message_time_hops(0, 0, 1.0) >= Time::from_micros(60));
     }
 
     #[test]
     fn broadcast_grows_logarithmically() {
         let m = model();
-        let b2 = m.broadcast_time(2, 1024);
-        let b128 = m.broadcast_time(128, 1024);
-        let b256 = m.broadcast_time(256, 1024);
-        assert_eq!(m.broadcast_time(1, 1024), Time::ZERO);
+        let b2 = m.broadcast_time(2, 1024, 1.0);
+        let b128 = m.broadcast_time(128, 1024, 1.0);
+        let b256 = m.broadcast_time(256, 1024, 1.0);
+        assert_eq!(m.broadcast_time(1, 1024, 1.0), Time::ZERO);
         // 128 members -> 7 stages, 2 members -> 1 stage.
         assert_eq!(b128.as_nanos(), b2.as_nanos() * 7);
         assert_eq!(b256.as_nanos(), b2.as_nanos() * 8);
     }
 
+    /// A factor of exactly 1.0 gives the uncongested formula, written
+    /// out here: setup, per-hop header terms and the payload at full
+    /// link bandwidth.
     #[test]
     fn congestion_factor_one_is_bit_identical() {
         let m = model();
+        let p = *m.params();
         for bytes in [0u64, 64, 1 << 20] {
-            assert_eq!(
-                m.message_time_hops_congested(bytes, 7, 1.0),
-                m.message_time_hops(bytes, 7)
-            );
-            assert_eq!(
-                m.broadcast_time_congested(128, bytes, 1.0),
-                m.broadcast_time(128, bytes)
-            );
+            let uncongested =
+                p.sw_setup + p.per_hop * 7 + Time::from_secs_f64(bytes as f64 / p.bandwidth_bps);
+            assert_eq!(m.message_time_hops(bytes, 7, 1.0), uncongested);
+            // 128 members: 7 stages of (16 + 32) / 4 = 12 hops each.
+            let stage =
+                p.sw_setup + p.per_hop * 12 + Time::from_secs_f64(bytes as f64 / p.bandwidth_bps);
+            assert_eq!(m.broadcast_time(128, bytes, 1.0), stage * 7);
         }
     }
 
@@ -192,14 +170,14 @@ mod tests {
         let m = model();
         // Header-only message: congestion doesn't touch setup/per-hop.
         assert_eq!(
-            m.message_time_hops_congested(0, 7, 4.0),
-            m.message_time_hops(0, 7)
+            m.message_time_hops(0, 7, 4.0),
+            m.message_time_hops(0, 7, 1.0)
         );
         // Payload-heavy message: congestion dominates.
-        let clean = m.message_time_hops(1 << 20, 7);
-        let jammed = m.message_time_hops_congested(1 << 20, 7, 4.0);
+        let clean = m.message_time_hops(1 << 20, 7, 1.0);
+        let jammed = m.message_time_hops(1 << 20, 7, 4.0);
         assert!(jammed > clean);
-        assert!(m.broadcast_time_congested(128, 1 << 20, 4.0) > m.broadcast_time(128, 1 << 20));
+        assert!(m.broadcast_time(128, 1 << 20, 4.0) > m.broadcast_time(128, 1 << 20, 1.0));
     }
 
     #[test]

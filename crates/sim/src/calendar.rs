@@ -63,26 +63,6 @@ impl Calendar {
         Reservation { start, finish }
     }
 
-    /// Reserve a batch of back-to-back requests arriving together at
-    /// `arrival` with `total_service` aggregate demand, in one
-    /// `free_at` advance.
-    ///
-    /// Because `Time` is integer nanoseconds and addition is
-    /// associative, this is *bit-identical* to sequential
-    /// [`Calendar::reserve`] calls at the same arrival whose service
-    /// demands sum to `total_service`: the first starts at
-    /// `max(arrival, free_at)`, each subsequent one starts exactly at
-    /// its predecessor's finish, and `busy` advances by the same total.
-    /// The returned reservation spans the whole batch (start of the
-    /// first through finish of the last).
-    pub(crate) fn reserve_batch(&mut self, arrival: Time, total_service: Time) -> Reservation {
-        let start = arrival.max(self.free_at);
-        let finish = start + total_service;
-        self.free_at = finish;
-        self.busy += total_service;
-        Reservation { start, finish }
-    }
-
     /// Earliest instant a new arrival would begin service.
     pub fn free_at(&self) -> Time {
         self.free_at
@@ -135,15 +115,6 @@ impl CalendarPool {
         self.members[idx].reserve(arrival, service)
     }
 
-    /// Reserve a batch of back-to-back requests on member `idx` (see
-    /// `Calendar::reserve_batch`).
-    ///
-    /// # Panics
-    /// Panics if `idx` is out of range.
-    pub fn reserve_batch(&mut self, idx: usize, arrival: Time, total_service: Time) -> Reservation {
-        self.members[idx].reserve_batch(arrival, total_service)
-    }
-
     /// Immutable view of a member.
     pub fn get(&self, idx: usize) -> Option<&Calendar> {
         self.members.get(idx)
@@ -190,37 +161,9 @@ mod tests {
     }
 
     #[test]
-    fn reserve_batch_is_bit_identical_to_sequential_reserves() {
-        // Same arrivals, same per-request demands: the batched form
-        // must leave the calendar in exactly the state the sequential
-        // form does and span the same interval.
-        let demands = [
-            Time::from_millis(3),
-            Time::from_millis(7),
-            Time::from_nanos(1),
-            Time::ZERO,
-        ];
-        let arrival = Time::from_secs(2);
-        let mut sequential = Calendar::new();
-        sequential.reserve(Time::ZERO, Time::from_secs(3)); // pre-existing backlog
-        let mut batched = sequential.clone();
-        let first = sequential.reserve(arrival, demands[0]);
-        let mut last = first;
-        for &d in &demands[1..] {
-            last = sequential.reserve(arrival, d);
-        }
-        let total: Time = demands.iter().copied().sum();
-        let batch = batched.reserve_batch(arrival, total);
-        assert_eq!(batch.start, first.start);
-        assert_eq!(batch.finish, last.finish);
-        assert_eq!(batched.free_at(), sequential.free_at());
-        assert_eq!(batched.busy_time(), sequential.busy_time());
-    }
-
-    #[test]
-    fn reserve_batch_on_pool_member() {
+    fn reserve_on_pool_member() {
         let mut p = CalendarPool::new(2);
-        let r = p.reserve_batch(1, Time::from_secs(1), Time::from_secs(4));
+        let r = p.reserve(1, Time::from_secs(1), Time::from_secs(4));
         assert_eq!(r.start, Time::from_secs(1));
         assert_eq!(r.finish, Time::from_secs(5));
         assert_eq!(p.total_busy(), Time::from_secs(4));

@@ -75,6 +75,19 @@ impl ProgramBuilder {
         )
     }
 
+    /// Collective change to M_RECORD with `record` bytes per node per
+    /// round.
+    pub fn setiomode_record(&mut self, file: u32, group: u32, record: u64) -> &mut Self {
+        self.io(
+            file,
+            IoOp::SetIoMode {
+                group,
+                mode: IoMode::MRecord,
+                record_size: Some(record),
+            },
+        )
+    }
+
     /// Read `size` bytes at the current pointer.
     pub fn read(&mut self, file: u32, size: u64) -> &mut Self {
         self.io(file, IoOp::Read { size })

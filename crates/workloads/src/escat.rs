@@ -539,14 +539,7 @@ impl EscatConfig {
                     b.barrier();
                     for c in 0..ch {
                         b.gopen(quad_file(c), n, IoMode::MUnix);
-                        b.io(
-                            quad_file(c),
-                            sioscope_pfs::IoOp::SetIoMode {
-                                group: n,
-                                mode: IoMode::MRecord,
-                                record_size: Some(k.record_read),
-                            },
-                        );
+                        b.setiomode_record(quad_file(c), n, k.record_read);
                         let rounds = k.quad_bytes_per_channel / (u64::from(n) * k.record_read);
                         for _ in 0..rounds {
                             b.read(quad_file(c), k.record_read);

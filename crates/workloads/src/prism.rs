@@ -30,7 +30,7 @@ use crate::builder::ProgramBuilder;
 use crate::checkpoint::{young_interval, CheckpointPolicy, Recoverable};
 use crate::program::{FileSpec, PhaseDesc, Stmt, Workload};
 use sioscope_pfs::mode::OsRelease;
-use sioscope_pfs::{IoMode, IoOp};
+use sioscope_pfs::IoMode;
 use sioscope_sim::{DetRng, Time};
 
 // Workload file indices.
@@ -279,14 +279,7 @@ impl PrismConfig {
                 b.open(RESTART);
                 b.setiomode(RESTART, n, IoMode::MGlobal);
                 b.read_n(RESTART, k.header_reads, k.header_read);
-                b.io(
-                    RESTART,
-                    IoOp::SetIoMode {
-                        group: n,
-                        mode: IoMode::MRecord,
-                        record_size: Some(k.body_record),
-                    },
-                );
+                b.setiomode_record(RESTART, n, k.body_record);
                 b.read_n(RESTART, k.body_records_per_node, k.body_record);
                 b.close(RESTART);
 
@@ -631,6 +624,7 @@ fn phase_table(v: PrismVersion) -> Vec<PhaseDesc> {
 mod tests {
     use super::*;
     use crate::program::Stmt;
+    use sioscope_pfs::IoOp;
 
     #[test]
     fn all_versions_build_valid_workloads() {

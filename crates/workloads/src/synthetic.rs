@@ -33,7 +33,17 @@ pub struct KernelConfig {
     pub nodes: u32,
     /// Request size in bytes.
     pub request: u64,
-    /// Total bytes moved across all nodes.
+    /// The volume each kernel sizes itself from. Most give every node
+    /// `total_bytes / nodes / request` requests (at least one), so they
+    /// move about `total_bytes` in all; `staging_pipeline` writes about
+    /// that much and reads it back, moving it twice. Four move
+    /// something else: `global_init_read` sizes its shared file from
+    /// it (at most 4,096 requests) and every node reads the whole file;
+    /// `msync_result_gather` keeps the per-node request count (at most
+    /// 512 rounds) but node `i` writes `request + i * 256` bytes a
+    /// round; `checkpoint_burst` and `cray_cyclical` have one node
+    /// write one node's share, `total_bytes / nodes`, over their bursts
+    /// or cycles.
     pub total_bytes: u64,
     /// Compute time inserted between consecutive requests per node.
     pub think_time: Time,
