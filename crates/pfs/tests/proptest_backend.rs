@@ -13,12 +13,17 @@
 //!   four-term conservation law
 //!   `bytes_logged == bytes_drained + bytes_resident + bytes_lost`
 //!   under *any* seeded burst fault schedule, and PUT/GET semantic
-//!   equivalence under a degraded-service latency window.
+//!   equivalence under a degraded-service latency window;
+//! * per-process open-file handles on all three tiers: every
+//!   completion's offset and bytes, and every `NotOpen` and
+//!   `AlreadyOpen`, under random open, gopen, seek, read, write,
+//!   flush, set-buffering, close and reopen sequences by processes
+//!   whose pids start far above 0.
 
 use sioscope_faults::{FaultGen, FaultKind, FaultSchedule};
 use sioscope_pfs::{
-    burst, BurstAbsorb, BurstBuffer, BurstBufferConfig, IoOp, ObjectStore, ObjectStoreConfig,
-    PfsConfig, StorageBackend,
+    burst, BurstAbsorb, BurstBuffer, BurstBufferConfig, IoMode, IoOp, ObjectStore,
+    ObjectStoreConfig, Pfs, PfsConfig, PfsError, StorageBackend,
 };
 use sioscope_prop::cases;
 use sioscope_sim::{DetRng, FileId, Pid, Time};
@@ -423,4 +428,243 @@ fn object_put_get_semantics_survive_degraded_latency() {
             assert!(now_slow >= now_clean, "the degraded clock never runs ahead");
         },
     );
+}
+
+/// One handle action, issued by one process on one file.
+#[derive(Clone, Copy, Debug)]
+enum HandleAction {
+    Open,
+    /// A collective open by a one-member group, in a private-pointer
+    /// mode.
+    Gopen(IoMode),
+    Seek(u64),
+    Read(u64),
+    Write(u64),
+    Flush,
+    SetBuffering(bool),
+    Close,
+    /// Close, then open again: the pointer restarts at 0.
+    Reopen,
+}
+
+/// Open : gopen : seek : read : write : flush : set-buffering :
+/// close : reopen drawn 2 : 1 : 2 : 4 : 4 : 1 : 1 : 2 : 1, with sizes
+/// up to two stripe units and offsets up to eight.
+fn handle_action(rng: &mut DetRng) -> HandleAction {
+    const UNIT: u64 = 64 << 10;
+    match rng.range_inclusive(0, 17) {
+        0..=1 => HandleAction::Open,
+        2 => HandleAction::Gopen(if rng.range_inclusive(0, 1) == 0 {
+            IoMode::MUnix
+        } else {
+            IoMode::MAsync
+        }),
+        3..=4 => HandleAction::Seek(rng.range_inclusive(0, 8 * UNIT)),
+        5..=8 => HandleAction::Read(rng.range_inclusive(0, 2 * UNIT)),
+        9..=12 => HandleAction::Write(rng.range_inclusive(0, 2 * UNIT)),
+        13 => HandleAction::Flush,
+        14 => HandleAction::SetBuffering(rng.range_inclusive(0, 1) == 1),
+        15..=16 => HandleAction::Close,
+        _ => HandleAction::Reopen,
+    }
+}
+
+/// How a tier answers what the handle oracle asks: whether a read
+/// stops at the file's logical size, and whether a flush or
+/// set-buffering completion reports the pointer (the PFS reports 0).
+#[derive(Clone, Copy)]
+struct TierRules {
+    reads_truncate: bool,
+    control_reports_pointer: bool,
+}
+
+/// The naive handle oracle: one pointer per open (file, process) and
+/// each file's logical size.
+struct HandleOracle {
+    pointers: BTreeMap<(FileId, Pid), u64>,
+    sizes: Vec<u64>,
+    rules: TierRules,
+}
+
+impl HandleOracle {
+    /// The completion's `(offset, bytes)`, or the error, that `op`
+    /// must produce; applies the op to the oracle's state.
+    fn apply(&mut self, pid: Pid, fid: FileId, op: &IoOp) -> Result<(u64, u64), PfsError> {
+        let key = (fid, pid);
+        let open = self.pointers.contains_key(&key);
+        match op {
+            IoOp::Open | IoOp::Gopen { .. } if open => {
+                Err(PfsError::AlreadyOpen { file: fid, pid })
+            }
+            IoOp::Open | IoOp::Gopen { .. } => {
+                self.pointers.insert(key, 0);
+                Ok((0, 0))
+            }
+            _ if !open => Err(PfsError::NotOpen { file: fid, pid }),
+            IoOp::Close => {
+                self.pointers.remove(&key);
+                Ok((0, 0))
+            }
+            &IoOp::Seek { offset } => {
+                self.pointers.insert(key, offset);
+                Ok((offset, 0))
+            }
+            &IoOp::Read { size } => {
+                let ptr = self.pointers[&key];
+                let bytes = if self.rules.reads_truncate {
+                    size.min(self.sizes[fid.index()].saturating_sub(ptr))
+                } else {
+                    size
+                };
+                self.pointers.insert(key, ptr + bytes);
+                Ok((ptr, bytes))
+            }
+            &IoOp::Write { size } => {
+                let ptr = self.pointers[&key];
+                let end = &mut self.sizes[fid.index()];
+                *end = (*end).max(ptr + size);
+                self.pointers.insert(key, ptr + size);
+                Ok((ptr, size))
+            }
+            IoOp::Flush | IoOp::SetBuffering { .. } | IoOp::SetIoMode { .. } => {
+                let ptr = self.pointers[&key];
+                let offset = if self.rules.control_reports_pointer {
+                    ptr
+                } else {
+                    0
+                };
+                Ok((offset, 0))
+            }
+        }
+    }
+}
+
+/// One tier under the handle property, with its oracle and clock.
+struct HandleRun<B> {
+    tier: B,
+    oracle: HandleOracle,
+    now: Time,
+}
+
+impl<B: StorageBackend> HandleRun<B> {
+    fn new(mut tier: B, initial: &[u64], rules: TierRules) -> Self {
+        for (i, &size) in initial.iter().enumerate() {
+            let fid = tier.create_file_with_size(&format!("handles-{i}"), size);
+            assert_eq!(fid, FileId(i as u32), "dense file ids");
+        }
+        HandleRun {
+            tier,
+            oracle: HandleOracle {
+                pointers: BTreeMap::new(),
+                sizes: initial.to_vec(),
+                rules,
+            },
+            now: Time::ZERO,
+        }
+    }
+
+    /// Submit `op` and check its one completion, or its error,
+    /// against the oracle.
+    fn check(&mut self, name: &str, pid: Pid, fid: FileId, op: &IoOp) {
+        let expected = self.oracle.apply(pid, fid, op);
+        let mut out = Vec::new();
+        let got = self.tier.submit_into(self.now, pid, fid, op, &mut out);
+        match (got, expected) {
+            (Ok(done), Ok((offset, bytes))) => {
+                assert!(done, "{name}: {op:?} by {pid} never blocks");
+                assert_eq!(out.len(), 1, "{name}: {op:?} completes once");
+                let c = out[0];
+                assert_eq!(c.pid, pid, "{name}: {op:?}");
+                assert_eq!(c.kind, op.kind(), "{name}: {op:?}");
+                assert_eq!(
+                    (c.offset, c.bytes),
+                    (offset, bytes),
+                    "{name}: {op:?} by {pid} on {fid}: (offset, bytes)"
+                );
+                assert!(
+                    c.finish >= self.now,
+                    "{name}: completions never precede submission"
+                );
+                self.now = c.finish;
+            }
+            (Err(e), Err(want)) => {
+                assert_eq!(e, want, "{name}: {op:?} by {pid} on {fid}");
+                assert!(out.is_empty(), "{name}: a rejected call completes nothing");
+            }
+            (got, want) => panic!("{name}: {op:?} by {pid} on {fid}: got {got:?}, want {want:?}"),
+        }
+    }
+}
+
+/// Every tier keeps one private pointer per open (file, process):
+/// opens and one-member gopens start it at 0, seeks set it, reads and
+/// writes advance it, a reopen starts over, and a call on a handle
+/// the process has not opened (or has already opened) is rejected.
+/// The pids start far above 0 and are sparse, as the multi-job
+/// scheduler hands them out.
+#[test]
+fn handles_match_the_naive_oracle_on_every_tier() {
+    cases("handles_match_the_naive_oracle_on_every_tier", 256, |rng| {
+        let base = rng.range_inclusive(1 << 12, 1 << 20) as u32;
+        let mut pids = Vec::new();
+        let mut next = base;
+        for _ in 0..rng.range_inclusive(3, 5) {
+            pids.push(Pid(next));
+            next += rng.range_inclusive(1, 9) as u32;
+        }
+        let initial: Vec<u64> = (0..rng.range_inclusive(2, 3))
+            .map(|_| rng.range_inclusive(0, 256 << 10))
+            .collect();
+        let len = rng.range_inclusive(1, 80);
+        let steps: Vec<(Pid, FileId, HandleAction)> = (0..len)
+            .map(|_| {
+                let pid = pids[rng.range_inclusive(0, pids.len() as u64 - 1) as usize];
+                let fid = FileId(rng.range_inclusive(0, initial.len() as u64 - 1) as u32);
+                (pid, fid, handle_action(rng))
+            })
+            .collect();
+
+        let pfs_rules = TierRules {
+            reads_truncate: false,
+            control_reports_pointer: false,
+        };
+        let modern_rules = TierRules {
+            reads_truncate: true,
+            control_reports_pointer: true,
+        };
+        let mut pfs = HandleRun::new(Pfs::new(PfsConfig::tiny()), &initial, pfs_rules);
+        let mut burst = HandleRun::new(
+            BurstBuffer::new(BurstBufferConfig::over(PfsConfig::tiny())),
+            &initial,
+            modern_rules,
+        );
+        let mut object = HandleRun::new(
+            ObjectStore::new(ObjectStoreConfig::modern(4)),
+            &initial,
+            modern_rules,
+        );
+
+        for &(pid, fid, action) in &steps {
+            let ops = match action {
+                HandleAction::Open => vec![IoOp::Open],
+                HandleAction::Gopen(mode) => vec![IoOp::Gopen {
+                    group: 1,
+                    mode,
+                    record_size: None,
+                }],
+                HandleAction::Seek(offset) => vec![IoOp::Seek { offset }],
+                HandleAction::Read(size) => vec![IoOp::Read { size }],
+                HandleAction::Write(size) => vec![IoOp::Write { size }],
+                HandleAction::Flush => vec![IoOp::Flush],
+                HandleAction::SetBuffering(enabled) => vec![IoOp::SetBuffering { enabled }],
+                HandleAction::Close => vec![IoOp::Close],
+                HandleAction::Reopen => vec![IoOp::Close, IoOp::Open],
+            };
+            for op in &ops {
+                pfs.check("pfs", pid, fid, op);
+                burst.check("burst", pid, fid, op);
+                object.check("object", pid, fid, op);
+            }
+        }
+    });
 }
