@@ -408,7 +408,7 @@ mod tests {
     fn empty_schedule_disturbs_nothing() {
         let s = state(vec![]);
         for ion in 0..4 {
-            assert!(s.disk_disturbance(ion, sec(5)).is_none());
+            assert_eq!(s.disk_disturbance(ion, sec(5)), DiskDisturbance::NONE);
             assert!(!s.is_down(ion, sec(5)));
         }
         assert_eq!(s.link_factor(sec(5)), 1.0);
@@ -557,7 +557,7 @@ mod tests {
         // The PFS-facing view is untouched: no transitions, no windows.
         assert!(s.transitions().is_empty());
         assert!(!s.is_down(1, sec(11)));
-        assert!(s.disk_disturbance(1, sec(11)).is_none());
+        assert_eq!(s.disk_disturbance(1, sec(11)), DiskDisturbance::NONE);
     }
 
     #[test]
@@ -571,7 +571,7 @@ mod tests {
         }]);
         assert!(s.transitions().is_empty());
         assert!(!s.is_down(99, sec(2)));
-        assert!(s.disk_disturbance(99, sec(2)).is_none());
+        assert_eq!(s.disk_disturbance(99, sec(2)), DiskDisturbance::NONE);
     }
 
     fn object_state(events: Vec<FaultEvent>) -> ObjectFaultState {

@@ -86,11 +86,6 @@ impl DiskDisturbance {
         slow_factor: 1.0,
         latent_penalty: Time::ZERO,
     };
-
-    /// `true` iff this disturbance is exactly the neutral value.
-    pub fn is_none(&self) -> bool {
-        *self == Self::NONE
-    }
 }
 
 impl Default for DiskDisturbance {
@@ -206,7 +201,7 @@ mod tests {
                 );
             }
         }
-        assert!(DiskDisturbance::default().is_none());
+        assert_eq!(DiskDisturbance::default(), DiskDisturbance::NONE);
     }
 
     #[test]

@@ -28,15 +28,21 @@
 //! `writethroughs`). A checkpoint whose interval logged a lost byte
 //! is never restorable; [`StorageBackend::durable_instant`] surfaces
 //! that to the recovery driver.
+//!
+//! Per-process state is found by index: each open absorbed file's
+//! pointer sits in a `HandleTable` (`handles.rs`), each process's
+//! log calendar in a pid-indexed row, and each file's logical size in
+//! a vector by file id.
 
 use crate::backend::{BackendKind, BackendStats, StorageBackend};
 use crate::error::PfsError;
+use crate::handles::{HandleTable, PidSlots};
 use crate::mode::IoMode;
 use crate::op::{Completion, IoOp};
 use crate::resilience::ResilienceStats;
 use crate::server::{Pfs, PfsConfig};
 use sioscope_faults::{BurstFaultState, FaultSchedule};
-use sioscope_sim::{Calendar, DetHashMap, FileId, Pid, Time};
+use sioscope_sim::{Calendar, FileId, Pid, Time};
 use std::collections::VecDeque;
 
 /// Which files the log absorbs.
@@ -114,11 +120,12 @@ pub struct BurstBuffer {
     inner: Pfs,
     /// Private pointer per (file, process) for absorbed files; also
     /// the open-handle set.
-    handles: DetHashMap<(FileId, Pid), u64>,
-    /// Logical size of each absorbed file as the log sees it.
-    sizes: DetHashMap<FileId, u64>,
+    handles: HandleTable<u64>,
+    /// Logical size of each file as the log sees it, by file id; only
+    /// absorbed files' entries are read.
+    sizes: Vec<u64>,
     /// One log append channel per process (node-local device).
-    logs: DetHashMap<Pid, Calendar>,
+    logs: PidSlots<Calendar>,
     /// Global drain FIFO (preserves per-file write order).
     pending: VecDeque<DrainEntry>,
     /// Virtual drain clock: the instant the channel frees up after
@@ -149,9 +156,9 @@ impl BurstBuffer {
         BurstBuffer {
             absorb: cfg.absorb,
             inner: Pfs::new(cfg.pfs),
-            handles: DetHashMap::default(),
-            sizes: DetHashMap::default(),
-            logs: DetHashMap::default(),
+            handles: HandleTable::default(),
+            sizes: Vec::new(),
+            logs: PidSlots::default(),
             pending: VecDeque::new(),
             drain_virtual: Time::ZERO,
             faults,
@@ -245,12 +252,10 @@ impl StorageBackend for BurstBuffer {
 
     fn create_file_with_size(&mut self, name: &str, size: u64) -> FileId {
         // Every file exists on the backing PFS (dense ids, and the
-        // drain needs somewhere to land); absorbed files additionally
-        // track their logical size log-side.
+        // drain needs somewhere to land), and the log keeps each
+        // file's logical size at the same index.
         let fid = self.inner.create_file_with_size(name, size);
-        if self.absorbs(fid) {
-            self.sizes.insert(fid, size);
-        }
+        self.sizes.push(size);
         fid
     }
 
@@ -273,8 +278,7 @@ impl StorageBackend for BurstBuffer {
 
         self.check_exists(fid)?;
         self.advance_drain(now);
-        let key = (fid, pid);
-        let open = self.handles.contains_key(&key);
+        let ptr = self.handles.get(fid, pid).copied();
 
         let completion = |finish: Time, bytes: u64, offset: u64| Completion {
             pid,
@@ -287,66 +291,49 @@ impl StorageBackend for BurstBuffer {
             mode: IoMode::MLog,
         };
 
-        match op {
-            IoOp::Open | IoOp::Gopen { .. } => {
-                if open {
-                    return Err(PfsError::AlreadyOpen { file: fid, pid });
-                }
+        match (op, ptr) {
+            (IoOp::Open | IoOp::Gopen { .. }, Some(_)) => {
+                Err(PfsError::AlreadyOpen { file: fid, pid })
+            }
+            (IoOp::Open | IoOp::Gopen { .. }, None) => {
                 // The log has no collective state: gopen completes
                 // per-process at append latency.
-                self.handles.insert(key, 0);
+                self.handles.insert(fid, pid, 0);
                 self.stats.absorbed_ops += 1;
                 out.push(completion(now + LOG_LATENCY, 0, 0));
                 Ok(true)
             }
-            IoOp::Close => {
-                if !open {
-                    return Err(PfsError::NotOpen { file: fid, pid });
-                }
-                self.handles.remove(&key);
+            (_, None) => Err(PfsError::NotOpen { file: fid, pid }),
+            (IoOp::Close, Some(_)) => {
+                self.handles.remove(fid, pid);
                 self.stats.absorbed_ops += 1;
                 out.push(completion(now + LOG_LATENCY, 0, 0));
                 Ok(true)
             }
-            IoOp::Seek { offset } => {
-                if !open {
-                    return Err(PfsError::NotOpen { file: fid, pid });
-                }
-                self.handles.insert(key, *offset);
+            (IoOp::Seek { offset }, Some(_)) => {
+                self.handles.insert(fid, pid, *offset);
                 self.stats.absorbed_ops += 1;
                 out.push(completion(now + LOG_LATENCY, 0, *offset));
                 Ok(true)
             }
-            IoOp::SetIoMode { .. } | IoOp::SetBuffering { .. } | IoOp::Flush => {
-                if !open {
-                    return Err(PfsError::NotOpen { file: fid, pid });
-                }
-                let ptr = self.handles[&key];
+            (IoOp::SetIoMode { .. } | IoOp::SetBuffering { .. } | IoOp::Flush, Some(ptr)) => {
                 self.stats.absorbed_ops += 1;
                 out.push(completion(now + LOG_LATENCY, 0, ptr));
                 Ok(true)
             }
-            IoOp::Read { size } => {
-                if !open {
-                    return Err(PfsError::NotOpen { file: fid, pid });
-                }
+            (IoOp::Read { size }, Some(ptr)) => {
                 // Absorbed files are read back from the log itself
                 // (it caches what it absorbed), at log bandwidth.
-                let ptr = self.handles[&key];
-                let avail = self.sizes[&fid].saturating_sub(ptr);
+                let avail = self.sizes[fid.index()].saturating_sub(ptr);
                 let bytes = (*size).min(avail);
-                let cal = self.logs.entry(pid).or_default();
+                let cal = self.logs.get_or_default(pid);
                 let res = cal.reserve(now + LOG_LATENCY, Self::xfer(bytes, LOG_BANDWIDTH_BPS));
                 self.stats.absorbed_ops += 1;
-                self.handles.insert(key, ptr + bytes);
+                self.handles.insert(fid, pid, ptr + bytes);
                 out.push(completion(res.finish, bytes, ptr));
                 Ok(true)
             }
-            IoOp::Write { size } => {
-                if !open {
-                    return Err(PfsError::NotOpen { file: fid, pid });
-                }
-                let ptr = self.handles[&key];
+            (IoOp::Write { size }, Some(ptr)) => {
                 // Log down (crashed, not yet repaired): the write
                 // falls through synchronously to the PFS drain
                 // channel — foreground pays drain-class bandwidth,
@@ -363,13 +350,13 @@ impl StorageBackend for BurstBuffer {
                     self.drain_virtual = finish;
                     self.resilience.writethroughs += 1;
                     self.stats.passthrough_ops += 1;
-                    let sz = self.sizes.get_mut(&fid).expect("absorbed file size");
+                    let sz = &mut self.sizes[fid.index()];
                     *sz = (*sz).max(ptr + *size);
-                    self.handles.insert(key, ptr + *size);
+                    self.handles.insert(fid, pid, ptr + *size);
                     out.push(completion(finish, *size, ptr));
                     return Ok(true);
                 }
-                let cal = self.logs.entry(pid).or_default();
+                let cal = self.logs.get_or_default(pid);
                 let res = cal.reserve(now + LOG_LATENCY, Self::xfer(*size, LOG_BANDWIDTH_BPS));
                 let ready = res.finish;
                 self.stats.bytes_logged += *size;
@@ -381,9 +368,9 @@ impl StorageBackend for BurstBuffer {
                     retire,
                     lost,
                 });
-                let sz = self.sizes.get_mut(&fid).expect("absorbed file size");
+                let sz = &mut self.sizes[fid.index()];
                 *sz = (*sz).max(ptr + *size);
-                self.handles.insert(key, ptr + *size);
+                self.handles.insert(fid, pid, ptr + *size);
                 out.push(completion(ready, *size, ptr));
                 Ok(true)
             }

@@ -84,11 +84,6 @@ impl Default for ClientFileState {
 }
 
 impl ClientFileState {
-    /// Fresh state (buffering on).
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Probe the cache for a read of `[offset, offset+len)`.
     pub(crate) fn probe_read(&self, offset: u64, len: u64) -> ReadProbe {
         if !self.buffering || len == 0 {
@@ -174,13 +169,13 @@ mod tests {
 
     #[test]
     fn empty_cache_misses() {
-        let c = ClientFileState::new();
+        let c = ClientFileState::default();
         assert_eq!(c.probe_read(0, 10), ReadProbe::Miss);
     }
 
     #[test]
     fn installed_block_hits_within_range() {
-        let mut c = ClientFileState::new();
+        let mut c = ClientFileState::default();
         c.install_block(100, 50);
         assert_eq!(c.probe_read(100, 50), ReadProbe::Hit);
         assert_eq!(c.probe_read(120, 10), ReadProbe::Hit);
@@ -190,7 +185,7 @@ mod tests {
 
     #[test]
     fn disabled_buffering_never_hits() {
-        let mut c = ClientFileState::new();
+        let mut c = ClientFileState::default();
         c.install_block(0, 1000);
         c.buffering = false;
         assert_eq!(c.probe_read(0, 10), ReadProbe::Miss);
@@ -198,7 +193,7 @@ mod tests {
 
     #[test]
     fn prefetch_hit_reports_ready_time() {
-        let mut c = ClientFileState::new();
+        let mut c = ClientFileState::default();
         let t = Time::from_millis(30);
         c.install_prefetch(200, 100, t);
         assert_eq!(
@@ -213,7 +208,7 @@ mod tests {
 
     #[test]
     fn sequential_detection() {
-        let mut c = ClientFileState::new();
+        let mut c = ClientFileState::default();
         assert!(!c.read_is_sequential(0));
         c.note_read(0, 100);
         assert!(c.read_is_sequential(100));
@@ -222,7 +217,7 @@ mod tests {
 
     #[test]
     fn write_buffer_coalesces_contiguous() {
-        let mut c = ClientFileState::new();
+        let mut c = ClientFileState::default();
         assert!(c.append_write(0, 10));
         assert!(c.append_write(10, 20));
         assert_eq!(c.write_buf, Some(WriteBuf { start: 0, len: 30 }));
@@ -234,7 +229,7 @@ mod tests {
 
     #[test]
     fn invalidate_clears_read_state() {
-        let mut c = ClientFileState::new();
+        let mut c = ClientFileState::default();
         c.install_block(0, 10);
         c.note_read(0, 10);
         c.invalidate_reads();
@@ -244,7 +239,7 @@ mod tests {
 
     #[test]
     fn zero_length_read_misses() {
-        let mut c = ClientFileState::new();
+        let mut c = ClientFileState::default();
         c.install_block(0, 10);
         assert_eq!(c.probe_read(0, 0), ReadProbe::Miss);
     }

@@ -1,8 +1,11 @@
-//! Per-file PFS state: mode, pointers, openers, serialization token.
+//! Per-file PFS state: mode, shared pointer, openers, serialization
+//! token. Each process's private pointer and client cache live in the
+//! server's handle table (`handles.rs`).
 
+use crate::handles::PidSlots;
 use crate::mode::IoMode;
 use crate::stripe::StripeLayout;
-use sioscope_sim::{Calendar, DetHashMap, FileId, Pid};
+use sioscope_sim::{Calendar, FileId, Pid};
 
 /// Server-side state for one PFS file.
 #[derive(Debug, Clone)]
@@ -26,12 +29,13 @@ pub struct FileState {
     /// The per-file atomicity token: M_UNIX/M_LOG requests serialize
     /// through this calendar.
     pub token: Calendar,
+    /// Current openers in pid order: collective rounds count them and
+    /// rank their members by position.
     openers: Vec<Pid>,
-    private_ptrs: DetHashMap<Pid, u64>,
     /// Per-process counter of collective operations issued on this
     /// file; used to key rendezvous groups so successive collective
-    /// rounds never collide.
-    collective_seq: DetHashMap<Pid, u32>,
+    /// rounds never collide. A close keeps it.
+    collective_seq: PidSlots<u32>,
 }
 
 impl FileState {
@@ -47,38 +51,31 @@ impl FileState {
             shared_ptr: 0,
             token: Calendar::new(),
             openers: Vec::new(),
-            private_ptrs: DetHashMap::default(),
-            collective_seq: DetHashMap::default(),
+            collective_seq: PidSlots::default(),
         }
     }
 
     /// Register `pid` as an opener. Returns `false` if already open
     /// by this pid.
     pub(crate) fn add_opener(&mut self, pid: Pid) -> bool {
-        if self.openers.contains(&pid) {
-            return false;
+        match self.openers.binary_search(&pid) {
+            Ok(_) => false,
+            Err(pos) => {
+                self.openers.insert(pos, pid);
+                true
+            }
         }
-        let pos = self.openers.partition_point(|&p| p < pid);
-        self.openers.insert(pos, pid);
-        self.private_ptrs.insert(pid, 0);
-        true
     }
 
     /// Deregister `pid`. Returns `false` if it was not an opener.
     pub(crate) fn remove_opener(&mut self, pid: Pid) -> bool {
-        match self.openers.iter().position(|&p| p == pid) {
-            Some(i) => {
+        match self.openers.binary_search(&pid) {
+            Ok(i) => {
                 self.openers.remove(i);
-                self.private_ptrs.remove(&pid);
                 true
             }
-            None => false,
+            Err(_) => false,
         }
-    }
-
-    /// Is the file currently open by `pid`?
-    pub(crate) fn is_open_by(&self, pid: Pid) -> bool {
-        self.openers.binary_search(&pid).is_ok()
     }
 
     /// Number of current openers.
@@ -90,25 +87,6 @@ impl FileState {
     /// M_SYNC).
     pub(crate) fn rank(&self, pid: Pid) -> Option<u32> {
         self.openers.binary_search(&pid).ok().map(|i| i as u32)
-    }
-
-    /// This process's private pointer.
-    pub fn private_ptr(&self, pid: Pid) -> u64 {
-        self.private_ptrs.get(&pid).copied().unwrap_or(0)
-    }
-
-    /// Set this process's private pointer.
-    pub(crate) fn set_private_ptr(&mut self, pid: Pid, offset: u64) {
-        self.private_ptrs.insert(pid, offset);
-    }
-
-    /// Advance this process's private pointer by `len`, returning the
-    /// offset the transfer started at.
-    pub(crate) fn advance_private(&mut self, pid: Pid, len: u64) -> u64 {
-        let p = self.private_ptrs.entry(pid).or_insert(0);
-        let at = *p;
-        *p += len;
-        at
     }
 
     /// Advance the shared pointer by `len`, returning its old value.
@@ -127,7 +105,7 @@ impl FileState {
     /// incremented). All participants issue the same collective ops in
     /// the same order, so equal sequence numbers identify one round.
     pub(crate) fn next_collective_seq(&mut self, pid: Pid) -> u32 {
-        let c = self.collective_seq.entry(pid).or_insert(0);
+        let c = self.collective_seq.get_or_default(pid);
         let v = *c;
         *c += 1;
         v
@@ -162,24 +140,16 @@ mod tests {
     }
 
     #[test]
-    fn remove_opener_clears_pointer() {
+    fn remove_opener_reranks_the_rest() {
         let mut f = file();
-        f.add_opener(Pid(2));
-        f.set_private_ptr(Pid(2), 100);
+        for p in [2, 7, 4] {
+            f.add_opener(Pid(p));
+        }
         assert!(f.remove_opener(Pid(2)));
         assert!(!f.remove_opener(Pid(2)));
-        assert_eq!(f.private_ptr(Pid(2)), 0, "pointer reset after close");
-    }
-
-    #[test]
-    fn private_pointer_advances() {
-        let mut f = file();
-        f.add_opener(Pid(0));
-        assert_eq!(f.advance_private(Pid(0), 10), 0);
-        assert_eq!(f.advance_private(Pid(0), 5), 10);
-        assert_eq!(f.private_ptr(Pid(0)), 15);
-        f.set_private_ptr(Pid(0), 100);
-        assert_eq!(f.advance_private(Pid(0), 1), 100);
+        assert_eq!(f.rank(Pid(4)), Some(0));
+        assert_eq!(f.rank(Pid(7)), Some(1));
+        assert_eq!(f.opener_count(), 2);
     }
 
     #[test]
@@ -200,11 +170,14 @@ mod tests {
     }
 
     #[test]
-    fn collective_seq_counts_per_pid() {
+    fn collective_seq_counts_per_pid_and_outlives_a_close() {
         let mut f = file();
         assert_eq!(f.next_collective_seq(Pid(0)), 0);
         assert_eq!(f.next_collective_seq(Pid(0)), 1);
         assert_eq!(f.next_collective_seq(Pid(1)), 0);
+        f.add_opener(Pid(0));
+        f.remove_opener(Pid(0));
+        assert_eq!(f.next_collective_seq(Pid(0)), 2);
         let k0 = f.rendezvous_key(0);
         let k1 = f.rendezvous_key(1);
         assert_ne!(k0, k1);

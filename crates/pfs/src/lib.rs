@@ -39,6 +39,7 @@ pub mod cache;
 pub mod costs;
 pub mod error;
 pub mod file;
+mod handles;
 pub mod ioncache;
 pub mod mode;
 pub mod object;

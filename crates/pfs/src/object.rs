@@ -29,9 +29,14 @@
 //! ~30x a 1996 RAID-3 array and metadata an order of magnitude faster
 //! than the PFS metadata server, where every request still pays a
 //! network round trip.
+//!
+//! Each open object's per-process pointer sits in a
+//! `HandleTable` (`handles.rs`), found by index; its presence is
+//! the open handle.
 
 use crate::backend::{BackendKind, BackendStats, StorageBackend};
 use crate::error::PfsError;
+use crate::handles::HandleTable;
 use crate::mode::IoMode;
 use crate::op::{Completion, IoOp};
 use crate::resilience::{
@@ -40,7 +45,7 @@ use crate::resilience::{
 };
 use sioscope_faults::{FaultSchedule, ObjectFaultState};
 use sioscope_machine::MachineConfig;
-use sioscope_sim::{CalendarPool, DetHashMap, FileId, Pid, Time};
+use sioscope_sim::{CalendarPool, FileId, Pid, Time};
 
 /// Storage targets; an object lives wholly on `id % TARGETS`.
 const TARGETS: usize = 16;
@@ -109,7 +114,7 @@ pub struct ObjectMeta {
 pub struct ObjectStore {
     objects: Vec<ObjectMeta>,
     /// Private pointer per (object, process); also the open-handle set.
-    handles: DetHashMap<(FileId, Pid), u64>,
+    handles: HandleTable<u64>,
     md: CalendarPool,
     targets: CalendarPool,
     stats: BackendStats,
@@ -128,7 +133,7 @@ impl ObjectStore {
             .then(|| ObjectFaultState::new(&cfg.faults, MD_SHARDS));
         ObjectStore {
             objects: Vec::new(),
-            handles: DetHashMap::default(),
+            handles: HandleTable::default(),
             md: CalendarPool::new(MD_SHARDS as usize),
             targets: CalendarPool::new(TARGETS),
             stats: BackendStats::default(),
@@ -268,8 +273,7 @@ impl StorageBackend for ObjectStore {
         out: &mut Vec<Completion>,
     ) -> Result<bool, PfsError> {
         self.check_exists(fid)?;
-        let key = (fid, pid);
-        let open = self.handles.contains_key(&key);
+        let ptr = self.handles.get(fid, pid).copied();
 
         let completion = |finish: Time, bytes: u64, offset: u64| Completion {
             pid,
@@ -282,50 +286,37 @@ impl StorageBackend for ObjectStore {
             mode: IoMode::MAsync,
         };
 
-        match op {
-            IoOp::Open | IoOp::Gopen { .. } => {
-                if open {
-                    return Err(PfsError::AlreadyOpen { file: fid, pid });
-                }
+        match (op, ptr) {
+            (IoOp::Open | IoOp::Gopen { .. }, Some(_)) => {
+                Err(PfsError::AlreadyOpen { file: fid, pid })
+            }
+            (IoOp::Open | IoOp::Gopen { .. }, None) => {
                 // gopen degenerates to a per-process open: no group
                 // rendezvous, no mode to set. Completes independently.
                 let finish = self.metadata_op(now, fid);
-                self.handles.insert(key, 0);
+                self.handles.insert(fid, pid, 0);
                 out.push(completion(finish, 0, 0));
                 Ok(true)
             }
-            IoOp::Close => {
-                if !open {
-                    return Err(PfsError::NotOpen { file: fid, pid });
-                }
+            (_, None) => Err(PfsError::NotOpen { file: fid, pid }),
+            (IoOp::Close, Some(_)) => {
                 let finish = self.metadata_op(now, fid);
-                self.handles.remove(&key);
+                self.handles.remove(fid, pid);
                 out.push(completion(finish, 0, 0));
                 Ok(true)
             }
-            IoOp::Seek { offset } => {
-                if !open {
-                    return Err(PfsError::NotOpen { file: fid, pid });
-                }
-                self.handles.insert(key, *offset);
+            (IoOp::Seek { offset }, Some(_)) => {
+                self.handles.insert(fid, pid, *offset);
                 out.push(completion(now + CLIENT_OVERHEAD, 0, *offset));
                 Ok(true)
             }
-            IoOp::SetIoMode { .. } | IoOp::SetBuffering { .. } | IoOp::Flush => {
-                if !open {
-                    return Err(PfsError::NotOpen { file: fid, pid });
-                }
+            (IoOp::SetIoMode { .. } | IoOp::SetBuffering { .. } | IoOp::Flush, Some(ptr)) => {
                 // No shared modes to change, nothing buffered
                 // server-side to flush: client-local bookkeeping.
-                let ptr = self.handles[&key];
                 out.push(completion(now + CLIENT_OVERHEAD, 0, ptr));
                 Ok(true)
             }
-            IoOp::Read { size } => {
-                if !open {
-                    return Err(PfsError::NotOpen { file: fid, pid });
-                }
-                let ptr = self.handles[&key];
+            (IoOp::Read { size }, Some(ptr)) => {
                 let avail = self.objects[fid.index()].size.saturating_sub(ptr);
                 let bytes = (*size).min(avail);
                 let md_done = self.md_reserve(now + NET_LATENCY, fid);
@@ -335,15 +326,11 @@ impl StorageBackend for ObjectStore {
                 let meta = &mut self.objects[fid.index()];
                 meta.gets += 1;
                 self.stats.gets += 1;
-                self.handles.insert(key, ptr + bytes);
+                self.handles.insert(fid, pid, ptr + bytes);
                 out.push(completion(finish, bytes, ptr));
                 Ok(true)
             }
-            IoOp::Write { size } => {
-                if !open {
-                    return Err(PfsError::NotOpen { file: fid, pid });
-                }
-                let ptr = self.handles[&key];
+            (IoOp::Write { size }, Some(ptr)) => {
                 let md_done = self.md_reserve(now + PUT_OVERHEAD + NET_LATENCY, fid);
                 let xfer = self.degraded_xfer(self.transfer_time(*size), md_done);
                 let tgt = self.target(fid);
@@ -354,7 +341,7 @@ impl StorageBackend for ObjectStore {
                 meta.last_writer = Some(pid);
                 meta.puts += 1;
                 self.stats.puts += 1;
-                self.handles.insert(key, ptr + *size);
+                self.handles.insert(fid, pid, ptr + *size);
                 out.push(completion(finish, *size, ptr));
                 Ok(true)
             }

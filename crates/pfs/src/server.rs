@@ -14,11 +14,20 @@
 //! is exactly what the Pablo instrumentation measured, and it is what
 //! makes e.g. 128 concurrent `open`s expensive (Table 2, version A)
 //! without any special-case code.
+//!
+//! Per-process state is found by index. Each open or completed gopen
+//! puts a handle (the private pointer and the client cache) in the
+//! server's `HandleTable` (`handles.rs`), and the close takes it
+//! out, so "is this file open by this process?" is the handle's
+//! presence. Each [`FileState`] keeps its openers in pid order, which
+//! collective rounds count and rank, and a pid-indexed counter of the
+//! collective rounds each process has joined, which a close keeps.
 
 use crate::cache::{ClientFileState, ReadProbe};
 use crate::costs::PfsCosts;
 use crate::error::PfsError;
 use crate::file::FileState;
+use crate::handles::HandleTable;
 use crate::ioncache::IonCache;
 use crate::mode::{IoMode, OsRelease};
 use crate::op::{Completion, IoOp, OpKind, Outcome};
@@ -116,12 +125,22 @@ pub struct Pfs {
     rdv: RendezvousTable,
     /// Per-rendezvous-round context: each member's request size.
     pending_sizes: DetHashMap<u64, Vec<(Pid, u64)>>,
-    clients: DetHashMap<(Pid, FileId), ClientFileState>,
+    /// The handle each process holds open on each file.
+    handles: HandleTable<Handle>,
     /// Compiled fault state; `None` iff the schedule does not engage,
     /// which is the guarantee that fault-free runs skip every hook.
     faults: Option<FaultState>,
     /// Resilience actions taken so far.
     res_stats: ResilienceStats,
+}
+
+/// One process's open handle on one file: its private pointer and
+/// its client-side buffering state. An open or a completed gopen makes
+/// a fresh one, and a close drops it.
+#[derive(Debug, Default)]
+struct Handle {
+    ptr: u64,
+    client: ClientFileState,
 }
 
 /// What a `gopen` or `setiomode` call asks for: the collective's size,
@@ -155,7 +174,7 @@ impl Pfs {
             ion_links: CalendarPool::new(n_ions),
             rdv: RendezvousTable::new(),
             pending_sizes: DetHashMap::default(),
-            clients: DetHashMap::default(),
+            handles: HandleTable::default(),
             faults,
             res_stats: ResilienceStats::default(),
             cfg,
@@ -195,6 +214,19 @@ impl Pfs {
     /// Inspect a file's state.
     pub fn file(&self, id: FileId) -> Option<&FileState> {
         self.files.get(id.index())
+    }
+
+    /// `pid`'s private pointer on file `fid`, while it holds the file
+    /// open.
+    pub fn private_ptr(&self, fid: FileId, pid: Pid) -> Option<u64> {
+        self.handles.get(fid, pid).map(|h| h.ptr)
+    }
+
+    /// The handle `pid` holds open on `fid`.
+    fn handle(&mut self, fid: FileId, pid: Pid) -> Result<&mut Handle, PfsError> {
+        self.handles
+            .get_mut(fid, pid)
+            .ok_or(PfsError::NotOpen { file: fid, pid })
     }
 
     /// Number of rendezvous groups still forming (must be zero when an
@@ -311,8 +343,7 @@ impl Pfs {
     ) -> Result<bool, PfsError> {
         let service = self.cfg.costs.open_service;
         let overhead = self.cfg.costs.client_overhead;
-        let file = &mut self.files[fid.index()];
-        if file.is_open_by(pid) {
+        if self.handles.get(fid, pid).is_some() {
             return Err(PfsError::AlreadyOpen { file: fid, pid });
         }
         // Every open pays the client-side path concurrently, plus a
@@ -320,9 +351,10 @@ impl Pfs {
         // many nodes are the version-A bottleneck in both
         // applications.
         let res = self.metadata.reserve(now, service);
+        let file = &mut self.files[fid.index()];
         file.add_opener(pid);
         let mode = file.mode;
-        self.clients.insert((pid, fid), ClientFileState::new());
+        self.handles.insert(fid, pid, Handle::default());
         out.push(Completion {
             pid,
             finish: res.finish + self.cfg.costs.open_local + overhead,
@@ -357,11 +389,11 @@ impl Pfs {
                 got: 0,
             });
         }
+        if self.handles.get(fid, pid).is_some() {
+            return Err(PfsError::AlreadyOpen { file: fid, pid });
+        }
         let key = {
             let file = &mut self.files[fid.index()];
-            if file.is_open_by(pid) {
-                return Err(PfsError::AlreadyOpen { file: fid, pid });
-            }
             let seq = file.next_collective_seq(pid);
             file.rendezvous_key(seq)
         };
@@ -380,7 +412,7 @@ impl Pfs {
                 out.reserve(arrivals.len());
                 for (p, _) in arrivals {
                     file.add_opener(p);
-                    self.clients.insert((p, fid), ClientFileState::new());
+                    self.handles.insert(fid, p, Handle::default());
                     out.push(Completion {
                         pid: p,
                         finish,
@@ -411,11 +443,11 @@ impl Pfs {
         if !mode.available_in(self.cfg.os) {
             return Err(PfsError::ModeUnavailable { mode: mode.name() });
         }
+        if self.handles.get(fid, pid).is_none() {
+            return Err(PfsError::NotOpen { file: fid, pid });
+        }
         let key = {
             let file = &mut self.files[fid.index()];
-            if !file.is_open_by(pid) {
-                return Err(PfsError::NotOpen { file: fid, pid });
-            }
             let seq = file.next_collective_seq(pid);
             file.rendezvous_key(seq)
         };
@@ -466,10 +498,11 @@ impl Pfs {
         out: &mut Vec<Completion>,
     ) -> Result<bool, PfsError> {
         let costs = self.cfg.costs;
-        let file = &mut self.files[fid.index()];
-        if !file.is_open_by(pid) {
+        let aggregating = self.cfg.policy.write_aggregation || self.cfg.policy.adaptive;
+        let Some(handle) = self.handles.get_mut(fid, pid) else {
             return Err(PfsError::NotOpen { file: fid, pid });
-        }
+        };
+        let file = &mut self.files[fid.index()];
         if !file.mode.private_pointer() {
             return Err(PfsError::SeekOnSharedPointer { file: fid, pid });
         }
@@ -479,14 +512,13 @@ impl Pfs {
         // measured PFS, a seek on a UNIX-shared file is a file-server
         // round trip through the atomicity token — the ESCAT
         // version-B bottleneck (Table 2: seek 63.2% of I/O time).
-        let aggregating = self.cfg.policy.write_aggregation || self.cfg.policy.adaptive;
         let finish = if file.mode == IoMode::MUnix && file.opener_count() > 1 && !aggregating {
             let res = file.token.reserve(now, costs.seek_server_service);
             res.finish + costs.client_overhead
         } else {
             now + costs.seek_local
         };
-        file.set_private_ptr(pid, offset);
+        handle.ptr = offset;
         let mode = file.mode;
         out.push(Completion {
             pid,
@@ -507,11 +539,7 @@ impl Pfs {
         enabled: bool,
         out: &mut Vec<Completion>,
     ) -> Result<bool, PfsError> {
-        let file = &self.files[fid.index()];
-        if !file.is_open_by(pid) {
-            return Err(PfsError::NotOpen { file: fid, pid });
-        }
-        let client = self.clients.entry((pid, fid)).or_default();
+        let client = &mut self.handle(fid, pid)?.client;
         client.buffering = enabled;
         client.invalidate_reads();
         let mode = self.files[fid.index()].mode;
@@ -533,15 +561,8 @@ impl Pfs {
         fid: FileId,
         out: &mut Vec<Completion>,
     ) -> Result<bool, PfsError> {
-        if !self.files[fid.index()].is_open_by(pid) {
-            return Err(PfsError::NotOpen { file: fid, pid });
-        }
         let drained = self.drain_write_buf(now, pid, fid);
-        let pending = self
-            .clients
-            .get(&(pid, fid))
-            .map(|c| c.drain_done_at)
-            .unwrap_or(Time::ZERO);
+        let pending = self.handle(fid, pid)?.client.drain_done_at;
         let finish = now.max(drained).max(pending) + self.cfg.costs.flush_service;
         let mode = self.files[fid.index()].mode;
         out.push(Completion {
@@ -562,15 +583,11 @@ impl Pfs {
         fid: FileId,
         out: &mut Vec<Completion>,
     ) -> Result<bool, PfsError> {
-        if !self.files[fid.index()].is_open_by(pid) {
-            return Err(PfsError::NotOpen { file: fid, pid });
-        }
         let drained = self.drain_write_buf(now, pid, fid);
-        let pending = self
-            .clients
-            .remove(&(pid, fid))
-            .map(|c| c.drain_done_at)
-            .unwrap_or(Time::ZERO);
+        let Some(handle) = self.handles.remove(fid, pid) else {
+            return Err(PfsError::NotOpen { file: fid, pid });
+        };
+        let pending = handle.client.drain_done_at;
         // Closes update metadata asynchronously; the client pays only
         // a fixed service cost (unlike opens, they did not measure as
         // serialized storms — Tables 2/5 show close at a few percent).
@@ -609,14 +626,10 @@ impl Pfs {
         write: bool,
         out: &mut Vec<Completion>,
     ) -> Result<bool, PfsError> {
-        let mode = {
-            let file = &self.files[fid.index()];
-            if !file.is_open_by(pid) {
-                return Err(PfsError::NotOpen { file: fid, pid });
-            }
-            file.mode
-        };
-        match mode {
+        if self.handles.get(fid, pid).is_none() {
+            return Err(PfsError::NotOpen { file: fid, pid });
+        }
+        match self.files[fid.index()].mode {
             IoMode::MUnix | IoMode::MAsync => {
                 if write {
                     self.private_write(now, pid, fid, size, out)
@@ -663,9 +676,10 @@ impl Pfs {
         let costs = self.cfg.costs;
         let policy = self.cfg.policy;
         let t0 = now + costs.client_overhead;
-        let offset = self.files[fid.index()].private_ptr(pid);
         let cache_allowed = self.read_cache_allowed(fid);
-        let client = self.clients.entry((pid, fid)).or_default();
+        let handle = self.handle(fid, pid)?;
+        let offset = handle.ptr;
+        let client = &mut handle.client;
         let buffering_on = client.buffering && cache_allowed;
         let buffered = buffering_on && size < costs.buffer_block && size > 0;
         // Adaptive policy: enable read-ahead once this stream is
@@ -697,10 +711,7 @@ impl Pfs {
                     let file_end = self.files[fid.index()].size.max(offset + size);
                     let block_len = costs.buffer_block.min(file_end - block_start);
                     let end = self.fetch(t0, pid, fid, block_start, block_len, false)?;
-                    let client = self
-                        .clients
-                        .get_mut(&(pid, fid))
-                        .expect("client state present");
+                    let client = &mut self.handle(fid, pid)?.client;
                     client.install_block(block_start, block_len);
                     if read_ahead && sequential {
                         self.issue_prefetch(end, pid, fid, block_start + block_len);
@@ -720,11 +731,9 @@ impl Pfs {
             }
         };
 
-        let file = &mut self.files[fid.index()];
-        file.advance_private(pid, size);
-        if let Some(client) = self.clients.get_mut(&(pid, fid)) {
-            client.note_read(offset, size);
-        }
+        let handle = self.handle(fid, pid)?;
+        handle.ptr += size;
+        handle.client.note_read(offset, size);
         let mode = self.files[fid.index()].mode;
         out.push(Completion {
             pid,
@@ -749,9 +758,8 @@ impl Pfs {
         }
         // Never refetch a block the client already holds or has in
         // flight.
-        if let Some(client) = self.clients.get(&(pid, fid)) {
-            use crate::cache::ReadProbe;
-            if !matches!(client.probe_read(block_start, 1), ReadProbe::Miss) {
+        if let Some(h) = self.handles.get(fid, pid) {
+            if !matches!(h.client.probe_read(block_start, 1), ReadProbe::Miss) {
                 return;
             }
         }
@@ -765,8 +773,8 @@ impl Pfs {
         // interim — the opposite of how a real scheduler prioritizes.)
         let end = self.transfer_background(start, fid, block_start, block_len);
         let arrival = self.net_arrival(end, pid, fid, block_start, block_len, false);
-        if let Some(client) = self.clients.get_mut(&(pid, fid)) {
-            client.install_prefetch(block_start, block_len, arrival);
+        if let Some(h) = self.handles.get_mut(fid, pid) {
+            h.client.install_prefetch(block_start, block_len, arrival);
         }
     }
 
@@ -808,7 +816,7 @@ impl Pfs {
         let costs = self.cfg.costs;
         let policy = self.cfg.policy;
         let t0 = now + costs.client_overhead;
-        let offset = self.files[fid.index()].private_ptr(pid);
+        let offset = self.handle(fid, pid)?.ptr;
 
         // Small writes coalesce in the client buffer when either (a)
         // standard UNIX buffering applies — M_UNIX with a single
@@ -820,15 +828,11 @@ impl Pfs {
         let mode = self.files[fid.index()].mode;
         let unix_buffered = mode == IoMode::MUnix
             && self.write_buffer_allowed(fid)
-            && self
-                .clients
-                .get(&(pid, fid))
-                .map(|c| c.buffering)
-                .unwrap_or(true);
+            && self.handle(fid, pid)?.client.buffering;
         // Adaptive policy: coalesce once the write stream is
         // classified sequential.
         let adaptive_agg = policy.adaptive && {
-            let client = self.clients.entry((pid, fid)).or_default();
+            let client = &mut self.handle(fid, pid)?.client;
             client.write_pattern.observe(offset, size);
             client.write_pattern.pattern(3) == crate::adaptive::AccessPattern::Sequential
         };
@@ -849,42 +853,19 @@ impl Pfs {
         } else if coalesce {
             // Coalesce into the client write buffer.
             let mut sync_drain_delay = Time::ZERO;
-            let needs_flush_first = {
-                let client = self.clients.entry((pid, fid)).or_default();
-                !client.append_write(offset, size)
-            };
-            if needs_flush_first {
+            if !self.handle(fid, pid)?.client.append_write(offset, size) {
                 // Non-contiguous: drain the old range first.
-                let buf = self
-                    .clients
-                    .get_mut(&(pid, fid))
-                    .and_then(|c| c.take_write_buf());
-                if let Some(buf) = buf {
+                if let Some(buf) = self.handle(fid, pid)?.client.take_write_buf() {
                     sync_drain_delay = self.drain_range(t0, pid, fid, buf.start, buf.len, behind);
                 }
-                let client = self
-                    .clients
-                    .get_mut(&(pid, fid))
-                    .expect("client state present");
+                let client = &mut self.handle(fid, pid)?.client;
                 assert!(client.append_write(offset, size), "empty buffer accepts");
             }
             // Drain when the buffer reaches a full block.
             let mut full_drain_delay = Time::ZERO;
-            let need_drain = {
-                let client = self.clients.get(&(pid, fid)).expect("client state");
-                client
-                    .write_buf
-                    .map(|b| b.len >= costs.buffer_block)
-                    .unwrap_or(false)
-            };
-            if need_drain {
-                let buf = self
-                    .clients
-                    .get_mut(&(pid, fid))
-                    .and_then(|c| c.take_write_buf());
-                if let Some(buf) = buf {
-                    full_drain_delay = self.drain_range(t0, pid, fid, buf.start, buf.len, behind);
-                }
+            let pending = &mut self.handle(fid, pid)?.client.write_buf;
+            if let Some(buf) = pending.take_if(|b| b.len >= costs.buffer_block) {
+                full_drain_delay = self.drain_range(t0, pid, fid, buf.start, buf.len, behind);
             }
             // The client's call returns after the memory copy, plus
             // any synchronous drain it triggered.
@@ -893,9 +874,8 @@ impl Pfs {
             self.fetch(t0, pid, fid, offset, size, true)?
         };
 
-        let file = &mut self.files[fid.index()];
-        file.advance_private(pid, size);
-        file.note_write(offset, size);
+        self.handle(fid, pid)?.ptr += size;
+        self.files[fid.index()].note_write(offset, size);
         out.push(Completion {
             pid,
             finish,
@@ -913,9 +893,9 @@ impl Pfs {
     /// (`Time::ZERO` when nothing was buffered).
     fn drain_write_buf(&mut self, now: Time, pid: Pid, fid: FileId) -> Time {
         let buf = self
-            .clients
-            .get_mut(&(pid, fid))
-            .and_then(|c| c.take_write_buf());
+            .handles
+            .get_mut(fid, pid)
+            .and_then(|h| h.client.take_write_buf());
         match buf {
             Some(buf) => {
                 let end = self.transfer(now, fid, buf.start, buf.len, true);
@@ -941,8 +921,8 @@ impl Pfs {
         let end = self.transfer(start, fid, offset, len, true);
         self.files[fid.index()].note_write(offset, len);
         if behind {
-            if let Some(client) = self.clients.get_mut(&(pid, fid)) {
-                client.drain_done_at = client.drain_done_at.max(end);
+            if let Some(h) = self.handles.get_mut(fid, pid) {
+                h.client.drain_done_at = h.client.drain_done_at.max(end);
             }
             Time::ZERO
         } else {

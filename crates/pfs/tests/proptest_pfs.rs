@@ -158,7 +158,7 @@ fn pointer_semantics() {
             if let Ok(Outcome::Done(cs)) = pfs.submit(t, pid, f, &io) {
                 t = cs[0].finish;
             }
-            assert_eq!(pfs.file(f).unwrap().private_ptr(pid), expected);
+            assert_eq!(pfs.private_ptr(f, pid), Some(expected));
         }
     });
 }
