@@ -1,7 +1,8 @@
 //! The canonical run surface: stable string ids for workloads,
 //! scheduler policies and scales, one typed [`RunSpec`] naming a run by
 //! those ids, and [`execute`], the one entry point that turns a
-//! `RunSpec` into *integer* metrics.
+//! `RunSpec` into *integer* metrics. Runs of one workload executed in
+//! turn share its build through a [`Built`].
 //!
 //! This is the boundary the campaign engine's content-addressed cache
 //! is built on. Everything here is deliberately narrow:
@@ -245,6 +246,17 @@ impl RunSpec {
         }
     }
 
+    /// The workload this run builds, as the id and scale it is built
+    /// from: `Some` for a workload run, `None` for every other kind.
+    /// Runs that build the same workload can share one build through a
+    /// [`Built`].
+    pub fn builds(&self) -> Option<(WorkloadId, Scale)> {
+        match *self {
+            RunSpec::Workload { id, scale, .. } => Some((id, scale)),
+            _ => None,
+        }
+    }
+
     /// A short human label for progress lines and reports.
     pub fn label(&self) -> String {
         match *self {
@@ -276,13 +288,53 @@ impl RunSpec {
     }
 }
 
+/// The built workload that workload runs take their workload from: at
+/// most one, held with the id and scale it was built from. Runs of one
+/// workload executed in turn through one `Built` share one build; a
+/// caller keeps it no longer than those runs.
+///
+/// [`execute`] keeps the held workload only for a run that builds the
+/// same one ([`RunSpec::builds`]). Any other run drops it before it
+/// builds its own, so a run never simulates another run's workload and
+/// a `Built` never holds two.
+#[derive(Debug, Default)]
+pub struct Built(Option<((WorkloadId, Scale), Workload)>);
+
+impl Built {
+    /// Drop the held workload unless `key` names it.
+    fn keep_only(&mut self, key: Option<(WorkloadId, Scale)>) {
+        if self.0.as_ref().map(|(held, _)| *held) != key {
+            self.0 = None;
+        }
+    }
+
+    /// `id.build(scale)`: the held workload if it is that one, else
+    /// built now in place of whatever was held.
+    fn workload(&mut self, id: WorkloadId, scale: Scale) -> &Workload {
+        self.keep_only(Some((id, scale)));
+        &self
+            .0
+            .get_or_insert_with(|| ((id, scale), id.build(scale)))
+            .1
+    }
+}
+
 /// Execute one run and reduce it to (status, integer metrics). `Err`
 /// is an execution failure; `Ok` with a status other than `"ok"` is an
 /// experiment that ran but whose shape checks disagree with the paper.
 /// Experiments and sweeps report their rendered artifact as a length
 /// and a 64-bit fingerprint, so a report can assert "the rendering did
 /// not change" without embedding kilobytes of ASCII tables.
-pub fn execute(run: &RunSpec) -> Result<(String, BTreeMap<String, u64>), String> {
+///
+/// A workload run takes its workload from `built`, building it there
+/// only if `built` does not hold it yet; every other kind of run empties
+/// `built`. The metrics are the same whatever `built` held before: pass
+/// one `Built` to runs of one workload in turn, and they build it once.
+pub fn execute(
+    run: &RunSpec,
+    built: &mut Built,
+) -> Result<(String, BTreeMap<String, u64>), String> {
+    built.keep_only(run.builds());
     let metrics = match *run {
         RunSpec::Workload {
             id,
@@ -290,7 +342,7 @@ pub fn execute(run: &RunSpec) -> Result<(String, BTreeMap<String, u64>), String>
             scale,
             fault_events,
             seed,
-        } => workload_run(id, scale, backend, fault_events, seed)?,
+        } => workload_run(id, scale, backend, fault_events, seed, built)?,
         RunSpec::Contention {
             policy,
             scale,
@@ -400,10 +452,12 @@ pub(crate) fn clear_cache() {
 }
 
 /// The metrics of `id`'s fault-free run at `scale` on `backend`,
-/// simulated once per process and read from the memo after that. A
-/// caller that already holds the workload passes it as `workload`, and
-/// it must be `id.build(scale)`: a miss then simulates it instead of
-/// building a second copy. A hit builds nothing either way.
+/// simulated once per process and read from the memo after that: the
+/// sweeps' way into the memo that [`workload_run`] fills from its
+/// [`Built`]. A caller that already holds the workload passes it as
+/// `workload`, and it must be `id.build(scale)`: a miss then simulates
+/// it instead of building a second copy. A hit builds nothing either
+/// way.
 pub(crate) fn fault_free(
     id: WorkloadId,
     scale: Scale,
@@ -421,13 +475,14 @@ pub(crate) fn fault_free(
 /// drawn from `seed`, and reduce the run to integer metrics: what
 /// [`execute`] runs for a [`RunSpec::Workload`].
 ///
-/// The workload is built from `id` and `scale` alone; `seed` only draws
-/// the faults. The fault horizon is the workload's own fault-free
-/// execution time on the tier (mirroring the `fault_intensity` sweep).
-/// That fault-free run is simulated once per process for each
-/// (workload, scale, tier) and its metrics memoized ([`fault_free`]),
-/// so a run with `fault_events == 0` reads them and a faulted run
-/// simulates only itself. The machine-configuration sweeps read the PFS
+/// The workload is `id` built at `scale`, taken from `built` (built
+/// there if it does not hold it); `seed` only draws the faults. The
+/// fault horizon is the workload's own fault-free execution time on the
+/// tier (mirroring the `fault_intensity` sweep). That fault-free run is
+/// simulated once per process for each (workload, scale, tier) and its
+/// metrics memoized ([`fault_free`]), so a run with `fault_events == 0`
+/// reads them, a faulted run simulates only itself, and a memo hit
+/// builds nothing. The machine-configuration sweeps read the PFS
 /// tier's too: for their points on the canonical config, the
 /// fault-intensity horizon and the checkpoint sweeps' crash baseline
 /// ([`crate::sweeps`]). Both simulations record into
@@ -445,19 +500,22 @@ pub(crate) fn workload_run(
     backend: BackendKind,
     fault_events: u32,
     seed: u64,
+    built: &mut Built,
 ) -> Result<BTreeMap<String, u64>, String> {
+    let clean = FAULT_FREE.get_or_run((id, scale, backend), || {
+        simulate_fault_free(built.workload(id, scale), backend)
+    });
     if fault_events == 0 {
-        let metrics = fault_free(id, scale, backend, None);
-        return (*metrics).clone().map_err(|e| format!("{}: {e}", id.id()));
+        return (*clean).clone().map_err(|e| format!("{}: {e}", id.id()));
     }
-    let workload = id.build(scale);
-    let horizon = match &*fault_free(id, scale, backend, Some(&workload)) {
+    let horizon = match &*clean {
         Ok(metrics) => Time::from_nanos(metrics["exec_time_ns"]),
         Err(e) => return Err(format!("{} fault-free baseline: {e}", id.id())),
     };
-    let faults = tier_faults(backend, &workload, horizon, fault_events, seed);
-    let cfg = tier_config(backend, &workload, faults);
-    let result = simulate(&workload, cfg).map_err(|e| format!("{}: {e}", id.id()))?;
+    let workload = built.workload(id, scale);
+    let faults = tier_faults(backend, workload, horizon, fault_events, seed);
+    let cfg = tier_config(backend, workload, faults);
+    let result = simulate(workload, cfg).map_err(|e| format!("{}: {e}", id.id()))?;
     Ok(run_metrics(&result, backend, true))
 }
 
@@ -612,6 +670,23 @@ mod tests {
     use super::*;
     use crate::simulator::{run_backend, SimOptions};
 
+    /// A smoke-scale workload run through its own fresh [`Built`].
+    fn run_alone(
+        id: WorkloadId,
+        backend: BackendKind,
+        fault_events: u32,
+        seed: u64,
+    ) -> Result<BTreeMap<String, u64>, String> {
+        workload_run(
+            id,
+            Scale::Smoke,
+            backend,
+            fault_events,
+            seed,
+            &mut Built::default(),
+        )
+    }
+
     /// Each registry's stable ids are distinct, so each names one
     /// entry: the campaign spec resolves an id to the first entry of
     /// `all()` whose `id()` it equals.
@@ -630,8 +705,8 @@ mod tests {
 
     #[test]
     fn workload_runs_are_deterministic_integer_metrics() {
-        let a = workload_run(WorkloadId::EscatB, Scale::Smoke, BackendKind::Pfs, 0, 0).unwrap();
-        let b = workload_run(WorkloadId::EscatB, Scale::Smoke, BackendKind::Pfs, 0, 0).unwrap();
+        let a = run_alone(WorkloadId::EscatB, BackendKind::Pfs, 0, 0).unwrap();
+        let b = run_alone(WorkloadId::EscatB, BackendKind::Pfs, 0, 0).unwrap();
         assert_eq!(a, b);
         assert!(a["exec_time_ns"] > 0);
         assert!(a["events"] > 0);
@@ -676,7 +751,7 @@ mod tests {
                 for seed in [0, 0xF417] {
                     let expected = simulated_afresh(id, backend, fault_events, seed);
                     for call in ["first", "second"] {
-                        let got = workload_run(id, Scale::Smoke, backend, fault_events, seed);
+                        let got = run_alone(id, backend, fault_events, seed);
                         assert_eq!(
                             got.as_ref(),
                             Ok(&expected),
@@ -688,40 +763,77 @@ mod tests {
         }
     }
 
+    /// Runs executed in turn through one `Built` share its workload, and
+    /// the sharing never reaches a run's metrics: in spec order, in
+    /// reverse (so faulted runs fill the fault-free memo), and with the
+    /// held workload switching from ESCAT B to PRISM A and back, each run
+    /// gets the metrics it gets through its own fresh `Built`.
+    #[test]
+    fn a_shared_build_never_reaches_a_runs_metrics() {
+        let mut runs = Vec::new();
+        for id in [WorkloadId::EscatB, WorkloadId::PrismA] {
+            for backend in [BackendKind::Pfs, BackendKind::Burst] {
+                for fault_events in [0, 2] {
+                    for seed in [0, 0xF417] {
+                        runs.push(RunSpec::Workload {
+                            id,
+                            backend,
+                            scale: Scale::Smoke,
+                            fault_events,
+                            seed,
+                        });
+                    }
+                }
+            }
+        }
+        crate::experiments::clear_run_caches();
+        let alone: Vec<_> = runs
+            .iter()
+            .map(|run| execute(run, &mut Built::default()))
+            .collect();
+        let (escat, prism) = runs.split_at(runs.len() / 2);
+        let (escat_before, escat_after) = escat.split_at(escat.len() / 2);
+        let orders: [(&str, Vec<&RunSpec>); 3] = [
+            ("spec order", runs.iter().collect()),
+            ("reverse order", runs.iter().rev().collect()),
+            (
+                "ESCAT B, PRISM A, ESCAT B",
+                escat_before
+                    .iter()
+                    .chain(prism)
+                    .chain(escat_after)
+                    .collect(),
+            ),
+        ];
+        for (order, sequence) in orders {
+            crate::experiments::clear_run_caches();
+            let mut built = Built::default();
+            for run in sequence {
+                let i = runs.iter().position(|r| r == run).expect("one of the runs");
+                let got = execute(run, &mut built);
+                assert_eq!(got, alone[i], "{order}: {}", run.label());
+            }
+        }
+    }
+
     #[test]
     fn fault_injection_engages_the_calendar() {
-        let faulty = workload_run(
-            WorkloadId::PrismA,
-            Scale::Smoke,
-            BackendKind::Pfs,
-            2,
-            0xF417,
-        )
-        .unwrap();
+        let faulty = run_alone(WorkloadId::PrismA, BackendKind::Pfs, 2, 0xF417).unwrap();
         assert!(faulty["fault_transitions"] > 0, "{faulty:?}");
-        let clean = workload_run(
-            WorkloadId::PrismA,
-            Scale::Smoke,
-            BackendKind::Pfs,
-            0,
-            0xF417,
-        )
-        .unwrap();
+        let clean = run_alone(WorkloadId::PrismA, BackendKind::Pfs, 0, 0xF417).unwrap();
         assert!(faulty["exec_time_ns"] >= clean["exec_time_ns"]);
     }
 
     #[test]
     fn tiers_are_deterministic_and_distinct() {
         for backend in [BackendKind::Object, BackendKind::Burst] {
-            let a = workload_run(WorkloadId::PrismA, Scale::Smoke, backend, 0, 0).unwrap();
-            let b = workload_run(WorkloadId::PrismA, Scale::Smoke, backend, 0, 0).unwrap();
+            let a = run_alone(WorkloadId::PrismA, backend, 0, 0).unwrap();
+            let b = run_alone(WorkloadId::PrismA, backend, 0, 0).unwrap();
             assert_eq!(a, b, "{backend} must be deterministic");
         }
-        let pfs = workload_run(WorkloadId::PrismA, Scale::Smoke, BackendKind::Pfs, 0, 0).unwrap();
-        let object =
-            workload_run(WorkloadId::PrismA, Scale::Smoke, BackendKind::Object, 0, 0).unwrap();
-        let burst =
-            workload_run(WorkloadId::PrismA, Scale::Smoke, BackendKind::Burst, 0, 0).unwrap();
+        let pfs = run_alone(WorkloadId::PrismA, BackendKind::Pfs, 0, 0).unwrap();
+        let object = run_alone(WorkloadId::PrismA, BackendKind::Object, 0, 0).unwrap();
+        let burst = run_alone(WorkloadId::PrismA, BackendKind::Burst, 0, 0).unwrap();
         assert!(object.contains_key("puts") && object.contains_key("gets"));
         assert!(burst.contains_key("bytes_logged"));
         assert_eq!(burst["bytes_logged"], burst["bytes_drained"]);
@@ -731,32 +843,17 @@ mod tests {
 
     #[test]
     fn object_tier_takes_object_faults() {
-        let faulty = workload_run(
-            WorkloadId::EscatB,
-            Scale::Smoke,
-            BackendKind::Object,
-            3,
-            0xF417,
-        )
-        .unwrap();
+        let faulty = run_alone(WorkloadId::EscatB, BackendKind::Object, 3, 0xF417).unwrap();
         assert!(faulty["fault_transitions"] > 0, "{faulty:?}");
         assert!(faulty.contains_key("resilience_actions"), "{faulty:?}");
-        let clean =
-            workload_run(WorkloadId::EscatB, Scale::Smoke, BackendKind::Object, 0, 0).unwrap();
+        let clean = run_alone(WorkloadId::EscatB, BackendKind::Object, 0, 0).unwrap();
         assert!(faulty["exec_time_ns"] >= clean["exec_time_ns"]);
         assert!(!clean.contains_key("resilience_actions"));
     }
 
     #[test]
     fn burst_tier_takes_burst_faults() {
-        let faulty = workload_run(
-            WorkloadId::PrismA,
-            Scale::Smoke,
-            BackendKind::Burst,
-            2,
-            0xF417,
-        )
-        .unwrap();
+        let faulty = run_alone(WorkloadId::PrismA, BackendKind::Burst, 2, 0xF417).unwrap();
         assert!(faulty["fault_transitions"] > 0, "{faulty:?}");
         assert!(
             faulty.contains_key("bytes_lost"),

@@ -60,8 +60,9 @@ struct RecoveryRun {
 
 /// Run the recovery comparison; `baseline` is the execution time of
 /// `make(CheckpointPolicy::None)`'s workload run plain and fault-free.
-/// Each row's workload is built inside the worker that runs it, so no
-/// policy's workload outlives its run.
+/// Each policy's workload is built inside the worker that recovers it,
+/// so none outlives its rows, and the fault-free and `none` rows share
+/// one build.
 fn recovery_experiment(
     experiment: Experiment,
     title: &str,
@@ -115,35 +116,38 @@ fn recovery_experiment(
     };
 
     // The fault-free recovery run, then every policy under the crash.
+    // The fault-free and `none` rows recover the same workload, so one
+    // worker builds it once and runs the two in turn.
     let no_faults = FaultSchedule::empty();
-    let runs = [
-        ("fault-free", CheckpointPolicy::None, &no_faults),
-        ("none", CheckpointPolicy::None, &crashes),
-        ("fixed", fixed_policy, &crashes),
-        ("young", young_policy, &crashes),
+    let policies: [(CheckpointPolicy, &[(&'static str, &FaultSchedule)]); 3] = [
+        (
+            CheckpointPolicy::None,
+            &[("fault-free", &no_faults), ("none", &crashes)],
+        ),
+        (fixed_policy, &[("fixed", &crashes)]),
+        (young_policy, &[("young", &crashes)]),
     ];
-    let mut results = par::map(
-        &runs,
-        par::available_threads(),
-        |&(label, policy, faults)| {
-            let rec = make(policy);
-            let r = recover(&rec, faults, &storage, &SimOptions::default(), |_| {
-                IoTotals::default()
+    let mut results = par::map(&policies, par::available_threads(), |&(policy, runs)| {
+        let rec = make(policy);
+        runs.iter()
+            .map(|&(label, faults)| {
+                let r = recover(&rec, faults, &storage, &SimOptions::default(), |_| {
+                    IoTotals::default()
+                })
+                .unwrap_or_else(|e| panic!("{}: {label} recovery: {e}", experiment.id()));
+                let run = RecoveryRun {
+                    exec_time: r.exec_time,
+                    recovery: r.recovery,
+                    checkpoints: rec.checkpoints(),
+                };
+                (label, run)
             })
-            .unwrap_or_else(|e| panic!("{}: {label} recovery: {e}", experiment.id()));
-            RecoveryRun {
-                exec_time: r.exec_time,
-                recovery: r.recovery,
-                checkpoints: rec.checkpoints(),
-            }
-        },
-    );
-    let fault_free = results.remove(0);
-    let rows: Vec<(&'static str, RecoveryRun)> = runs[1..]
-        .iter()
-        .map(|&(label, _, _)| label)
-        .zip(results)
-        .collect();
+            .collect::<Vec<_>>()
+    })
+    .into_iter()
+    .flatten();
+    let (_, fault_free) = results.next().expect("the fault-free run");
+    let rows: Vec<(&'static str, RecoveryRun)> = results.collect();
 
     let mut rendered = String::new();
     let _ = writeln!(rendered, "{title}");

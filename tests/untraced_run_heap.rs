@@ -4,15 +4,15 @@
 //! The test binary counts live heap bytes and their peak with the
 //! global allocator in `heap/`, and holds a single test, so nothing
 //! else allocates while it measures. It compares the heap peak of a
-//! cold fault-free smoke-scale workload run through `canon::execute`
-//! with the peak of
+//! cold fault-free smoke-scale workload run through `canon::execute`,
+//! which builds the workload in a fresh `Built`, with the peak of
 //! the same simulation through `run_backend`, which records the trace.
 //! Both build the workload and simulate it on the same tier, so what
 //! the traced run holds beyond the other is its events: the untraced
 //! run must peak lower by at least half the raw trace. If the
 //! campaign's simulations record the trace again, this fails.
 
-use sioscope::canon::{execute, tier_config, BackendKind, RunSpec, WorkloadId};
+use sioscope::canon::{execute, tier_config, BackendKind, Built, RunSpec, WorkloadId};
 use sioscope::experiments::{clear_run_caches, Scale};
 use sioscope::simulator::{run_backend, SimOptions};
 use sioscope_faults::FaultSchedule;
@@ -34,7 +34,11 @@ fn a_campaign_workload_run_peaks_below_the_traced_run() {
         fault_events: 0,
         seed: 0,
     };
-    let untraced = || execute(&spec).expect("ESCAT B runs").1;
+    let untraced = || {
+        execute(&spec, &mut Built::default())
+            .expect("ESCAT B runs")
+            .1
+    };
     // The same simulation, recording the trace: its length and the
     // workload's I/O statement count.
     let traced = || {
